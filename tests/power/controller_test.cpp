@@ -14,7 +14,9 @@
 //    slack controller strictly dominates static AVG on a drifting
 //    workload (the headline Pareto result, pinned as a test),
 //  * fresh schedules on the committed drift4 fixture match the golden
-//    CSV byte-for-byte (regenerate with tools/update_golden).
+//    CSV byte-for-byte, and the Jitter / per-phase / fallback /
+//    gear_stuck pins match golden/schedule_pins.csv (regenerate both with
+//    tools/update_golden).
 #include "core/controllers.hpp"
 
 #include <gtest/gtest.h>
@@ -33,6 +35,7 @@
 #include "fault/injector.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 #ifndef PALS_SOURCE_DIR
 #define PALS_SOURCE_DIR "."
@@ -343,6 +346,33 @@ TEST(GoldenSchedules, Drift4MatchesPinnedCsv) {
   // Byte-for-byte: schedule regressions must show as reviewable diffs.
   // Regenerate intentionally with tools/update_golden.
   EXPECT_EQ(controller_schedules_csv(drift), pinned);
+}
+
+// The schedule shapes outside controller_schedules.csv — Jitter, per
+// phase, static fallback and gear_stuck — pinned by golden/
+// schedule_pins.csv: gears and counts exactly, normalized energy and time
+// at 1e-12 relative.
+TEST(GoldenSchedules, SchedulePinsMatch) {
+  const Trace drift = read_trace_auto(std::string(PALS_SOURCE_DIR) +
+                                      "/tests/power/fixtures/drift4.palst");
+  const std::vector<std::string> expected = split(
+      read_file(std::string(PALS_SOURCE_DIR) + "/golden/schedule_pins.csv"),
+      '\n');
+  const std::vector<std::string> actual = split(schedule_pins_csv(drift), '\n');
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const std::vector<std::string> want = split(expected[i], ',');
+    const std::vector<std::string> got = split(actual[i], ',');
+    ASSERT_EQ(got.size(), want.size()) << "line " << i + 1;
+    if (want.size() != 3 || want[1].rfind("normalized_", 0) != 0) {
+      EXPECT_EQ(actual[i], expected[i]) << "line " << i + 1;
+      continue;
+    }
+    EXPECT_EQ(got[0] + ',' + got[1], want[0] + ',' + want[1]);
+    const double pinned = parse_double(want[2]);
+    EXPECT_NEAR(parse_double(got[2]), pinned, 1e-12 * pinned)
+        << want[0] << ' ' << want[1];
+  }
 }
 
 TEST(ControllerSweep, GridAxisExpandsInCanonicalOrder) {

@@ -61,6 +61,11 @@ int run(int argc, char** argv) {
   atomic_write_file(dir + "/controller_schedules.csv",
                     controller_schedules_csv(drift));
   std::cout << "wrote " << dir << "/controller_schedules.csv\n";
+
+  // Jitter, per-phase, static-fallback and gear_stuck schedules with
+  // their normalized energy/time (compared at 1e-12 relative).
+  atomic_write_file(dir + "/schedule_pins.csv", schedule_pins_csv(drift));
+  std::cout << "wrote " << dir << "/schedule_pins.csv\n";
   return 0;
 }
 
