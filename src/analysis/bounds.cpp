@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <utility>
 #include <variant>
 
 #include "core/bound.hpp"
-#include "core/controller_pipeline.hpp"
+#include "core/gear_schedule.hpp"
 #include "lint/lint.hpp"
 #include "network/platform.hpp"
 #include "obs/metrics.hpp"
-#include "trace/transform.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -36,23 +33,6 @@ double widen_down(double value) {
 
 double widen_up(double value) {
   return value + std::abs(value) * kRelSlack + kAbsSlack;
-}
-
-/// Mirror of the controller pipeline's gear_stuck pinning: the effective
-/// gear of a pinned rank is the extreme one, for the seed and for every
-/// later decision (core/controller_pipeline.cpp).
-void pin_stuck_gears(std::vector<Gear>& gears, const PipelineConfig& config) {
-  if (config.replay.faults == nullptr ||
-      !config.replay.faults->has_stuck_gears())
-    return;
-  for (std::size_t r = 0; r < gears.size(); ++r) {
-    const std::optional<fault::StuckGear> stuck =
-        config.replay.faults->stuck_gear(static_cast<Rank>(r));
-    if (!stuck) continue;
-    gears[r] = *stuck == fault::StuckGear::kMin
-                   ? config.algorithm.gear_set.min_gear()
-                   : config.algorithm.gear_set.max_gear();
-  }
 }
 
 /// Compute sums of one collective segment, keyed by iteration label
@@ -79,7 +59,7 @@ struct TraceShape {
   /// [rank][segment 0..slots] — segment k precedes collective slot k.
   std::vector<std::vector<SegmentSums>> segments;
   /// [rank][iteration] -> segment holding that iteration's begin marker
-  /// (where add_iteration_overhead inserts transition stalls).
+  /// (where GearSchedule::rescale inserts transition stalls).
   std::vector<std::vector<std::size_t>> iteration_segment;
 };
 
@@ -116,89 +96,6 @@ TraceShape shape_of(const Trace& trace) {
   return shape;
 }
 
-/// The reconstructed DVFS schedule: rows[i] is the gear vector of
-/// iteration i (a single row on the static path, applied everywhere).
-struct Schedule {
-  std::vector<std::vector<Gear>> rows;
-  std::vector<std::vector<Seconds>> stalls;  ///< [iteration][rank], seconds
-  std::size_t switches = 0;
-  double transition_energy = 0.0;
-  bool is_static = true;
-};
-
-/// Replicates core/controller_pipeline.cpp's decision loop exactly: the
-/// controllers are deterministic and their observations (per-iteration
-/// trace compute × the β time model) never depend on the DES, so the
-/// schedule, switch count, stalls and transition energy are all static.
-Schedule reconstruct_schedule(const Trace& trace, const PipelineConfig& config,
-                              const std::vector<Seconds>& seed_compute) {
-  const PowerModel power(config.power);
-  const auto n = static_cast<std::size_t>(trace.n_ranks());
-  Schedule schedule;
-
-  if (config.controller.kind == ControllerKind::kStatic ||
-      trace.iteration_count() == 0) {
-    FrequencyAssignment assignment =
-        config.algorithm.algorithm == Algorithm::kEnergyOptimalMax
-            ? assign_frequencies_energy_optimal(seed_compute, config.algorithm,
-                                                config.power)
-            : assign_frequencies(seed_compute, config.algorithm);
-    std::vector<Gear> gears = std::move(assignment.gears);
-    pin_stuck_gears(gears, config);
-    schedule.rows.push_back(std::move(gears));
-    return schedule;
-  }
-
-  schedule.is_static = false;
-  const std::vector<std::vector<Seconds>> base_times =
-      iteration_computation_times(trace);
-  const std::size_t iterations = base_times.size();
-  schedule.stalls.assign(iterations, std::vector<Seconds>(n, 0.0));
-
-  const std::unique_ptr<Controller> controller =
-      make_controller(config.controller, config.algorithm, config.power);
-  ControllerSeed seed;
-  seed.n_ranks = n;
-  seed.iterations = iterations;
-  seed.total_compute = seed_compute;
-
-  std::vector<Gear> gears = controller->start(seed);
-  PALS_CHECK_MSG(gears.size() == n, "controller returned "
-                                        << gears.size() << " gears for " << n
-                                        << " ranks");
-  pin_stuck_gears(gears, config);
-  schedule.rows.reserve(iterations);
-  schedule.rows.push_back(std::move(gears));
-
-  for (std::size_t i = 0; i + 1 < iterations; ++i) {
-    IterationObservation obs;
-    obs.iteration = i;
-    obs.applied_gears = schedule.rows[i];
-    obs.observed_compute.resize(n);
-    for (std::size_t r = 0; r < n; ++r)
-      obs.observed_compute[r] =
-          base_times[i][r] *
-          power.time_scale(schedule.rows[i][r].frequency_ghz);
-
-    std::vector<Gear> next = controller->observe(obs);
-    PALS_CHECK_MSG(next.size() == n, "controller returned "
-                                         << next.size() << " gears for " << n
-                                         << " ranks");
-    pin_stuck_gears(next, config);
-    for (std::size_t r = 0; r < n; ++r) {
-      if (next[r].frequency_ghz == schedule.rows[i][r].frequency_ghz &&
-          next[r].voltage_v == schedule.rows[i][r].voltage_v)
-        continue;
-      ++schedule.switches;
-      schedule.stalls[i + 1][r] = config.controller.transition_latency;
-    }
-    schedule.rows.push_back(std::move(next));
-  }
-  schedule.transition_energy = static_cast<double>(schedule.switches) *
-                               config.controller.transition_energy;
-  return schedule;
-}
-
 }  // namespace
 
 ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
@@ -230,13 +127,8 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
     for (std::size_t r = 0; r < n; ++r) seed_compute[r] /= speed[r];
   }
 
-  const Schedule schedule = reconstruct_schedule(trace, config, seed_compute);
-  const auto gear_at = [&](std::size_t r, std::int32_t iteration) -> const Gear& {
-    if (schedule.is_static || iteration < 0 ||
-        static_cast<std::size_t>(iteration) >= schedule.rows.size())
-      return schedule.rows.front()[r];
-    return schedule.rows[static_cast<std::size_t>(iteration)][r];
-  };
+  // The same plan the pipeline replays, so the intervals describe that run.
+  const GearSchedule schedule = plan_schedule(trace, config, seed_compute);
 
   // Scaled compute per rank and collective segment (timeline seconds,
   // i.e. after the per-rank relative-speed division replay applies), the
@@ -251,26 +143,22 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t k = 0; k <= shape.slots; ++k) {
       for (const auto& [iteration, sum] : shape.segments[r][k].by_iteration) {
-        const Gear& gear = gear_at(r, iteration);
+        const Gear& gear = schedule.gear(static_cast<Rank>(r), -1, iteration);
         const Seconds scaled =
             sum * power.time_scale(gear.frequency_ghz) / speed[r];
         segment_compute[r][k] += scaled;
         compute_energy += scaled * power.total_power(gear, true);
       }
     }
-    if (!schedule.is_static) {
-      for (std::size_t i = 0; i < schedule.stalls.size(); ++i) {
-        const Seconds stall = schedule.stalls[i][r];
-        if (stall <= 0.0) continue;
-        // Transition stalls are wall-clock compute bursts inserted at the
-        // iteration's start (add_iteration_overhead), charged at that
-        // iteration's gear and divided by the rank's relative speed.
-        const Seconds scaled = stall / speed[r];
-        segment_compute[r][shape.iteration_segment[r][i]] += scaled;
-        compute_energy +=
-            scaled *
-            power.total_power(gear_at(r, static_cast<std::int32_t>(i)), true);
-      }
+    for (std::size_t i = 0; i < schedule.stalls.size(); ++i) {
+      const Seconds stall = schedule.stalls[i][r];
+      if (stall <= 0.0) continue;
+      // Transition stalls are wall-clock compute bursts inserted at the
+      // iteration's start (GearSchedule::rescale), charged at that
+      // iteration's gear and divided by the rank's relative speed.
+      const Seconds scaled = stall / speed[r];
+      segment_compute[r][shape.iteration_segment[r][i]] += scaled;
+      compute_energy += scaled * power.total_power(schedule.rows[i][r], true);
     }
     for (std::size_t k = 0; k <= shape.slots; ++k)
       rank_compute[r] += segment_compute[r][k];
@@ -286,11 +174,8 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
       if (power.time_scale(gear.frequency_ghz) < 1.0)
         all_at_or_below_reference = false;
     };
-    if (schedule.is_static) {
-      consider(schedule.rows.front()[r]);
-    } else {
-      for (const auto& row : schedule.rows) consider(row[r]);
-    }
+    consider(schedule.fallback.gears[r]);
+    for (const auto& row : schedule.rows) consider(row[r]);
     idle_power_min[r] = p_min;
     idle_power_max[r] = p_max;
   }
@@ -306,7 +191,8 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
   }
 
   ScenarioBounds result;
-  result.iterations = schedule.is_static ? 0 : schedule.rows.size();
+  result.iterations =
+      schedule.key == SegmentKey::kIteration ? schedule.rows.size() : 0;
   result.switches = schedule.switches;
 
   // Lower time bound: collective-segment critical path. Every rank

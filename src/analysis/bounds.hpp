@@ -4,12 +4,12 @@
 // controller) *without running a replay* and emits guaranteed intervals on
 // the scaled run's makespan and CPU energy:
 //
-//  * The DVFS schedule itself is reconstructed exactly: the one-shot
-//    assigners and every online controller are pure functions of the seed
-//    profile and the observation sequence, and the observation sequence the
-//    controller pipeline feeds them (per-iteration trace compute × the β
-//    time model) is itself static. The analyzer replays that decision loop
-//    — gear switches, transition stalls and transition energy included —
+//  * The DVFS schedule is exact: the analyzer calls plan_schedule
+//    (core/gear_schedule.hpp), the same call the pipeline makes. The
+//    one-shot assigners and every online controller are pure functions of
+//    the seed profile and the observation sequence, and that sequence
+//    (per-iteration trace compute × the β time model) is itself static, so
+//    gear switches, transition stalls and transition energy come out
 //    without touching the DES.
 //  * Makespan lower bound: a collective-segment critical path. Replay
 //    resumes every rank at a collective's completion time, so slot k can

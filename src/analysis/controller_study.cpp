@@ -34,47 +34,42 @@ std::string controller_schedules_csv(const Trace& trace) {
 
 namespace {
 
-/// Accumulates the `case,key,value` lines of schedule_pins_csv.
-class PinWriter {
- public:
-  PinWriter() { out_ << "case,key,value\n"; }
+/// The `case,key,value` lines of schedule_pins_csv.
+struct Pins {
+  std::ostringstream out;
+  std::string name;
 
-  void set_case(std::string name) { case_ = std::move(name); }
-
+  void line(const std::string& key, const std::string& value) {
+    out << name << ',' << key << ',' << value << '\n';
+  }
   void count(const std::string& key, std::size_t value) {
     line(key, std::to_string(value));
   }
-
   void metric(const std::string& key, double value) {
     std::ostringstream os;
     os << std::setprecision(13) << value;
     line(key, os.str());
   }
-
   void gears(const std::string& key, const std::vector<Gear>& gears) {
     std::string value;
-    for (const Gear& g : gears) {
-      if (!value.empty()) value += ' ';
-      value += format_roundtrip(g.frequency_ghz) + ':' +
-               format_roundtrip(g.voltage_v);
-    }
+    for (const Gear& g : gears)
+      value += (value.empty() ? "" : " ") + format_roundtrip(g.frequency_ghz) +
+               ':' + format_roundtrip(g.voltage_v);
     line(key, value);
   }
-
   void rows(const std::vector<std::vector<Gear>>& rows) {
     for (std::size_t i = 0; i < rows.size(); ++i)
       gears("gears.iteration." + std::to_string(i), rows[i]);
   }
-
-  std::string str() const { return out_.str(); }
-
- private:
-  void line(const std::string& key, const std::string& value) {
-    out_ << case_ << ',' << key << ',' << value << '\n';
+  void controller_run(const ControllerPipelineResult& run) {
+    count("fell_back_static", run.controller.fell_back_static ? 1 : 0);
+    count("iterations", run.controller.iterations);
+    count("switches", run.controller.switches);
+    metric("normalized_energy", run.pipeline.normalized_energy());
+    metric("normalized_time", run.pipeline.normalized_time());
+    gears("gears.assignment", run.pipeline.assignment.gears);
+    rows(run.controller.schedule);
   }
-
-  std::ostringstream out_;
-  std::string case_;
 };
 
 Trace without_markers(const Trace& trace) {
@@ -86,20 +81,11 @@ Trace without_markers(const Trace& trace) {
   return out;
 }
 
-void pin_controller_run(PinWriter& pins, const ControllerPipelineResult& run) {
-  pins.count("fell_back_static", run.controller.fell_back_static ? 1 : 0);
-  pins.count("iterations", run.controller.iterations);
-  pins.count("switches", run.controller.switches);
-  pins.metric("normalized_energy", run.pipeline.normalized_energy());
-  pins.metric("normalized_time", run.pipeline.normalized_time());
-  pins.gears("gears.assignment", run.pipeline.assignment.gears);
-  pins.rows(run.controller.schedule);
-}
-
 }  // namespace
 
 std::string schedule_pins_csv(const Trace& drift) {
-  PinWriter pins;
+  Pins pins;
+  pins.out << "case,key,value\n";
 
   // The examples/dynamic_runtime workload and Jitter configuration.
   WorkloadConfig workload;
@@ -112,53 +98,42 @@ std::string schedule_pins_csv(const Trace& drift) {
     config.gear_set = paper_uniform(6);
     config.transition_penalty = penalty;
     const JitterResult jitter = run_jitter(amr, config);
-    pins.set_case(penalty == 0.0 ? "jitter-drift-free" : "jitter-drift-50us");
+    pins.name = penalty == 0.0 ? "jitter-drift-free" : "jitter-drift-50us";
     pins.count("switches", jitter.gear_shifts);
     pins.metric("normalized_energy", jitter.normalized_energy());
     pins.metric("normalized_time", jitter.normalized_time());
     pins.rows(jitter.schedule);
   }
 
-  {
-    const std::optional<BenchmarkInstance> pepc =
-        benchmark_by_name("PEPC-128");
-    PALS_CHECK_MSG(pepc.has_value(), "PEPC-128 is not registered");
-    PipelineConfig config = default_pipeline_config(paper_uniform(6));
-    config.per_phase = true;
-    const Trace trace = pepc->make();
-    const PipelineResult result = run_pipeline(trace, config);
-    pins.set_case("per-phase-pepc-128");
-    pins.metric("normalized_energy", result.normalized_energy());
-    pins.metric("normalized_time", result.normalized_time());
-    pins.metric("overclocked_fraction", result.overclocked_fraction);
-    pins.gears("gears.assignment", result.assignment.gears);
-    const std::vector<std::int32_t> phases = trace.phases();
-    for (std::size_t i = 0; i < phases.size(); ++i)
-      pins.gears("gears.phase." + std::to_string(phases[i]),
-                 result.phase_assignments[i].gears);
-  }
+  const std::optional<BenchmarkInstance> pepc = benchmark_by_name("PEPC-128");
+  const std::optional<BenchmarkInstance> bt = benchmark_by_name("BT-MZ-32", 3);
+  PALS_CHECK_MSG(pepc && bt, "PEPC-128 / BT-MZ-32 are not registered");
+  PipelineConfig per_phase = default_pipeline_config(paper_uniform(6));
+  per_phase.per_phase = true;
+  const PipelineResult phased = run_pipeline(pepc->make(), per_phase);
+  pins.name = "per-phase-pepc-128";
+  pins.metric("normalized_energy", phased.normalized_energy());
+  pins.metric("normalized_time", phased.normalized_time());
+  pins.metric("overclocked_fraction", phased.overclocked_fraction);
+  pins.gears("gears.assignment", phased.assignment.gears);
+  for (std::size_t i = 0; i < phased.schedule.phases.size(); ++i)
+    pins.gears("gears.phase." + std::to_string(phased.schedule.phases[i]),
+               phased.schedule.rows[i]);
 
   PipelineConfig slack = default_pipeline_config(paper_uniform(6));
   slack.controller.kind = ControllerKind::kSlack;
-  {
-    const std::optional<BenchmarkInstance> bt =
-        benchmark_by_name("BT-MZ-32", 3);
-    PALS_CHECK_MSG(bt.has_value(), "BT-MZ-32 is not registered");
-    pins.set_case("slack-unmarked-fallback");
-    pin_controller_run(pins,
-                       run_controller_pipeline(without_markers(bt->make()),
-                                               slack));
-  }
+  pins.name = "slack-unmarked-fallback";
+  pins.controller_run(
+      run_controller_pipeline(without_markers(bt->make()), slack));
 
   const fault::Injector stuck(fault::FaultPlan::parse(
       "seed=1; gear_stuck:rank=0,gear=min; gear_stuck:rank=2,gear=max"));
-  PipelineConfig pinned = slack;
-  pinned.replay.faults = &stuck;
-  pinned.controller.transition_latency = 50e-6;
-  pinned.controller.transition_energy = 0.01;
-  pins.set_case("slack-gear-stuck-min-max");
-  pin_controller_run(pins, run_controller_pipeline(drift, pinned));
-  return pins.str();
+  slack.replay.faults = &stuck;
+  slack.controller.transition_latency = 50e-6;
+  slack.controller.transition_energy = 0.01;
+  pins.name = "slack-gear-stuck-min-max";
+  pins.controller_run(run_controller_pipeline(drift, slack));
+  return pins.out.str();
 }
 
 }  // namespace pals

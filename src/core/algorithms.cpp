@@ -138,6 +138,15 @@ std::vector<FrequencyAssignment> assign_frequencies_per_phase(
   return out;
 }
 
+FrequencyAssignment assign_frequencies(
+    std::span<const Seconds> computation_time, const AlgorithmConfig& config,
+    const PowerModelConfig& power) {
+  return config.algorithm == Algorithm::kEnergyOptimalMax
+             ? assign_frequencies_energy_optimal(computation_time, config,
+                                                 power)
+             : assign_frequencies(computation_time, config);
+}
+
 FrequencyAssignment assign_frequencies_energy_optimal(
     std::span<const Seconds> computation_time, const AlgorithmConfig& config,
     const PowerModelConfig& power_config) {

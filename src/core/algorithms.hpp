@@ -97,6 +97,12 @@ FrequencyAssignment assign_frequencies_energy_optimal(
     std::span<const Seconds> computation_time, const AlgorithmConfig& config,
     const PowerModelConfig& power);
 
+/// The one-shot assignment `config.algorithm` names: MAX and AVG through
+/// assign_frequencies, kEnergyOptimalMax through the refinement above.
+FrequencyAssignment assign_frequencies(
+    std::span<const Seconds> computation_time, const AlgorithmConfig& config,
+    const PowerModelConfig& power);
+
 /// Per-rank slack: max(computation_time) − computation_time[k]. The time a
 /// rank would wait for the most loaded rank in a fully synchronized
 /// iteration.

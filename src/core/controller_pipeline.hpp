@@ -1,18 +1,18 @@
-// Replay-engine hooks for online DVFS controllers.
+// The controller's view of a pipeline run.
 //
-// The classic pipeline (core/pipeline.hpp) assigns one gear per rank and
-// rescales the whole trace. This variant drives a pals::Controller through
-// the iteration-marked trace instead: the controller is seeded with the
-// whole-run profile, then after every simulated iteration it observes the
-// per-rank compute times under the gears that actually ran and picks the
-// gears for the next iteration. Gear changes take effect at iteration
-// boundaries and optionally charge a DVFS transition latency (a wall-clock
-// stall inserted after the iteration-begin marker) and a per-switch
-// regulator energy.
+// run_pipeline (core/pipeline.hpp) plans every schedule shape through
+// plan_schedule (core/gear_schedule.hpp). With an online controller the
+// plan seeds the controller with the whole-run profile, then after every
+// simulated iteration lets it observe the per-rank compute times under the
+// gears that actually ran and pick the gears for the next iteration. Gear
+// changes take effect at iteration boundaries and optionally charge a DVFS
+// transition latency (a wall-clock stall inserted after the
+// iteration-begin marker) and a per-switch regulator energy.
 //
 // Unmarked traces cannot carry a per-iteration schedule; instead of
-// throwing (the latent analyze_iterations gap), the run degrades to the
-// whole-run static assignment and reports fell_back_static.
+// throwing, the run degrades to the whole-run static assignment and
+// reports fell_back_static. run_controller_pipeline returns the pipeline
+// result together with that schedule, read back from the GearSchedule.
 #pragma once
 
 #include <vector>

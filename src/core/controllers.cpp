@@ -59,12 +59,7 @@ class ControllerBase : public Controller {
 
  protected:
   std::vector<Gear> solve(std::span<const Seconds> loads) const {
-    const FrequencyAssignment assignment =
-        algorithm_.algorithm == Algorithm::kEnergyOptimalMax
-            ? assign_frequencies_energy_optimal(loads, algorithm_,
-                                                model_.config())
-            : assign_frequencies(loads, algorithm_);
-    return assignment.gears;
+    return assign_frequencies(loads, algorithm_, model_.config()).gears;
   }
 
   /// Invert the β time model: the reference-frequency load that produced

@@ -1,7 +1,9 @@
 #include "core/jitter.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "core/gear_schedule.hpp"
 #include "trace/transform.hpp"
 #include "util/error.hpp"
 
@@ -30,15 +32,15 @@ JitterResult run_jitter(const Trace& trace, const JitterConfig& config) {
       iteration_computation_times(trace);
   PALS_CHECK_MSG(!base_times.empty(), "trace has no iterations");
 
+  // Code outside the iterations runs at the reference gear.
+  GearSchedule schedule;
+  schedule.key = SegmentKey::kIteration;
+  schedule.fallback.gears.assign(n, config.power.reference);
+  schedule.rows.reserve(base_times.size());
+  schedule.stalls.assign(base_times.size(), std::vector<Seconds>(n, 0.0));
+
   // Per-rank gear index, starting at the top gear.
   std::vector<std::size_t> gear_index(n, top);
-  JitterResult result;
-  result.schedule.reserve(base_times.size());
-  std::vector<std::vector<double>> factors(
-      base_times.size(), std::vector<double>(n, 1.0));
-  std::vector<std::vector<Seconds>> stalls(
-      base_times.size(), std::vector<Seconds>(n, 0.0));
-
   for (std::size_t iteration = 0; iteration < base_times.size();
        ++iteration) {
     if (iteration > 0) {
@@ -62,8 +64,8 @@ JitterResult run_jitter(const Trace& trace, const JitterConfig& config) {
                               gears[gear_index[r] - 1].frequency_ghz);
             if (predicted <= t_max) {
               --gear_index[r];
-              ++result.gear_shifts;
-              stalls[iteration][r] = config.transition_penalty;
+              ++schedule.switches;
+              schedule.stalls[iteration][r] = config.transition_penalty;
             }
           } else if (slack < config.slack_threshold / 2.0 &&
                      gear_index[r] < top) {
@@ -71,36 +73,29 @@ JitterResult run_jitter(const Trace& trace, const JitterConfig& config) {
             // the top gear: under drifting imbalance a one-step climb
             // would stretch the critical path for several iterations.
             gear_index[r] = top;
-            ++result.gear_shifts;
-            stalls[iteration][r] = config.transition_penalty;
+            ++schedule.switches;
+            schedule.stalls[iteration][r] = config.transition_penalty;
           }
         }
       }
     }
     std::vector<Gear> iteration_gears(n);
-    for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t r = 0; r < n; ++r)
       iteration_gears[r] = gears[gear_index[r]];
-      factors[iteration][r] =
-          power.time_scale(iteration_gears[r].frequency_ghz);
-    }
-    result.schedule.push_back(std::move(iteration_gears));
+    schedule.rows.push_back(std::move(iteration_gears));
   }
 
+  JitterResult result;
   result.baseline_replay = replay(trace, config.replay);
   result.baseline_time = result.baseline_replay.makespan;
   result.baseline_energy =
       power.baseline_energy(result.baseline_replay.timeline);
 
-  // Scale first, then insert transition stalls: the stall is wall-clock
-  // time independent of the chosen frequency.
-  Trace scaled = scale_compute_per_iteration(trace, factors);
-  if (config.transition_penalty > 0.0)
-    scaled = add_iteration_overhead(scaled, stalls);
-  result.scaled_replay = replay(scaled, config.replay);
+  result.scaled_replay = replay(schedule.rescale(trace, power), config.replay);
   result.scaled_time = result.scaled_replay.makespan;
-  const std::vector<Gear> fallback(n, config.power.reference);
-  result.scaled_energy = power.scheduled_energy(
-      result.scaled_replay.timeline, result.schedule, fallback);
+  result.scaled_energy = schedule.energy(power, result.scaled_replay.timeline);
+  result.gear_shifts = schedule.switches;
+  result.schedule = std::move(schedule.rows);
   return result;
 }
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "core/controller_pipeline.hpp"
 #include "lint/lint.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "trace/transform.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -61,15 +60,71 @@ void lint_input_trace(const Trace& trace, const PipelineConfig& config) {
                                           : trace.name());
 }
 
-}  // namespace
-
-namespace {
-
 ReplayResult baseline_replay_phase(const Trace& trace,
                                    const PipelineConfig& config) {
   PALS_SPAN("pipeline.baseline_replay",
             config.observe ? &obs::default_registry() : nullptr);
   return replay(trace, config.replay);
+}
+
+/// The one pipeline behind every schedule shape: baseline, plan, one
+/// rescale, scaled replay, one energy integration. The ctrl.* counters
+/// live here, not in plan_schedule, so bounds::analyze leaves them alone.
+PipelineResult run_schedule(const Trace& trace, const PipelineConfig& config,
+                            const ReplayResult& baseline,
+                            bool force_controller) {
+  obs::Registry& registry = obs::default_registry();
+  registry.counter("pipeline.runs").add(1);
+  obs::Registry* reg = config.observe ? &registry : nullptr;
+  const PowerModel power(config.power);
+
+  PipelineResult result;
+  result.baseline_replay = baseline;
+  result.baseline_time = result.baseline_replay.makespan;
+  {
+    PALS_SPAN("pipeline.energy", reg);
+    result.baseline_energy =
+        power.baseline_energy(result.baseline_replay.timeline);
+  }
+  result.computation_time = result.baseline_replay.compute_time;
+  result.load_balance = load_balance(result.computation_time);
+  result.parallel_efficiency =
+      parallel_efficiency(result.computation_time, result.baseline_time);
+
+  {
+    PALS_SPAN("pipeline.assignment", reg);
+    result.schedule = plan_schedule(trace, config, result.computation_time,
+                                    force_controller);
+  }
+  const GearSchedule& schedule = result.schedule;
+  if (schedule.fell_back_static)
+    registry.counter("ctrl.fallback_static").add(1);
+  if (schedule.key == SegmentKey::kIteration) {
+    registry.counter("ctrl.iterations")
+        .add(static_cast<std::uint64_t>(schedule.rows.size()));
+    registry.counter("ctrl.switches")
+        .add(static_cast<std::uint64_t>(schedule.switches));
+  }
+  result.assignment = schedule.fallback;
+  result.overclocked_fraction =
+      schedule.overclocked_fraction(config.algorithm.nominal_fmax_ghz);
+
+  Trace scaled;
+  {
+    PALS_SPAN("pipeline.rescale", reg);
+    scaled = schedule.rescale(trace, power);
+  }
+  {
+    PALS_SPAN("pipeline.scaled_replay", reg);
+    result.scaled_replay = replay(scaled, config.replay);
+  }
+  result.scaled_time = result.scaled_replay.makespan;
+  {
+    PALS_SPAN("pipeline.energy", reg);
+    result.scaled_energy =
+        schedule.energy(power, result.scaled_replay.timeline);
+  }
+  return result;
 }
 
 }  // namespace
@@ -89,150 +144,35 @@ PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config,
                             const ReplayResult& baseline) {
   config.validate();
   if (config.lint) lint_input_trace(trace, config);
-  if (config.controller.kind != ControllerKind::kStatic)
-    return run_controller_pipeline(trace, config, baseline).pipeline;
-  obs::default_registry().counter("pipeline.runs").add(1);
-  obs::Registry* reg = config.observe ? &obs::default_registry() : nullptr;
-  const PowerModel power(config.power);
-  const auto n = static_cast<std::size_t>(trace.n_ranks());
+  return run_schedule(trace, config, baseline, /*force_controller=*/false);
+}
 
-  PipelineResult result;
-  result.baseline_replay = baseline;
-  result.baseline_time = result.baseline_replay.makespan;
-  {
-    PALS_SPAN("pipeline.energy", reg);
-    result.baseline_energy =
-        power.baseline_energy(result.baseline_replay.timeline);
-  }
-  result.computation_time = result.baseline_replay.compute_time;
-  result.load_balance = load_balance(result.computation_time);
-  result.parallel_efficiency =
-      parallel_efficiency(result.computation_time, result.baseline_time);
+ControllerPipelineResult run_controller_pipeline(
+    const Trace& trace, const PipelineConfig& config) {
+  config.validate();
+  return run_controller_pipeline(trace, config, replay(trace, config.replay));
+}
 
-  std::vector<Gear> rank_gears(n);
-  std::vector<double> run_factors;                  ///< per_phase=false
-  std::vector<std::vector<double>> phase_factors;   ///< per_phase=true
-  std::vector<double> default_factors;              ///< per_phase=true
-  {
-    PALS_SPAN("pipeline.assignment", reg);
-    if (!config.per_phase) {
-      result.assignment =
-          config.algorithm.algorithm == Algorithm::kEnergyOptimalMax
-              ? assign_frequencies_energy_optimal(result.computation_time,
-                                                  config.algorithm,
-                                                  config.power)
-              : assign_frequencies(result.computation_time, config.algorithm);
-      rank_gears = result.assignment.gears;
-      run_factors.resize(n);
-      for (std::size_t r = 0; r < n; ++r)
-        run_factors[r] = power.time_scale(rank_gears[r].frequency_ghz);
-      result.overclocked_fraction = result.assignment.overclocked_fraction(
-          config.algorithm.nominal_fmax_ghz);
-    } else {
-      // One assignment per phase; bursts without a phase label follow the
-      // whole-run assignment.
-      const std::vector<std::int32_t> phases = trace.phases();
-      PALS_CHECK_MSG(!phases.empty(),
-                     "per-phase pipeline requires phase-labelled bursts");
-      std::vector<std::vector<Seconds>> per_phase_times;
-      per_phase_times.reserve(phases.size());
-      for (const std::int32_t p : phases) {
-        std::vector<Seconds> times(n);
-        for (Rank r = 0; r < trace.n_ranks(); ++r)
-          times[static_cast<std::size_t>(r)] = trace.computation_time(r, p);
-        per_phase_times.push_back(std::move(times));
-      }
-      result.phase_assignments =
-          assign_frequencies_per_phase(per_phase_times, config.algorithm);
-      result.assignment =
-          assign_frequencies(result.computation_time, config.algorithm);
-
-      // Phase labels may be sparse (e.g. {0, 3}); build a dense lookup.
-      const std::int32_t max_phase =
-          *std::max_element(phases.begin(), phases.end());
-      phase_factors.assign(
-          n, std::vector<double>(static_cast<std::size_t>(max_phase) + 1, 1.0));
-      default_factors.resize(n);
-      std::size_t overclocked = 0;
-      for (std::size_t r = 0; r < n; ++r) {
-        default_factors[r] =
-            power.time_scale(result.assignment.gears[r].frequency_ghz);
-        bool rank_overclocked = false;
-        for (std::size_t pi = 0; pi < phases.size(); ++pi) {
-          const Gear& g = result.phase_assignments[pi].gears[r];
-          phase_factors[r][static_cast<std::size_t>(phases[pi])] =
-              power.time_scale(g.frequency_ghz);
-          if (g.frequency_ghz > config.algorithm.nominal_fmax_ghz + 1e-12)
-            rank_overclocked = true;
-        }
-        if (rank_overclocked) ++overclocked;
-        // Unphased bursts and wait states are charged at the whole-run gear;
-        // phase-labelled compute is charged exactly via phase_energy below.
-        rank_gears[r] = result.assignment.gears[r];
-      }
-      result.overclocked_fraction =
-          static_cast<double>(overclocked) / static_cast<double>(n);
-    }
-  }
-
-  // gear_stuck faults override the algorithm's choice *after* assignment:
-  // the affected rank's DVFS actuator is pinned to an extreme gear, so the
-  // scaled replay and the energy integration both see the stuck frequency
-  // (normalized metrics then compare degraded-vs-degraded runs).
-  if (config.replay.faults != nullptr &&
-      config.replay.faults->has_stuck_gears()) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::optional<fault::StuckGear> stuck =
-          config.replay.faults->stuck_gear(static_cast<Rank>(r));
-      if (!stuck) continue;
-      const Gear pinned = *stuck == fault::StuckGear::kMin
-                              ? config.algorithm.gear_set.min_gear()
-                              : config.algorithm.gear_set.max_gear();
-      rank_gears[r] = pinned;
-      result.assignment.gears[r] = pinned;
-      const double factor = power.time_scale(pinned.frequency_ghz);
-      if (!config.per_phase) {
-        run_factors[r] = factor;
-      } else {
-        default_factors[r] = factor;
-        for (double& f : phase_factors[r]) f = factor;
-        for (FrequencyAssignment& a : result.phase_assignments)
-          a.gears[r] = pinned;
-      }
-    }
-    if (!config.per_phase)
-      result.overclocked_fraction = result.assignment.overclocked_fraction(
-          config.algorithm.nominal_fmax_ghz);
-  }
-
-  Trace scaled;
-  {
-    PALS_SPAN("pipeline.rescale", reg);
-    scaled = config.per_phase
-                 ? scale_compute_per_phase(trace, phase_factors,
-                                           default_factors)
-                 : scale_compute(trace, run_factors);
-  }
-
-  {
-    PALS_SPAN("pipeline.scaled_replay", reg);
-    result.scaled_replay = replay(scaled, config.replay);
-  }
-  result.scaled_time = result.scaled_replay.makespan;
-  {
-    PALS_SPAN("pipeline.energy", reg);
-    if (!config.per_phase) {
-      result.scaled_energy =
-          power.total_energy(result.scaled_replay.timeline, rank_gears);
-    } else {
-      const std::vector<std::int32_t> phases = trace.phases();
-      std::vector<std::vector<Gear>> phase_gears;
-      phase_gears.reserve(result.phase_assignments.size());
-      for (const FrequencyAssignment& a : result.phase_assignments)
-        phase_gears.push_back(a.gears);
-      result.scaled_energy = power.phase_energy(
-          result.scaled_replay.timeline, phases, phase_gears, rank_gears);
-    }
+ControllerPipelineResult run_controller_pipeline(
+    const Trace& trace, const PipelineConfig& config,
+    const ReplayResult& baseline) {
+  config.validate();
+  PALS_CHECK_MSG(!config.per_phase,
+                 "per-phase assignment and online controllers are mutually "
+                 "exclusive");
+  ControllerPipelineResult result;
+  result.pipeline =
+      run_schedule(trace, config, baseline, /*force_controller=*/true);
+  const GearSchedule& schedule = result.pipeline.schedule;
+  ControllerRun& run = result.controller;
+  run.fell_back_static = schedule.fell_back_static;
+  if (schedule.key == SegmentKey::kIteration) {
+    run.schedule = schedule.rows;
+    run.iterations = schedule.rows.size();
+    run.switches = schedule.switches;
+    for (const std::vector<Seconds>& row : schedule.stalls)
+      for (const Seconds stall : row) run.transition_stall_seconds += stall;
+    run.transition_energy = schedule.transition_energy;
   }
   return result;
 }

@@ -1,9 +1,12 @@
 // End-to-end power-analysis pipeline (paper §4).
 //
-// Mirrors the paper's simulation methodology:
+// Mirrors the paper's simulation methodology, for every schedule shape
+// (whole run, per phase, per iteration under an online controller):
 //   1. replay the original trace to obtain the baseline execution time and
 //      per-rank computation times,
-//   2. assign one frequency per rank (MAX or AVG over a gear set),
+//   2. plan the gears (plan_schedule, core/gear_schedule.hpp): one
+//      frequency per rank (MAX or AVG over a gear set), per phase, or per
+//      iteration,
 //   3. rescale every compute burst with the β time model,
 //   4. replay the modified trace for the new execution time,
 //   5. integrate CPU energy over both timelines and report normalized
@@ -14,6 +17,7 @@
 
 #include "core/algorithms.hpp"
 #include "core/controllers.hpp"
+#include "core/gear_schedule.hpp"
 #include "power/power_model.hpp"
 #include "replay/replay.hpp"
 #include "trace/trace.hpp"
@@ -25,10 +29,9 @@ struct PipelineConfig {
   PowerModelConfig power;
   ReplayConfig replay;
   /// Online DVFS controller (core/controllers.hpp). kStatic keeps the
-  /// classic one-shot path below byte-identical; any dynamic kind routes
-  /// run_pipeline through the controller pipeline
-  /// (core/controller_pipeline.hpp), which re-assigns gears at iteration
-  /// boundaries and charges the configured transition costs.
+  /// classic one-shot assignment; any dynamic kind re-assigns gears at
+  /// iteration boundaries and charges the configured transition costs
+  /// (core/controller_pipeline.hpp has the controller's view of the run).
   ControllerOptions controller;
   /// Ablation: compute a separate frequency per computation phase instead
   /// of one per rank (the paper uses a single setting; PEPC's 20 % slowdown
@@ -60,8 +63,11 @@ struct PipelineResult {
   /// DVFS execution.
   Seconds scaled_time = 0.0;
   double scaled_energy = 0.0;
-  FrequencyAssignment assignment;   ///< whole-run assignment (per_phase=false)
-  std::vector<FrequencyAssignment> phase_assignments;  ///< per_phase=true
+  /// The whole-run assignment (schedule.fallback): the only gears of a
+  /// static run, the seed gears of a controller run.
+  FrequencyAssignment assignment;
+  /// The gears the scaled run used, per rank and segment.
+  GearSchedule schedule;
   double overclocked_fraction = 0.0;
 
   /// Per-rank computation times of the baseline run (input to the

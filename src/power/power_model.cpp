@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -61,29 +60,34 @@ double PowerModel::time_scale(double f_ghz, double beta) const {
 
 double PowerModel::rank_energy(const Timeline& timeline, Rank rank,
                                const Gear& gear) const {
-  double energy = 0.0;
-  for (const StateInterval& iv : timeline.intervals(rank)) {
-    const bool computing = iv.state == RankState::kCompute;
-    energy += iv.duration() * total_power(gear, computing);
-  }
-  // Lanes may be shorter than the makespan if not padded; treat the missing
-  // tail as idle (communication activity).
-  const auto lane = timeline.intervals(rank);
-  const Seconds lane_end = lane.empty() ? 0.0 : lane.back().end;
-  const Seconds tail = timeline.makespan() - lane_end;
-  if (tail > 0.0) energy += tail * total_power(gear, /*computing=*/false);
-  return energy;
+  return lane_energy(timeline, rank, timeline.makespan(),
+                     [&gear](Rank, const StateInterval&) -> const Gear& {
+                       return gear;
+                     });
 }
 
-double PowerModel::total_energy(const Timeline& timeline,
-                                std::span<const Gear> gears) const {
+namespace {
+
+/// gear_of for a whole-run gear per rank.
+struct RankGears {
+  std::span<const Gear> gears;
+  const Gear& operator()(Rank rank, const StateInterval&) const {
+    return gears[static_cast<std::size_t>(rank)];
+  }
+};
+
+void check_gear_count(const Timeline& timeline, std::span<const Gear> gears) {
   PALS_CHECK_MSG(gears.size() == static_cast<std::size_t>(timeline.n_ranks()),
                  "gear count " << gears.size() << " != rank count "
                                << timeline.n_ranks());
-  double energy = 0.0;
-  for (Rank r = 0; r < timeline.n_ranks(); ++r)
-    energy += rank_energy(timeline, r, gears[static_cast<std::size_t>(r)]);
-  return energy;
+}
+
+}  // namespace
+
+double PowerModel::total_energy(const Timeline& timeline,
+                                std::span<const Gear> gears) const {
+  check_gear_count(timeline, gears);
+  return energy(timeline, RankGears{gears});
 }
 
 double PowerModel::baseline_energy(const Timeline& timeline) const {
@@ -92,113 +96,11 @@ double PowerModel::baseline_energy(const Timeline& timeline) const {
   return total_energy(timeline, gears);
 }
 
-double PowerModel::phase_energy(
-    const Timeline& timeline, std::span<const std::int32_t> phases,
-    const std::vector<std::vector<Gear>>& phase_gears,
-    std::span<const Gear> fallback) const {
-  PALS_CHECK_MSG(
-      fallback.size() == static_cast<std::size_t>(timeline.n_ranks()),
-      "fallback gear count mismatch");
-  PALS_CHECK_MSG(phases.size() == phase_gears.size(),
-                 "phase label/gear table size mismatch");
-  for (const auto& gears : phase_gears)
-    PALS_CHECK_MSG(
-        gears.size() == static_cast<std::size_t>(timeline.n_ranks()),
-        "phase gear rank count mismatch");
-  // Dense lookup from phase label to table row.
-  std::unordered_map<std::int32_t, std::size_t> row_of;
-  for (std::size_t i = 0; i < phases.size(); ++i) row_of[phases[i]] = i;
-
-  double energy = 0.0;
-  for (Rank r = 0; r < timeline.n_ranks(); ++r) {
-    const auto rank_index = static_cast<std::size_t>(r);
-    Seconds covered = 0.0;
-    for (const StateInterval& iv : timeline.intervals(r)) {
-      const Gear* gear = &fallback[rank_index];
-      if (iv.phase >= 0) {
-        const auto it = row_of.find(iv.phase);
-        PALS_CHECK_MSG(it != row_of.end(),
-                       "timeline phase " << iv.phase << " has no gear row");
-        gear = &phase_gears[it->second][rank_index];
-      }
-      energy += iv.duration() *
-                total_power(*gear, iv.state == RankState::kCompute);
-      covered = iv.end;
-    }
-    const Seconds tail = timeline.makespan() - covered;
-    if (tail > 0.0)
-      energy += tail * total_power(fallback[rank_index], /*computing=*/false);
-  }
-  return energy;
-}
-
 std::vector<double> PowerModel::power_series(const Timeline& timeline,
                                              std::span<const Gear> gears,
                                              Seconds dt) const {
-  PALS_CHECK_MSG(dt > 0.0, "sample interval must be positive");
-  PALS_CHECK_MSG(gears.size() == static_cast<std::size_t>(timeline.n_ranks()),
-                 "gear count mismatch");
-  const Seconds makespan = timeline.makespan();
-  const auto bins =
-      static_cast<std::size_t>(std::ceil(makespan / dt - 1e-12));
-  std::vector<double> energy(std::max<std::size_t>(bins, 1), 0.0);
-
-  const auto deposit = [&](Seconds begin, Seconds end, double power) {
-    Seconds t = begin;
-    while (t < end - 1e-15) {
-      const auto bin = std::min(
-          energy.size() - 1, static_cast<std::size_t>(t / dt + 1e-12));
-      const Seconds bin_end = static_cast<double>(bin + 1) * dt;
-      const Seconds slice_end = std::min(end, bin_end);
-      energy[bin] += (slice_end - t) * power;
-      t = slice_end;
-    }
-  };
-
-  for (Rank r = 0; r < timeline.n_ranks(); ++r) {
-    const Gear& gear = gears[static_cast<std::size_t>(r)];
-    Seconds covered = 0.0;
-    for (const StateInterval& iv : timeline.intervals(r)) {
-      deposit(iv.begin, iv.end,
-              total_power(gear, iv.state == RankState::kCompute));
-      covered = iv.end;
-    }
-    if (covered < makespan)
-      deposit(covered, makespan, total_power(gear, /*computing=*/false));
-  }
-  for (double& e : energy) e /= dt;
-  return energy;
-}
-
-double PowerModel::scheduled_energy(
-    const Timeline& timeline, const std::vector<std::vector<Gear>>& schedule,
-    std::span<const Gear> fallback) const {
-  PALS_CHECK_MSG(
-      fallback.size() == static_cast<std::size_t>(timeline.n_ranks()),
-      "fallback gear count mismatch");
-  for (const auto& iteration_gears : schedule)
-    PALS_CHECK_MSG(
-        iteration_gears.size() == static_cast<std::size_t>(timeline.n_ranks()),
-        "schedule rank count mismatch");
-  double energy = 0.0;
-  for (Rank r = 0; r < timeline.n_ranks(); ++r) {
-    const auto rank_index = static_cast<std::size_t>(r);
-    Seconds covered = 0.0;
-    for (const StateInterval& iv : timeline.intervals(r)) {
-      const Gear& gear =
-          (iv.iteration >= 0 &&
-           static_cast<std::size_t>(iv.iteration) < schedule.size())
-              ? schedule[static_cast<std::size_t>(iv.iteration)][rank_index]
-              : fallback[rank_index];
-      const bool computing = iv.state == RankState::kCompute;
-      energy += iv.duration() * total_power(gear, computing);
-      covered = iv.end;
-    }
-    const Seconds tail = timeline.makespan() - covered;
-    if (tail > 0.0)
-      energy += tail * total_power(fallback[rank_index], /*computing=*/false);
-  }
-  return energy;
+  check_gear_count(timeline, gears);
+  return power_series(timeline, RankGears{gears}, dt);
 }
 
 }  // namespace pals

@@ -9,8 +9,14 @@
 // unit cancels — exactly as in the paper.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <concepts>
+#include <vector>
+
 #include "power/gearset.hpp"
 #include "trace/timeline.hpp"
+#include "util/error.hpp"
 
 namespace pals {
 
@@ -60,6 +66,22 @@ public:
   /// time_scale with an explicit beta (per-phase sensitivity studies).
   double time_scale(double f_ghz, double beta) const;
 
+  /// Total CPU energy, rank r running each interval `iv` of its lane at
+  /// `gear_of(r, iv)`. A lane shorter than the makespan idles its tail at
+  /// communication activity; the tail is asked for as an idle interval
+  /// with no phase and no iteration. This is the one integration loop:
+  /// total_energy, baseline_energy, rank_energy and GearSchedule::energy
+  /// (core/gear_schedule.hpp) all sum per rank, then over ranks in rank
+  /// order.
+  template <class GearOf>
+  double energy(const Timeline& timeline, const GearOf& gear_of) const {
+    const Seconds makespan = timeline.makespan();
+    double energy = 0.0;
+    for (Rank r = 0; r < timeline.n_ranks(); ++r)
+      energy += lane_energy(timeline, r, makespan, gear_of);
+    return energy;
+  }
+
   /// Energy of rank `rank` over its timeline lane, with the rank's CPU
   /// pinned at `gear` for the entire execution (the paper assigns one
   /// frequency per process).
@@ -73,28 +95,50 @@ public:
   /// Baseline energy: every rank at the reference gear.
   double baseline_energy(const Timeline& timeline) const;
 
-  /// Energy under a per-iteration DVFS schedule: intervals labelled with
-  /// iteration i are charged at `schedule[i][rank]`; unlabelled intervals
-  /// (before the first iteration, idle padding) use `fallback[rank]`.
-  /// Used by dynamic runtimes that re-assign gears every iteration.
-  double scheduled_energy(const Timeline& timeline,
-                          const std::vector<std::vector<Gear>>& schedule,
-                          std::span<const Gear> fallback) const;
-
-  /// Energy under a per-phase DVFS assignment: compute intervals labelled
-  /// with phase p are charged at `phase_gears[p][rank]` (p indexes into
-  /// `phases`, the sorted list of labels); all other intervals use
-  /// `fallback[rank]`. Used by the per-phase pipeline ablation.
-  double phase_energy(const Timeline& timeline,
-                      std::span<const std::int32_t> phases,
-                      const std::vector<std::vector<Gear>>& phase_gears,
-                      std::span<const Gear> fallback) const;
-
   /// Aggregate power profile: sample k holds the average total power of
-  /// all ranks over [k·dt, (k+1)·dt). Interval energy is split exactly
-  /// across bins, so sum(series)·dt equals total_energy(). Lanes shorter
-  /// than the makespan are charged their idle tail at communication
-  /// activity, matching the energy accounting.
+  /// all ranks over [k·dt, (k+1)·dt), each interval at
+  /// `gear_of(rank, interval)` as in energy(). Interval energy is split
+  /// exactly across bins, so sum(series)·dt equals energy(timeline,
+  /// gear_of). Lanes shorter than the makespan are charged their idle
+  /// tail at communication activity, matching the energy accounting.
+  template <class GearOf>
+    requires std::invocable<const GearOf&, Rank, const StateInterval&>
+  std::vector<double> power_series(const Timeline& timeline,
+                                   const GearOf& gear_of, Seconds dt) const {
+    PALS_CHECK_MSG(dt > 0.0, "sample interval must be positive");
+    const Seconds makespan = timeline.makespan();
+    std::vector<double> energy(
+        std::max<std::size_t>(
+            static_cast<std::size_t>(std::ceil(makespan / dt - 1e-12)), 1),
+        0.0);
+    const auto deposit = [&](Seconds begin, Seconds end, double power) {
+      Seconds t = begin;
+      while (t < end - 1e-15) {
+        const auto bin = std::min(
+            energy.size() - 1, static_cast<std::size_t>(t / dt + 1e-12));
+        const Seconds bin_end = static_cast<double>(bin + 1) * dt;
+        const Seconds slice_end = std::min(end, bin_end);
+        energy[bin] += (slice_end - t) * power;
+        t = slice_end;
+      }
+    };
+    for (Rank r = 0; r < timeline.n_ranks(); ++r) {
+      StateInterval tail;
+      for (const StateInterval& iv : timeline.intervals(r)) {
+        deposit(iv.begin, iv.end,
+                total_power(gear_of(r, iv), iv.state == RankState::kCompute));
+        tail.begin = iv.end;
+      }
+      tail.end = makespan;
+      if (tail.begin < makespan)
+        deposit(tail.begin, makespan,
+                total_power(gear_of(r, tail), /*computing=*/false));
+    }
+    for (double& e : energy) e /= dt;
+    return energy;
+  }
+
+  /// power_series with one gear per rank for the whole run.
   std::vector<double> power_series(const Timeline& timeline,
                                    std::span<const Gear> gears,
                                    Seconds dt) const;
@@ -104,6 +148,24 @@ private:
   double activity_compute_ = 1.0;  ///< A·C lumped, normalized
   double activity_comm_ = 1.0;
   double alpha_ = 0.0;  ///< static-power coefficient
+
+  /// energy() of one lane, its idle tail reaching `makespan`.
+  template <class GearOf>
+  double lane_energy(const Timeline& timeline, Rank rank, Seconds makespan,
+                     const GearOf& gear_of) const {
+    double energy = 0.0;
+    StateInterval tail;
+    for (const StateInterval& iv : timeline.intervals(rank)) {
+      energy += iv.duration() *
+                total_power(gear_of(rank, iv), iv.state == RankState::kCompute);
+      tail.begin = iv.end;
+    }
+    tail.end = makespan;
+    if (tail.duration() > 0.0)
+      energy += tail.duration() *
+                total_power(gear_of(rank, tail), /*computing=*/false);
+    return energy;
+  }
 };
 
 }  // namespace pals

@@ -20,122 +20,10 @@ Trace scale_compute(const Trace& trace, std::span<const double> factor) {
   return out;
 }
 
-Trace scale_compute_per_phase(
-    const Trace& trace, const std::vector<std::vector<double>>& factor,
-    std::span<const double> default_factor) {
-  PALS_CHECK_MSG(factor.size() == static_cast<std::size_t>(trace.n_ranks()),
-                 "per-phase factor rank count mismatch");
-  PALS_CHECK_MSG(
-      default_factor.size() == static_cast<std::size_t>(trace.n_ranks()),
-      "default factor rank count mismatch");
-
-  Trace out = trace;
-  for (Rank r = 0; r < out.n_ranks(); ++r) {
-    const auto& phase_factors = factor[static_cast<std::size_t>(r)];
-    const double fallback = default_factor[static_cast<std::size_t>(r)];
-    PALS_CHECK_MSG(fallback > 0.0, "default scale factor must be positive");
-    for (Event& e : out.mutable_events(r)) {
-      auto* c = std::get_if<ComputeEvent>(&e);
-      if (!c) continue;
-      double f = fallback;
-      if (c->phase >= 0) {
-        const auto p = static_cast<std::size_t>(c->phase);
-        PALS_CHECK_MSG(p < phase_factors.size(),
-                       "rank " << r << ": no factor for phase " << c->phase);
-        f = phase_factors[p];
-        PALS_CHECK_MSG(f > 0.0, "phase scale factor must be positive");
-      }
-      c->duration *= f;
-    }
-  }
-  return out;
-}
-
 Trace scale_compute_uniform(const Trace& trace, double factor) {
   const std::vector<double> factors(static_cast<std::size_t>(trace.n_ranks()),
                                     factor);
   return scale_compute(trace, factors);
-}
-
-namespace {
-
-Trace scale_per_iteration_impl(const Trace& trace,
-                               const std::vector<std::vector<double>>& factor,
-                               std::span<const double> default_factor) {
-  PALS_CHECK_MSG(trace.iteration_count() > 0,
-                 "per-iteration scaling requires iteration markers");
-  Trace out = trace;
-  for (Rank r = 0; r < out.n_ranks(); ++r) {
-    std::int32_t iteration = -1;
-    for (Event& e : out.mutable_events(r)) {
-      if (const auto* m = std::get_if<MarkerEvent>(&e)) {
-        if (m->kind == MarkerKind::kIterationBegin) iteration = m->id;
-        if (m->kind == MarkerKind::kIterationEnd) iteration = -1;
-        continue;
-      }
-      auto* c = std::get_if<ComputeEvent>(&e);
-      if (!c) continue;
-      if (iteration < 0) {
-        if (default_factor.empty()) continue;  // classic: leave untouched
-        const double f = default_factor[static_cast<std::size_t>(r)];
-        PALS_CHECK_MSG(f > 0.0, "compute scale factor must be positive");
-        c->duration *= f;
-        continue;
-      }
-      const auto i = static_cast<std::size_t>(iteration);
-      PALS_CHECK_MSG(i < factor.size(),
-                     "no factors for iteration " << iteration);
-      PALS_CHECK_MSG(
-          static_cast<std::size_t>(r) < factor[i].size(),
-          "iteration " << iteration << " has no factor for rank " << r);
-      const double f = factor[i][static_cast<std::size_t>(r)];
-      PALS_CHECK_MSG(f > 0.0, "compute scale factor must be positive");
-      c->duration *= f;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Trace scale_compute_per_iteration(
-    const Trace& trace, const std::vector<std::vector<double>>& factor) {
-  return scale_per_iteration_impl(trace, factor, {});
-}
-
-Trace scale_compute_per_iteration(
-    const Trace& trace, const std::vector<std::vector<double>>& factor,
-    std::span<const double> default_factor) {
-  PALS_CHECK_MSG(
-      default_factor.size() == static_cast<std::size_t>(trace.n_ranks()),
-      "default factor rank count mismatch");
-  return scale_per_iteration_impl(trace, factor, default_factor);
-}
-
-Trace add_iteration_overhead(
-    const Trace& trace, const std::vector<std::vector<Seconds>>& overhead) {
-  PALS_CHECK_MSG(trace.iteration_count() > 0,
-                 "iteration overhead requires iteration markers");
-  Trace out(trace.n_ranks());
-  out.set_name(trace.name());
-  for (Rank r = 0; r < trace.n_ranks(); ++r) {
-    for (const Event& e : trace.events(r)) {
-      out.append(r, e);
-      const auto* m = std::get_if<MarkerEvent>(&e);
-      if (!m || m->kind != MarkerKind::kIterationBegin) continue;
-      const auto i = static_cast<std::size_t>(m->id);
-      PALS_CHECK_MSG(i < overhead.size(),
-                     "no overhead entry for iteration " << m->id);
-      PALS_CHECK_MSG(static_cast<std::size_t>(r) < overhead[i].size(),
-                     "iteration " << m->id << " has no overhead for rank "
-                                  << r);
-      const Seconds extra = overhead[i][static_cast<std::size_t>(r)];
-      PALS_CHECK_MSG(extra >= 0.0, "negative iteration overhead");
-      if (extra > 0.0) out.append(r, ComputeEvent{extra, -1});
-    }
-  }
-  out.validate();
-  return out;
 }
 
 std::vector<std::vector<Seconds>> iteration_computation_times(

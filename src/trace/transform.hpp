@@ -3,6 +3,8 @@
 // The central operation mirrors the paper's tooling: rewrite every compute
 // burst's duration by a per-rank scale factor (derived from the chosen
 // frequency and the beta time model) and leave communication untouched.
+// Per-phase and per-iteration schedules, with their transition stalls, are
+// applied by GearSchedule::rescale (core/gear_schedule.hpp).
 #pragma once
 
 #include <span>
@@ -16,40 +18,13 @@ namespace pals {
 /// positive and `factor.size()` must equal the rank count.
 Trace scale_compute(const Trace& trace, std::span<const double> factor);
 
-/// Phase-aware variant: burst with phase label p on rank r is scaled by
-/// `factor[r][p]`; unphased bursts (-1) use `default_factor[r]`.
-Trace scale_compute_per_phase(
-    const Trace& trace, const std::vector<std::vector<double>>& factor,
-    std::span<const double> default_factor);
-
 /// Uniform scale on every rank (used for whole-application slowdown
 /// baselines).
 Trace scale_compute_uniform(const Trace& trace, double factor);
-
-/// Iteration-aware variant (dynamic DVFS runtimes): bursts inside
-/// iteration i on rank r are scaled by `factor[i][r]`; bursts outside any
-/// iteration keep their duration. The trace must carry iteration markers
-/// and `factor` must cover every iteration index on every rank.
-Trace scale_compute_per_iteration(
-    const Trace& trace, const std::vector<std::vector<double>>& factor);
-
-/// As above, but bursts outside any iteration are scaled by
-/// `default_factor[r]` instead of keeping their duration — the shape the
-/// controller pipeline needs, where setup/teardown code runs under the
-/// initial gear rather than at the reference frequency.
-Trace scale_compute_per_iteration(
-    const Trace& trace, const std::vector<std::vector<double>>& factor,
-    std::span<const double> default_factor);
 
 /// Per-rank computation time of each iteration: result[i][r]. Requires
 /// iteration markers; bursts outside iterations are ignored.
 std::vector<std::vector<Seconds>> iteration_computation_times(
     const Trace& trace);
-
-/// Insert an extra computation burst of `overhead[i][r]` seconds right
-/// after rank r's iteration-i begin marker (zero entries insert nothing).
-/// Models per-iteration runtime costs such as DVFS gear-transition stalls.
-Trace add_iteration_overhead(
-    const Trace& trace, const std::vector<std::vector<Seconds>>& overhead);
 
 }  // namespace pals

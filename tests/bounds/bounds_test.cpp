@@ -7,13 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/experiments.hpp"
 #include "analysis/sweep.hpp"
+#include "core/controller_pipeline.hpp"
 #include "core/controllers.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "workloads/apps.hpp"
 #include "workloads/registry.hpp"
 
 namespace pals {
@@ -51,6 +58,76 @@ TEST(BoundsAnalyzer, ContainsReplayAcrossControllersAndInstances) {
       EXPECT_GE(result.scaled_energy / result.scaled_time,
                 b.min_average_power - 1e-9)
           << instance << " " << controller;
+    }
+  }
+}
+
+/// The pipeline-owned counters (pipeline.runs and ctrl.*), as a snapshot.
+std::vector<obs::MetricValue> pipeline_counters() {
+  std::vector<obs::MetricValue> kept;
+  for (obs::MetricValue& m : obs::default_registry().snapshot().metrics)
+    if (m.name.rfind("pipeline.", 0) == 0 || m.name.rfind("ctrl.", 0) == 0)
+      kept.push_back(std::move(m));
+  return kept;
+}
+
+Trace without_markers(const Trace& trace) {
+  Trace out(trace.n_ranks());
+  for (Rank r = 0; r < trace.n_ranks(); ++r)
+    for (const Event& e : trace.events(r))
+      if (!std::holds_alternative<MarkerEvent>(e)) out.append(r, e);
+  return out;
+}
+
+// The oracle and the pipeline plan through the same plan_schedule, so the
+// analyzer's schedule facts are the pipeline's: every controller, with and
+// without stuck gears, on iteration-marked and unmarked traces. Analyzing
+// must not count as a pipeline run.
+TEST(BoundsAnalyzer, ScheduleMatchesPipelineControllerRun) {
+  WorkloadConfig workload;
+  workload.ranks = 8;
+  workload.iterations = 6;
+  workload.target_lb = 0.5;
+  const Trace marked = make_amr_drift(workload);
+  const Trace unmarked = without_markers(marked);
+  ASSERT_EQ(unmarked.iteration_count(), 0u);
+  const fault::Injector stuck_min(
+      fault::FaultPlan::parse("seed=1; gear_stuck:rank=0,gear=min"));
+  const fault::Injector stuck_max(
+      fault::FaultPlan::parse("seed=1; gear_stuck:rank=1,gear=max"));
+  for (const std::string& controller : controller_names()) {
+    for (const fault::Injector* faults :
+         {static_cast<const fault::Injector*>(nullptr), &stuck_min,
+          &stuck_max}) {
+      for (const Trace* trace : {&marked, &unmarked}) {
+        const std::string what =
+            controller + (faults == nullptr ? "" : faults == &stuck_min
+                                                       ? " stuck-min"
+                                                       : " stuck-max") +
+            (trace == &marked ? " marked" : " unmarked");
+        PipelineConfig config = scenario_config(controller);
+        config.controller.transition_latency = 20e-6;
+        config.replay.faults = faults;
+        const ReplayResult baseline = replay(*trace, config.replay);
+
+        const std::vector<obs::MetricValue> before = pipeline_counters();
+        const bounds::ScenarioBounds b =
+            bounds::analyze(*trace, config, &baseline);
+        EXPECT_EQ(pipeline_counters(), before) << what;
+
+        const PipelineResult pipeline = run_pipeline(*trace, config, baseline);
+        const GearSchedule& ran = pipeline.schedule;
+        EXPECT_EQ(b.iterations,
+                  ran.key == SegmentKey::kIteration ? ran.rows.size() : 0u)
+            << what;
+        EXPECT_EQ(b.switches, ran.switches) << what;
+        if (controller == "static") continue;  // no controller ran
+        const ControllerRun run =
+            run_controller_pipeline(*trace, config, baseline).controller;
+        EXPECT_EQ(b.iterations, run.iterations) << what;
+        EXPECT_EQ(b.switches, run.switches) << what;
+        EXPECT_EQ(run.fell_back_static, trace == &unmarked) << what;
+      }
     }
   }
 }

@@ -202,12 +202,14 @@ TEST(Pipeline, PerPhaseAssignsPerPhaseFrequencies) {
   PipelineConfig c = paper_config(paper_limited_continuous());
   c.per_phase = true;
   const PipelineResult r = run_pipeline(two_phase_trace(), c);
-  ASSERT_EQ(r.phase_assignments.size(), 2u);
+  ASSERT_EQ(r.schedule.key, SegmentKey::kPhase);
+  ASSERT_EQ(r.schedule.rows.size(), 2u);
+  EXPECT_EQ(r.schedule.phases, (std::vector<std::int32_t>{0, 1}));
   // Opposing imbalance: each rank is heavy in exactly one phase.
-  EXPECT_NEAR(r.phase_assignments[0].gears[1].frequency_ghz, 2.3, 1e-9);
-  EXPECT_NEAR(r.phase_assignments[1].gears[0].frequency_ghz, 2.3, 1e-9);
-  EXPECT_LT(r.phase_assignments[0].gears[0].frequency_ghz, 2.3);
-  EXPECT_LT(r.phase_assignments[1].gears[1].frequency_ghz, 2.3);
+  EXPECT_NEAR(r.schedule.rows[0][1].frequency_ghz, 2.3, 1e-9);
+  EXPECT_NEAR(r.schedule.rows[1][0].frequency_ghz, 2.3, 1e-9);
+  EXPECT_LT(r.schedule.rows[0][0].frequency_ghz, 2.3);
+  EXPECT_LT(r.schedule.rows[1][1].frequency_ghz, 2.3);
 }
 
 TEST(Pipeline, ConfigValidationCatchesBetaMismatch) {

@@ -5,6 +5,7 @@
 
 #include "analysis/experiments.hpp"
 #include "core/system_energy.hpp"
+#include "workloads/apps.hpp"
 #include "workloads/registry.hpp"
 
 namespace pals {
@@ -62,16 +63,51 @@ TEST_P(Consistency, EnergyDecomposesAcrossRanks) {
   EXPECT_NEAR(per_rank_sum, r.scaled_energy, 1e-6 * r.scaled_energy);
 }
 
-TEST_P(Consistency, PowerSeriesIntegratesToEnergy) {
-  const PipelineResult r =
-      run_pipeline(trace(), default_pipeline_config(paper_uniform(6)));
-  const PowerModel pm(default_pipeline_config(paper_uniform(6)).power);
+/// Σ series·dt of the scaled run, looked up through the run's own
+/// schedule, must equal its CPU energy (the scaled energy without the
+/// regulator's transition energy).
+void expect_series_integrates(const Trace& trace,
+                              const PipelineConfig& config) {
+  const PipelineResult r = run_pipeline(trace, config);
+  const PowerModel pm(config.power);
   const Seconds dt = r.scaled_time / 97.0;  // deliberately awkward bins
   const auto series =
-      pm.power_series(r.scaled_replay.timeline, r.assignment.gears, dt);
+      r.schedule.power_series(pm, r.scaled_replay.timeline, dt);
   double integrated = 0.0;
   for (const double p : series) integrated += p * dt;
-  EXPECT_NEAR(integrated, r.scaled_energy, 1e-6 * r.scaled_energy);
+  EXPECT_NEAR(integrated + r.schedule.transition_energy, r.scaled_energy,
+              1e-6 * r.scaled_energy)
+      << trace.name() << ", controller " << to_string(config.controller.kind)
+      << (config.per_phase ? ", per phase" : "");
+}
+
+TEST_P(Consistency, PowerSeriesIntegratesToEnergy) {
+  expect_series_integrates(trace(), default_pipeline_config(paper_uniform(6)));
+}
+
+// The same contract for the shapes whose gears differ from the whole-run
+// assignment: per-phase gears on PEPC, and online controllers switching
+// gears every iteration on a drifting hot spot.
+TEST(ConsistencySchedules, PowerSeriesIntegratesToEnergyForEveryShape) {
+  const auto pepc = benchmark_by_name("PEPC-128", 3);
+  ASSERT_TRUE(pepc.has_value());
+  PipelineConfig per_phase = default_pipeline_config(paper_uniform(6));
+  per_phase.per_phase = true;
+  expect_series_integrates(pepc->make(), per_phase);
+
+  WorkloadConfig workload;
+  workload.ranks = 16;
+  workload.iterations = 12;
+  workload.target_lb = 0.5;
+  const Trace drift = make_amr_drift(workload);
+  for (const ControllerKind kind :
+       {ControllerKind::kDynamicMax, ControllerKind::kSlack}) {
+    PipelineConfig controlled = default_pipeline_config(paper_uniform(6));
+    controlled.controller.kind = kind;
+    controlled.controller.transition_latency = 50e-6;
+    controlled.controller.transition_energy = 0.01;
+    expect_series_integrates(drift, controlled);
+  }
 }
 
 TEST_P(Consistency, EnergyOptimalPipelineHonoursMaxContract) {

@@ -328,13 +328,19 @@ TEST(ControllerPipeline, GearStuckFaultPinsScheduleAndEnergyAgrees) {
     EXPECT_DOUBLE_EQ(row[2].voltage_v, pinned_max.voltage_v);
   }
 
+  // Recompute from the reported schedule alone, gear by gear.
   const PowerModel power(config.power);
-  EXPECT_DOUBLE_EQ(
-      result.pipeline.scaled_energy,
-      power.scheduled_energy(result.pipeline.scaled_replay.timeline,
-                             result.controller.schedule,
-                             result.controller.schedule.front()) +
-          result.controller.transition_energy);
+  const auto& schedule = result.controller.schedule;
+  const auto gear_of = [&](Rank r, const StateInterval& iv) -> const Gear& {
+    // Outside every iteration the seed gears (row 0) hold.
+    const std::size_t row =
+        iv.iteration < 0 ? 0 : static_cast<std::size_t>(iv.iteration);
+    return schedule[row][static_cast<std::size_t>(r)];
+  };
+  const double recomputed =
+      power.energy(result.pipeline.scaled_replay.timeline, gear_of) +
+      result.controller.transition_energy;
+  EXPECT_DOUBLE_EQ(result.pipeline.scaled_energy, recomputed);
 }
 
 TEST(GoldenSchedules, Drift4MatchesPinnedCsv) {

@@ -154,62 +154,6 @@ TEST(Energy, GearCountMismatchThrows) {
   EXPECT_THROW(pm.total_energy(tl, gears), Error);
 }
 
-TEST(Energy, ScheduledEnergyUsesPerIterationGears) {
-  const PowerModel pm(paper_config());
-  Timeline tl(1);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, -1, 0});
-  tl.append(0, {1.0, 2.0, RankState::kCompute, -1, 1});
-  const Gear fast{2.3, 1.5};
-  const Gear slow{0.8, 1.0};
-  const std::vector<std::vector<Gear>> schedule{{fast}, {slow}};
-  const std::vector<Gear> fallback{fast};
-  const double expected = 1.0 * pm.total_power(fast, true) +
-                          1.0 * pm.total_power(slow, true);
-  EXPECT_NEAR(pm.scheduled_energy(tl, schedule, fallback), expected, 1e-12);
-}
-
-TEST(Energy, ScheduledEnergyFallsBackOutsideIterations) {
-  const PowerModel pm(paper_config());
-  Timeline tl(1);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, -1, -1});  // prologue
-  tl.append(0, {1.0, 2.0, RankState::kCompute, -1, 0});
-  const Gear fast{2.3, 1.5};
-  const Gear slow{0.8, 1.0};
-  const std::vector<std::vector<Gear>> schedule{{slow}};
-  const std::vector<Gear> fallback{fast};
-  const double expected = 1.0 * pm.total_power(fast, true) +
-                          1.0 * pm.total_power(slow, true);
-  EXPECT_NEAR(pm.scheduled_energy(tl, schedule, fallback), expected, 1e-12);
-}
-
-TEST(Energy, ScheduledEnergyChargesIdleTailAtFallback) {
-  const PowerModel pm(paper_config());
-  Timeline tl(2);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, -1, 0});
-  tl.append(1, {0.0, 3.0, RankState::kCompute, -1, 0});
-  const Gear ref{2.3, 1.5};
-  const std::vector<std::vector<Gear>> schedule{{ref, ref}};
-  const std::vector<Gear> fallback{ref, ref};
-  const double expected = 1.0 * pm.total_power(ref, true) +
-                          2.0 * pm.total_power(ref, false) +  // rank 0 tail
-                          3.0 * pm.total_power(ref, true);
-  EXPECT_NEAR(pm.scheduled_energy(tl, schedule, fallback), expected, 1e-12);
-}
-
-TEST(Energy, ScheduledEnergyValidatesShapes) {
-  const PowerModel pm(paper_config());
-  Timeline tl(2);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, -1, 0});
-  tl.append(1, {0.0, 1.0, RankState::kCompute, -1, 0});
-  const Gear ref{2.3, 1.5};
-  EXPECT_THROW(
-      pm.scheduled_energy(tl, {{ref}}, std::vector<Gear>{ref, ref}),
-      Error);
-  EXPECT_THROW(
-      pm.scheduled_energy(tl, {{ref, ref}}, std::vector<Gear>{ref}),
-      Error);
-}
-
 TEST(PowerSeries, FlatForConstantActivity) {
   const PowerModel pm(paper_config());
   Timeline tl(1);
@@ -269,50 +213,6 @@ TEST(PowerSeries, RejectsBadArguments) {
   EXPECT_THROW(pm.power_series(tl, gears, 0.0), Error);
   const std::vector<Gear> wrong(2, Gear{2.3, 1.5});
   EXPECT_THROW(pm.power_series(tl, wrong, 1.0), Error);
-}
-
-TEST(Energy, PhaseEnergyChargesPerPhaseGears) {
-  const PowerModel pm(paper_config());
-  Timeline tl(1);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, 0, -1});
-  tl.append(0, {1.0, 2.0, RankState::kWait, -1, -1});
-  tl.append(0, {2.0, 3.0, RankState::kCompute, 1, -1});
-  const Gear fast{2.3, 1.5};
-  const Gear slow{0.8, 1.0};
-  const Gear mid{1.4, 1.2};
-  const std::vector<std::int32_t> phases{0, 1};
-  const std::vector<std::vector<Gear>> phase_gears{{slow}, {mid}};
-  const std::vector<Gear> fallback{fast};
-  const double expected = 1.0 * pm.total_power(slow, true) +
-                          1.0 * pm.total_power(fast, false) +
-                          1.0 * pm.total_power(mid, true);
-  EXPECT_NEAR(pm.phase_energy(tl, phases, phase_gears, fallback), expected,
-              1e-12);
-}
-
-TEST(Energy, PhaseEnergyRejectsUnknownPhaseLabel) {
-  const PowerModel pm(paper_config());
-  Timeline tl(1);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, 7, -1});
-  const Gear ref{2.3, 1.5};
-  const std::vector<std::int32_t> phases{0};
-  const std::vector<std::vector<Gear>> phase_gears{{ref}};
-  EXPECT_THROW(
-      pm.phase_energy(tl, phases, phase_gears, std::vector<Gear>{ref}),
-      Error);
-}
-
-TEST(Energy, PhaseEnergyMatchesTotalEnergyForUniformGears) {
-  const PowerModel pm(paper_config());
-  Timeline tl(2);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, 0, -1});
-  tl.append(0, {1.0, 1.5, RankState::kWait, -1, -1});
-  tl.append(1, {0.0, 1.5, RankState::kCompute, 0, -1});
-  const std::vector<Gear> gears{{1.4, 1.2}, {2.0, 1.4}};
-  const std::vector<std::int32_t> phases{0};
-  const std::vector<std::vector<Gear>> phase_gears{gears};
-  EXPECT_NEAR(pm.phase_energy(tl, phases, phase_gears, gears),
-              pm.total_energy(tl, gears), 1e-12);
 }
 
 TEST(Energy, HigherStaticFractionFlattensFrequencySavings) {

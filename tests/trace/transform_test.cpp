@@ -54,31 +54,6 @@ TEST(ScaleComputeUniform, AppliesEverywhere) {
   EXPECT_DOUBLE_EQ(scaled.computation_time(1), 40.0);
 }
 
-TEST(ScaleComputePerPhase, UsesPhaseFactors) {
-  // Rank 0: unphased burst 1.0 uses default; phase-1 burst 2.0 uses [1].
-  // Rank 1: phase-0 burst 4.0 uses [0].
-  const std::vector<std::vector<double>> factors{{1.0, 3.0}, {0.25, 1.0}};
-  const std::vector<double> defaults{5.0, 7.0};
-  const Trace scaled =
-      scale_compute_per_phase(base_trace(), factors, defaults);
-  EXPECT_DOUBLE_EQ(scaled.computation_time(0), 1.0 * 5.0 + 2.0 * 3.0);
-  EXPECT_DOUBLE_EQ(scaled.computation_time(1), 4.0 * 0.25);
-}
-
-TEST(ScaleComputePerPhase, RejectsMissingPhaseFactor) {
-  const std::vector<std::vector<double>> factors{{1.0}, {1.0}};  // no phase 1
-  const std::vector<double> defaults{1.0, 1.0};
-  EXPECT_THROW(scale_compute_per_phase(base_trace(), factors, defaults),
-               Error);
-}
-
-TEST(ScaleComputePerPhase, RejectsRankCountMismatch) {
-  const std::vector<std::vector<double>> factors{{1.0, 1.0}};
-  const std::vector<double> defaults{1.0, 1.0};
-  EXPECT_THROW(scale_compute_per_phase(base_trace(), factors, defaults),
-               Error);
-}
-
 Trace marked_trace(int iterations) {
   Trace t(2);
   for (Rank r = 0; r < 2; ++r) {
@@ -92,61 +67,6 @@ Trace marked_trace(int iterations) {
     }
   }
   return t;
-}
-
-TEST(ScaleComputePerIteration, ScalesOnlyInsideIterations) {
-  const Trace t = marked_trace(2);
-  const std::vector<std::vector<double>> factors{{2.0, 2.0}, {3.0, 3.0}};
-  const Trace scaled = scale_compute_per_iteration(t, factors);
-  // Rank 0: prologue 0.5 untouched; iter 0: 1*2; iter 1: 2*3.
-  EXPECT_DOUBLE_EQ(scaled.computation_time(0), 0.5 + 2.0 + 6.0);
-  // Rank 1: prologue 0.5; iter 0: 2*2; iter 1: 4*3.
-  EXPECT_DOUBLE_EQ(scaled.computation_time(1), 0.5 + 4.0 + 12.0);
-}
-
-TEST(ScaleComputePerIteration, PerRankFactorsApply) {
-  const Trace t = marked_trace(1);
-  const std::vector<std::vector<double>> factors{{10.0, 0.5}};
-  const Trace scaled = scale_compute_per_iteration(t, factors);
-  EXPECT_DOUBLE_EQ(scaled.computation_time(0), 0.5 + 10.0);
-  EXPECT_DOUBLE_EQ(scaled.computation_time(1), 0.5 + 1.0);
-}
-
-TEST(ScaleComputePerIteration, RejectsUnmarkedTrace) {
-  EXPECT_THROW(scale_compute_per_iteration(base_trace(), {{1.0, 1.0}}),
-               Error);
-}
-
-TEST(ScaleComputePerIteration, RejectsMissingIterationFactors) {
-  const Trace t = marked_trace(3);
-  EXPECT_THROW(scale_compute_per_iteration(t, {{1.0, 1.0}}), Error);
-}
-
-TEST(AddIterationOverhead, InsertsBurstsAfterBeginMarkers) {
-  const Trace t = marked_trace(2);
-  const std::vector<std::vector<Seconds>> overhead{{0.1, 0.0}, {0.0, 0.2}};
-  const Trace out = add_iteration_overhead(t, overhead);
-  EXPECT_DOUBLE_EQ(out.computation_time(0),
-                   t.computation_time(0) + 0.1);
-  EXPECT_DOUBLE_EQ(out.computation_time(1),
-                   t.computation_time(1) + 0.2);
-  // The burst lands inside the right iteration.
-  const auto per_iteration = iteration_computation_times(out);
-  EXPECT_DOUBLE_EQ(per_iteration[0][0], 1.0 + 0.1);
-  EXPECT_DOUBLE_EQ(per_iteration[1][1], 4.0 + 0.2);
-}
-
-TEST(AddIterationOverhead, ZeroOverheadIsIdentity) {
-  const Trace t = marked_trace(2);
-  const std::vector<std::vector<Seconds>> overhead{{0.0, 0.0}, {0.0, 0.0}};
-  EXPECT_EQ(add_iteration_overhead(t, overhead), t);
-}
-
-TEST(AddIterationOverhead, RejectsBadInput) {
-  EXPECT_THROW(add_iteration_overhead(base_trace(), {{0.0, 0.0}}), Error);
-  const Trace t = marked_trace(2);
-  EXPECT_THROW(add_iteration_overhead(t, {{0.0, 0.0}}), Error);  // 1 of 2
-  EXPECT_THROW(add_iteration_overhead(t, {{-0.1, 0.0}, {0.0, 0.0}}), Error);
 }
 
 TEST(IterationComputationTimes, PerIterationPerRank) {

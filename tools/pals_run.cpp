@@ -151,8 +151,10 @@ int run(int argc, char** argv) {
         static_cast<std::size_t>(trace.n_ranks()), config.power.reference);
     const auto baseline = power.power_series(
         result.baseline_replay.timeline, reference_gears, dt);
-    const auto scaled = power.power_series(result.scaled_replay.timeline,
-                                           result.assignment.gears, dt);
+    // Through the run's own schedule: per-phase and per-iteration gears
+    // are charged where they ran, so sum(series)·dt matches the energy.
+    const auto scaled =
+        result.schedule.power_series(power, result.scaled_replay.timeline, dt);
     std::ostringstream out;
     CsvWriter csv(out);
     csv.row({"time_s", "baseline_power", "dvfs_power"});
