@@ -19,6 +19,14 @@ cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
+echo "== tier 1: hermetic file-system suites, repeated under -j8 =="
+# Every test writes into its own scratch directory (tests/scratch_dir.hpp,
+# unique per test and pid), so the suites that touch the file system,
+# sockets and child processes must pass three times in a row at -j8.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -j 8 \
+      --repeat until-fail:3 \
+      -R 'Journal|KillResume|ResumeSweep|Watchdog|ShardMerge|ShepherdTorture|ServeDaemon|ServeTorture|QueryEngineErrors|AtomicWriteFile|DurableFile|Checksums'
+
 echo "== tier 1: static lint of the shipped example traces =="
 for trace in examples/traces/*.palst; do
   "${BUILD_DIR}/tools/pals_lint" --strict --quiet "${trace}"

@@ -76,8 +76,15 @@ void Server::run() {
     });
   }
 
-  // Drain: stop accepting (close + unlink, so new connects fail fast),
-  // let in-flight connections finish, then join the workers.
+  // Drain: connections the kernel already queued get the shutting-down
+  // notice instead of a reset; then stop accepting (close + unlink, so new
+  // connects fail fast), let in-flight connections finish, then join the
+  // workers.
+  for (UnixStream late = listener.accept(1e-3); late.valid();
+       late = listener.accept(1e-3))
+    late.write_all(render_error("", ErrorCode::kShuttingDown,
+                                "daemon is draining") +
+                   "\n");
   listener.close();
   while (active_.load(std::memory_order_relaxed) > 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

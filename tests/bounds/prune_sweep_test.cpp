@@ -15,6 +15,7 @@
 
 #include "analysis/journal.hpp"
 #include "analysis/pareto.hpp"
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -105,7 +106,7 @@ TEST(PruneBounds, DecisionsAreJobsInvariant) {
 
 TEST(PruneBounds, JournalRecordsResumeToIdenticalDecisions) {
   const std::string journal =
-      ::testing::TempDir() + "/prune_resume_test.palsj";
+      (scratch_dir() / "prune_resume_test.palsj").string();
   std::remove(journal.c_str());
 
   SweepOptions options;
@@ -130,7 +131,7 @@ TEST(PruneBounds, JournalRecordsResumeToIdenticalDecisions) {
 }
 
 TEST(PruneBounds, PrunedRecordRoundTripsThroughJournal) {
-  const std::string path = ::testing::TempDir() + "/prune_record.palsj";
+  const std::string path = (scratch_dir() / "prune_record.palsj").string();
   std::remove(path.c_str());
   JournalHeader header;
   header.config_hash = "prune-record-test";

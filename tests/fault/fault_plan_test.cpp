@@ -10,6 +10,7 @@
 #include "fault/campaign.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -80,7 +81,7 @@ TEST(FaultPlanParse, FromFileOrInlineReadsBothSources) {
   const FaultPlan from_inline = FaultPlan::from_file_or_inline(inline_text);
   EXPECT_EQ(from_inline.seed, 3u);
 
-  const std::string path = testing::TempDir() + "plan_test.faults";
+  const std::string path = (scratch_dir() / "plan_test.faults").string();
   {
     std::ofstream out(path);
     out << inline_text << "\n";

@@ -7,6 +7,7 @@
 #include "analysis/gantt.hpp"
 #include "analysis/svg.hpp"
 #include "replay/replay.hpp"
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 #include "workloads/registry.hpp"
 
@@ -93,7 +94,7 @@ TEST(Svg, RejectsDegenerateInput) {
 }
 
 TEST(Svg, FileWriting) {
-  const std::string path = ::testing::TempDir() + "/pals_test.svg";
+  const std::string path = (scratch_dir() / "pals_test.svg").string();
   write_svg_file(small_timeline(), path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -147,7 +148,7 @@ TEST(Experiments, TraceCacheBuildsOnce) {
 }
 
 TEST(Experiments, PrintRowsWritesCsv) {
-  const std::string path = ::testing::TempDir() + "/pals_rows.csv";
+  const std::string path = (scratch_dir() / "pals_rows.csv").string();
   std::vector<ExperimentRow> rows(1);
   rows[0].instance = "X";
   rows[0].variant = "v";

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "analysis/figures.hpp"
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 
 #ifndef PALS_SOURCE_DIR
@@ -35,7 +36,7 @@ TEST(GoldenCsv, SaveLoadRoundTrip) {
   rows[1].instance = "B-2";
   rows[1].variant = "w";
   rows[1].load_balance = 0.5;
-  const std::string path = ::testing::TempDir() + "/pals_golden.csv";
+  const std::string path = (scratch_dir() / "pals_golden.csv").string();
   save_rows_csv(rows, path);
   const auto restored = load_rows_csv(path);
   ASSERT_EQ(restored.size(), 2u);
@@ -73,7 +74,7 @@ TEST(GoldenCsv, CompareDetectsMissingAndUnexpectedRows) {
 }
 
 TEST(GoldenCsv, LoadRejectsBadInput) {
-  const std::string path = ::testing::TempDir() + "/pals_bad_golden.csv";
+  const std::string path = (scratch_dir() / "pals_bad_golden.csv").string();
   {
     std::ofstream out(path);
     out << "wrong,header\n";

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "analysis/experiments.hpp"
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 #include "workloads/apps.hpp"
 
@@ -73,7 +74,7 @@ TEST(IterationStats, RequiresIterationMarkers) {
 }
 
 TEST(ConfigFile, OverlaysOntoPipelineConfig) {
-  const std::string path = ::testing::TempDir() + "/pals_platform.cfg";
+  const std::string path = (scratch_dir() / "pals_platform.cfg").string();
   {
     std::ofstream out(path);
     out << "# test platform\nlatency = 5e-6\nbandwidth = 1e9\n"
@@ -91,7 +92,7 @@ TEST(ConfigFile, OverlaysOntoPipelineConfig) {
 }
 
 TEST(ConfigFile, RejectsUnknownKeys) {
-  const std::string path = ::testing::TempDir() + "/pals_bad.cfg";
+  const std::string path = (scratch_dir() / "pals_bad.cfg").string();
   {
     std::ofstream out(path);
     out << "latencyy = 1\n";

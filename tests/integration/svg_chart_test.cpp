@@ -4,6 +4,7 @@
 
 #include <fstream>
 
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -93,7 +94,7 @@ TEST(SvgChart, RejectsDegenerateInput) {
 }
 
 TEST(SvgChart, FileWriting) {
-  const std::string path = ::testing::TempDir() + "/pals_chart.svg";
+  const std::string path = (scratch_dir() / "pals_chart.svg").string();
   write_chart_file(sample_series(), path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

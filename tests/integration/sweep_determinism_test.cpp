@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -141,7 +142,7 @@ TEST(SweepDeterminism, NonDefaultBetaLandsInDerivedVariant) {
 }
 
 TEST(SweepGridFile, ParsesAllKeys) {
-  const std::string path = ::testing::TempDir() + "/sweep_grid_test.grid";
+  const std::string path = (scratch_dir() / "sweep_grid_test.grid").string();
   {
     std::ofstream out(path);
     out << "# comment\n"
@@ -166,7 +167,7 @@ TEST(SweepGridFile, ParsesAllKeys) {
 }
 
 TEST(SweepGridFile, DefaultsAlgorithmAndBetaWhenOmitted) {
-  const std::string path = ::testing::TempDir() + "/sweep_grid_min.grid";
+  const std::string path = (scratch_dir() / "sweep_grid_min.grid").string();
   {
     std::ofstream out(path);
     out << "workloads = CG-32\ngear_sets = uniform-6\n";
@@ -181,7 +182,7 @@ TEST(SweepGridFile, DefaultsAlgorithmAndBetaWhenOmitted) {
 
 TEST(SweepGridFile, RejectsUnknownKeysAndBadValues) {
   const auto write_and_parse = [](const std::string& body) {
-    const std::string path = ::testing::TempDir() + "/sweep_grid_bad.grid";
+    const std::string path = (scratch_dir() / "sweep_grid_bad.grid").string();
     {
       std::ofstream out(path);
       out << body;

@@ -15,6 +15,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/record.hpp"
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
 #include "util/json.hpp"
@@ -370,10 +371,7 @@ int run_bench(const std::string& args) {
 }
 
 TEST(BenchBinary, ReducedSuiteIsCounterDeterministicAndSelfComparesClean) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "pals_bench_test").string();
-  std::filesystem::remove_all(dir);  // stale artifacts from earlier runs
-  std::filesystem::create_directories(dir);
+  const std::string dir = scratch_dir().string();
   const std::string fast = " --suite --warmup 0 --repetitions 1 "
                            "--filter lint --quiet";
   ASSERT_EQ(run_bench(fast + " --out " + dir + "/a.json --counters-out " +

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -95,7 +96,7 @@ TEST(Prv, EmptyInputRejected) {
 }
 
 TEST(Prv, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/pals_test.prv";
+  const std::string path = (scratch_dir() / "pals_test.prv").string();
   write_prv_file(sample(), path);
   EXPECT_EQ(read_prv_file(path), sample());
   std::remove(path.c_str());

@@ -6,6 +6,7 @@
 #include "paraver/export.hpp"
 #include "paraver/translate.hpp"
 #include "replay/replay.hpp"
+#include "scratch_dir.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "workloads/apps.hpp"
@@ -181,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(Families, PrvFamilyRoundTrip,
                          });
 
 TEST(PrvTranslate, FullPrvFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/pals_roundtrip.prv";
+  const std::string path = (scratch_dir() / "pals_roundtrip.prv").string();
   const ReplayResult r = replay(bsp_trace(), unit_config());
   write_prv_file(export_prv(r), path);
   const Trace translated = translate_prv(read_prv_file(path));

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/journal.hpp"
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -34,7 +35,7 @@ void spit(const fs::path& path, const std::string& content) {
 }
 
 fs::path temp_journal(const std::string& name) {
-  return fs::path(::testing::TempDir()) / name;
+  return scratch_dir() / name;
 }
 
 JournalHeader test_header(std::size_t scenarios = 4) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "util/exit_codes.hpp"
 
 #ifndef _WIN32
@@ -49,7 +50,7 @@ int run_sweep_tool(const std::string& args) {
 /// 16-cell grid: enough cells that a kill after a handful of journal
 /// appends always leaves work for the resume to do.
 fs::path write_grid() {
-  const fs::path path = fs::path(::testing::TempDir()) / "kill_resume.grid";
+  const fs::path path = scratch_dir() / "kill_resume.grid";
   std::ofstream out(path);
   out << "workloads  = cg:8:0.9:2, is:8:0.8:2\n"
       << "gear_sets  = uniform-4, avg-discrete\n"
@@ -70,8 +71,7 @@ class KillResume : public ::testing::Test {
   }
 
   fs::path fresh_dir(const std::string& name) {
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / ("kill_resume_" + name);
+    const fs::path dir = scratch_dir() / name;
     fs::remove_all(dir);
     return dir;
   }

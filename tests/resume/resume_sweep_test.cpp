@@ -16,6 +16,7 @@
 #include "analysis/journal.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -45,7 +46,7 @@ SweepOptions base_options(int jobs) {
 }
 
 std::string journal_in_temp(const std::string& name) {
-  const fs::path path = fs::path(::testing::TempDir()) / name;
+  const fs::path path = scratch_dir() / name;
   fs::remove(path);
   return path.string();
 }

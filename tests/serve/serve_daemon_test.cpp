@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "serve/protocol.hpp"
 #include "util/error.hpp"
 #include "util/exit_codes.hpp"
@@ -37,11 +38,8 @@ namespace fs = std::filesystem;
 class ServeDaemon : public ::testing::Test {
  protected:
   void SetUp() override {
-    const std::string tag =
-        std::to_string(::getpid()) + "_" +
-        std::to_string(reinterpret_cast<std::uintptr_t>(this) & 0xffff);
-    socket_ = fs::path(::testing::TempDir()) / ("daemon_" + tag + ".sock");
-    ready_ = fs::path(::testing::TempDir()) / ("daemon_" + tag + ".ready");
+    socket_ = scratch_dir() / "daemon.sock";
+    ready_ = scratch_dir() / "daemon.ready";
     fs::remove(socket_);
     fs::remove(ready_);
   }

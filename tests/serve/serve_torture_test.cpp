@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/sweep.hpp"
+#include "scratch_dir.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query.hpp"
 #include "serve/server.hpp"
@@ -75,9 +76,8 @@ class ServeTorture : public ::testing::Test {
  protected:
   void start(const std::function<void(ServerOptions&)>& customize = {}) {
     static std::atomic<int> sequence{0};
-    socket_path_ = fs::path(::testing::TempDir()) /
-                   ("serve_t" + std::to_string(::getpid()) + "_" +
-                    std::to_string(sequence.fetch_add(1)) + ".sock");
+    socket_path_ = scratch_dir() /
+                   ("serve_" + std::to_string(sequence.fetch_add(1)) + ".sock");
     fs::remove(socket_path_);
     ServerOptions options;
     options.socket_path = socket_path_.string();
@@ -339,8 +339,7 @@ TEST_F(ServeTorture, IdleConnectionsAreReaped) {
 TEST_F(ServeTorture, StaleSocketFileIsReplacedOnStart) {
   // A SIGKILLed daemon leaves a bound-but-dead socket file; the next
   // start must take the path over instead of failing.
-  const fs::path stale = fs::path(::testing::TempDir()) /
-                         ("serve_stale" + std::to_string(::getpid()) + ".sock");
+  const fs::path stale = scratch_dir() / "stale.sock";
   fs::remove(stale);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);

@@ -16,6 +16,7 @@
 #include "analysis/sweep.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
+#include "scratch_dir.hpp"
 #include "shard/merge.hpp"
 #include "shard/partition.hpp"
 #include "util/error.hpp"
@@ -44,7 +45,7 @@ SweepOptions base_options() {
 }
 
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("shard_merge_" + name);
+  const fs::path dir = scratch_dir() / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "util/exit_codes.hpp"
 
 #ifndef _WIN32
@@ -47,7 +48,7 @@ int run_tool(const std::string& binary, const std::string& args) {
 /// 48-cell grid, heavy enough that the chaos kills always land while
 /// the victim shard still has work in flight.
 fs::path write_grid() {
-  const fs::path path = fs::path(::testing::TempDir()) / "shepherd_torture.grid";
+  const fs::path path = scratch_dir() / "shepherd_torture.grid";
   std::ofstream out(path);
   out << "workloads  = CG-32, MG-32, lu:16:0.93:3, ft:16:0.9:3\n"
       << "gear_sets  = uniform-6, avg-discrete, continuous-unlimited\n"
@@ -69,8 +70,7 @@ class ShepherdTorture : public ::testing::Test {
   }
 
   fs::path fresh_dir(const std::string& name) {
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / ("shepherd_torture_" + name);
+    const fs::path dir = scratch_dir() / name;
     fs::remove_all(dir);
     return dir;
   }

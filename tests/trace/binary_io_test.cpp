@@ -1,3 +1,4 @@
+#include "scratch_dir.hpp"
 #include "trace/binary_io.hpp"
 
 #include <gtest/gtest.h>
@@ -118,7 +119,7 @@ TEST(BinaryTrace, SmallerThanText) {
 }
 
 TEST(BinaryTrace, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/pals_test.palsb";
+  const std::string path = (scratch_dir() / "pals_test.palsb").string();
   const Trace original = sample_trace();
   write_trace_binary_file(original, path);
   EXPECT_EQ(read_trace_binary_file(original.name().empty() ? path : path),

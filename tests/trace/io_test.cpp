@@ -1,3 +1,4 @@
+#include "scratch_dir.hpp"
 #include "trace/io.hpp"
 
 #include <gtest/gtest.h>
@@ -131,7 +132,7 @@ TEST(TraceIo, ParsesPhaseAnnotation) {
 }
 
 TEST(TraceIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/pals_io_test.palst";
+  const std::string path = (scratch_dir() / "pals_io_test.palst").string();
   const Trace original = sample_trace();
   write_trace_file(original, path);
   const Trace restored = read_trace_file(path);

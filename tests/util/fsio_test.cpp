@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
 
@@ -23,7 +24,7 @@ std::string slurp(const fs::path& path) {
 }
 
 fs::path temp_path(const std::string& name) {
-  return fs::path(::testing::TempDir()) / name;
+  return scratch_dir() / name;
 }
 
 TEST(AtomicWriteFile, CreatesNewFile) {
