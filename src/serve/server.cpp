@@ -76,15 +76,18 @@ void Server::run() {
     });
   }
 
-  // Drain: connections the kernel already queued get the shutting-down
-  // notice instead of a reset; then stop accepting (close + unlink, so new
-  // connects fail fast), let in-flight connections finish, then join the
-  // workers.
-  for (UnixStream late = listener.accept(1e-3); late.valid();
-       late = listener.accept(1e-3))
+  // Drain: connections the kernel already queued (at most one backlog,
+  // so a stream of new clients cannot stall the drain) get the
+  // shutting-down notice instead of a reset; then stop accepting (close +
+  // unlink, so new connects fail fast), let in-flight connections finish,
+  // then join the workers.
+  for (int queued = 0; queued < UnixListener::kDefaultBacklog; ++queued) {
+    UnixStream late = listener.accept(1e-3);
+    if (!late.valid()) break;
     late.write_all(render_error("", ErrorCode::kShuttingDown,
                                 "daemon is draining") +
                    "\n");
+  }
   listener.close();
   while (active_.load(std::memory_order_relaxed) > 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

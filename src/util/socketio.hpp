@@ -93,7 +93,10 @@ class UnixListener {
   /// on it, throws "already serving". A non-socket file at the path is
   /// never touched (throws).
   static UnixListener bind_or_replace(const std::string& path,
-                                      int backlog = 64);
+                                      int backlog = kDefaultBacklog);
+
+  /// Pending connections the kernel queues before refusing more.
+  static constexpr int kDefaultBacklog = 64;
 
   UnixListener(UnixListener&& other) noexcept;
   UnixListener& operator=(UnixListener&& other) noexcept;
