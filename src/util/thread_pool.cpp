@@ -33,6 +33,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  enqueue(Task{std::move(task), {}});
+}
+
+void ThreadPool::enqueue(Task task) {
   std::size_t target;
   {
     // pending_ is bumped before the task becomes stealable so a worker can
@@ -50,13 +54,13 @@ void ThreadPool::submit(std::function<void()> task) {
   wake_.notify_one();
 }
 
-std::function<void()> ThreadPool::find_task(std::size_t self, bool& stolen) {
+ThreadPool::Task ThreadPool::find_task(std::size_t self, bool& stolen) {
   stolen = false;
   {
     Worker& own = *workers_[self];
     std::lock_guard<std::mutex> lock(own.mutex);
     if (!own.tasks.empty()) {
-      std::function<void()> task = std::move(own.tasks.back());
+      Task task = std::move(own.tasks.back());
       own.tasks.pop_back();
       return task;
     }
@@ -65,20 +69,20 @@ std::function<void()> ThreadPool::find_task(std::size_t self, bool& stolen) {
     Worker& victim = *workers_[(self + k) % workers_.size()];
     std::lock_guard<std::mutex> lock(victim.mutex);
     if (!victim.tasks.empty()) {
-      std::function<void()> task = std::move(victim.tasks.front());
+      Task task = std::move(victim.tasks.front());
       victim.tasks.pop_front();
       stolen = true;
       return task;
     }
   }
-  return nullptr;
+  return {};
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
   while (true) {
     bool stolen = false;
-    std::function<void()> task = find_task(self, stolen);
-    if (!task) {
+    Task task = find_task(self, stolen);
+    if (!task.run) {
       std::unique_lock<std::mutex> lock(sleep_mutex_);
       wake_.wait(lock, [this] { return stop_ || pending_ > 0; });
       if (stop_ && pending_ == 0) return;
@@ -90,7 +94,7 @@ void ThreadPool::worker_loop(std::size_t self) {
     }
     if (stolen) tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
     const auto begin = std::chrono::steady_clock::now();
-    task();
+    task.run();
     const auto elapsed = std::chrono::steady_clock::now() - begin;
     workers_[self]->busy_ns.fetch_add(
         static_cast<std::uint64_t>(
@@ -98,6 +102,7 @@ void ThreadPool::worker_loop(std::size_t self) {
                 .count()),
         std::memory_order_relaxed);
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    if (task.done) task.done();
   }
 }
 
@@ -128,16 +133,18 @@ void ThreadPool::parallel_for(std::size_t n,
   Sync sync;
   sync.remaining = n;
   for (std::size_t i = 0; i < n; ++i) {
-    submit([&sync, &body, i] {
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(sync.mutex);
-        if (!sync.error) sync.error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(sync.mutex);
-      if (--sync.remaining == 0) sync.done.notify_all();
-    });
+    enqueue(Task{[&sync, &body, i] {
+                   try {
+                     body(i);
+                   } catch (...) {
+                     std::lock_guard<std::mutex> lock(sync.mutex);
+                     if (!sync.error) sync.error = std::current_exception();
+                   }
+                 },
+                 [&sync] {
+                   std::lock_guard<std::mutex> lock(sync.mutex);
+                   if (--sync.remaining == 0) sync.done.notify_all();
+                 }});
   }
   std::unique_lock<std::mutex> lock(sync.mutex);
   sync.done.wait(lock, [&sync] { return sync.remaining == 0; });

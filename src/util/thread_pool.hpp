@@ -61,20 +61,27 @@ public:
 
   /// Snapshot of the scheduling counters. Thread-safe; callable while
   /// tasks run (counters are relaxed atomics, values may lag in-flight
-  /// work by one task).
+  /// work by one task; never behind a parallel_for that has returned).
   ThreadPoolStats stats() const;
 
 private:
+  /// A queued task. `done`, if set, runs after the worker has counted the
+  /// task, so whoever it wakes sees the task in stats().
+  struct Task {
+    std::function<void()> run, done;
+  };
+
   struct Worker {
     std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
+    std::deque<Task> tasks;
     std::atomic<std::uint64_t> busy_ns{0};
   };
 
+  void enqueue(Task task);
   void worker_loop(std::size_t self);
   /// Pop from own queue (back) or steal from a victim (front); sets
   /// `stolen` when the task came from another worker's queue.
-  std::function<void()> find_task(std::size_t self, bool& stolen);
+  Task find_task(std::size_t self, bool& stolen);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;

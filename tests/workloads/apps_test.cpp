@@ -29,6 +29,10 @@ struct AppCase {
   double target_lb;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, pointers
+// included, so the listed test names would change from run to run.
+void PrintTo(const AppCase& app, std::ostream* os) { *os << app.name; }
+
 class AppGenerator : public ::testing::TestWithParam<AppCase> {};
 
 TEST_P(AppGenerator, ProducesValidReplayableTrace) {
