@@ -1,5 +1,6 @@
-// Extension study: static whole-run DVFS (the paper's MAX) vs a dynamic
-// per-iteration runtime (Jitter-style, the paper's reference [18]).
+// Extension study: static whole-run DVFS (the paper's MAX) vs the
+// per-iteration jitter controller (Jitter-style, the paper's reference
+// [18]).
 //
 // On steady imbalance the two converge — the paper's premise that a
 // static assignment suffices for "regular, iterative behavior". On a
@@ -9,7 +10,7 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "core/jitter.hpp"
+#include "core/controller_pipeline.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "workloads/apps.hpp"
@@ -19,18 +20,18 @@ namespace pals {
 namespace {
 
 void compare(const std::string& name, const Trace& trace, TextTable& table) {
-  const PipelineResult static_result =
-      run_pipeline(trace, default_pipeline_config(paper_uniform(6)));
-  JitterConfig jitter_config;
-  jitter_config.gear_set = paper_uniform(6);
-  const JitterResult dynamic = run_jitter(trace, jitter_config);
+  PipelineConfig config = default_pipeline_config(paper_uniform(6));
+  const PipelineResult static_result = run_pipeline(trace, config);
+  config.controller.kind = ControllerKind::kJitter;
+  const ControllerPipelineResult dynamic =
+      run_controller_pipeline(trace, config, static_result.baseline_replay);
 
   table.add_row({name, format_percent(static_result.load_balance),
                  format_percent(static_result.normalized_energy()),
                  format_percent(static_result.normalized_time()),
-                 format_percent(dynamic.normalized_energy()),
-                 format_percent(dynamic.normalized_time()),
-                 std::to_string(dynamic.gear_shifts)});
+                 format_percent(dynamic.pipeline.normalized_energy()),
+                 format_percent(dynamic.pipeline.normalized_time()),
+                 std::to_string(dynamic.controller.switches)});
 }
 
 int run() {
@@ -81,11 +82,13 @@ int run() {
   drift.iterations = 96;
   drift.target_lb = 0.5;
   const Trace drift_trace = make_amr_drift(drift);
+  PipelineConfig config = default_pipeline_config(paper_uniform(6));
+  config.controller.kind = ControllerKind::kJitter;
+  const ReplayResult baseline = replay(drift_trace, config.replay);
   for (const double penalty_us : {0.0, 50.0, 500.0, 5000.0}) {
-    JitterConfig config;
-    config.gear_set = paper_uniform(6);
-    config.transition_penalty = penalty_us * 1e-6;
-    const JitterResult r = run_jitter(drift_trace, config);
+    config.controller.transition_latency = penalty_us * 1e-6;
+    const PipelineResult r =
+        run_controller_pipeline(drift_trace, config, baseline).pipeline;
     penalty_table.add_row({format_fixed(penalty_us, 0) + " us",
                            format_percent(r.normalized_energy()),
                            format_percent(r.normalized_time()),

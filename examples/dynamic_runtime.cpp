@@ -1,12 +1,12 @@
 // Dynamic runtime example: when the imbalance pattern moves, a static
 // whole-run frequency assignment is blind — the per-iteration Jitter-style
-// runtime (core/jitter.hpp) tracks it.
+// controller (ControllerKind::kJitter, core/controllers.hpp) tracks it.
 //
 // Run: ./build/examples/dynamic_runtime
 #include <iostream>
 
 #include "analysis/experiments.hpp"
-#include "core/jitter.hpp"
+#include "core/controller_pipeline.hpp"
 #include "util/strings.hpp"
 #include "workloads/apps.hpp"
 
@@ -22,12 +22,12 @@ int run() {
   workload.target_lb = 0.5;
   const Trace trace = make_amr_drift(workload);
 
-  const PipelineResult static_result =
-      run_pipeline(trace, default_pipeline_config(paper_uniform(6)));
+  PipelineConfig config = default_pipeline_config(paper_uniform(6));
+  const PipelineResult static_result = run_pipeline(trace, config);
 
-  JitterConfig jitter_config;
-  jitter_config.gear_set = paper_uniform(6);
-  const JitterResult dynamic = run_jitter(trace, jitter_config);
+  config.controller.kind = ControllerKind::kJitter;
+  const ControllerPipelineResult dynamic =
+      run_controller_pipeline(trace, config, static_result.baseline_replay);
 
   std::cout << "workload " << trace.name() << ": per-iteration LB 50%, "
             << "whole-run LB "
@@ -36,9 +36,9 @@ int run() {
             << format_percent(static_result.normalized_energy()) << ", time "
             << format_percent(static_result.normalized_time()) << '\n'
             << "dynamic      energy "
-            << format_percent(dynamic.normalized_energy()) << ", time "
-            << format_percent(dynamic.normalized_time()) << " ("
-            << dynamic.gear_shifts << " gear shifts)\n\n";
+            << format_percent(dynamic.pipeline.normalized_energy())
+            << ", time " << format_percent(dynamic.pipeline.normalized_time())
+            << " (" << dynamic.controller.switches << " gear shifts)\n\n";
 
   // Show the runtime chasing the hot spot: the gear of three sample ranks
   // over the first iterations.
@@ -47,7 +47,8 @@ int run() {
     std::cout << "  iter " << it << ":";
     for (const std::size_t r : {0u, 8u, 16u})
       std::cout << ' '
-                << format_fixed(dynamic.schedule[it][r].frequency_ghz, 1);
+                << format_fixed(
+                       dynamic.controller.schedule[it][r].frequency_ghz, 1);
     std::cout << '\n';
   }
   std::cout << "\nThe static algorithm sees balanced totals and keeps every "

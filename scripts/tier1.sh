@@ -100,6 +100,13 @@ cmp "${BENCH_DIR}/counters_a.json" "${BENCH_DIR}/counters_j4.json"
 "${BUILD_DIR}/tools/pals_bench" --compare --counters-only \
     BENCH_suite.json "${BENCH_DIR}/suite_a.json"
 
+echo "== tier 1: end-to-end benchmark self-test (perfbench) =="
+# Builds the library sources in Release into .bench_build/perfbench (the
+# first run takes a few minutes, later ones rebuild incrementally) and runs
+# the benchmark's own tests: every timed row must equal the row composed
+# from public calls.
+python3 perfbench/run.py --self-test
+
 echo "== tier 1: sweep determinism under ASan/UBSan (${ASAN_DIR}) =="
 cmake -B "${ASAN_DIR}" -S . -DPALS_SANITIZE="address;undefined"
 cmake --build "${ASAN_DIR}" -j "${JOBS}" --target test_sweep
@@ -127,15 +134,16 @@ ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" \
 echo "== tier 1: bounds oracle + pruning under ASan/UBSan =="
 # The static bounds analyzer (docs/bounds.md) re-derives the controller
 # schedule and budgets the serialization bound with index arithmetic over
-# per-rank/per-slot vectors; the oracle leg replays every example trace
-# and the shipped Pareto grid with the soundness check armed, so an
-# unsound interval or an out-of-bounds read fails here.
-cmake --build "${ASAN_DIR}" -j "${JOBS}" --target \
-      test_bounds pals_lint_tool pals_check
+# per-rank/per-slot vectors; the oracle leg bounds every example trace
+# under all six controllers and replays the shipped Pareto grid with the
+# soundness check armed, so an unsound interval or an out-of-bounds read
+# fails here.
+cmake --build "${ASAN_DIR}" -j "${JOBS}" --target test_bounds pals_lint_tool
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" \
       -R 'BoundsAnalyzer|BoundsOracle|BoundsRendering|PruneBounds|LintCodeDrift'
 for trace in examples/traces/*.palst; do
-  "${ASAN_DIR}/tools/pals_check" --quiet "${trace}"
+  "${ASAN_DIR}/tools/pals_lint" --bounds --quiet \
+      --controller=static,dynamic_max,dynamic_avg,slack,ewma,jitter "${trace}"
 done
 "${ASAN_DIR}/tools/pals_sweep" --grid=configs/dynamic_pareto.grid \
     --prune-bounds --quiet

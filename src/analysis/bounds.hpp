@@ -37,8 +37,8 @@
 //
 // Consumers: pals_sweep --prune-bounds (branch-and-bound cell pruning),
 // the post-replay soundness oracle (check_soundness → lint diagnostics),
-// and the pals_lint --bounds / pals_check reporting surface. docs/bounds.md
-// has the full contract.
+// and the pals_lint --bounds reporting surface. docs/bounds.md has the full
+// contract.
 #pragma once
 
 #include <cstddef>
@@ -99,7 +99,7 @@ struct ScenarioBounds {
 /// analyzer seeds assigners from the exact replay compute profile, arms
 /// the baseline-makespan floor and fills the normalized intervals; without
 /// it the seed comes from the trace's compute sums (the pure
-/// pre-replay surface used by pals_lint --bounds / pals_check).
+/// pre-replay surface used by pals_lint --bounds).
 ///
 /// The intervals describe the *fault-free* scaled replay; with a fault
 /// plan injected only gear_stuck pinning is modeled (callers disarm the
@@ -109,8 +109,8 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
                        const ReplayResult* baseline = nullptr);
 
 /// Indented multi-line rendering of the intervals for the pals_lint
-/// --bounds / pals_check text surface (every line starts with two spaces
-/// and ends with '\n').
+/// --bounds text surface (every line starts with two spaces and ends with
+/// '\n').
 std::string to_text(const ScenarioBounds& bounds);
 
 /// Deterministic single-line JSON object with round-trip number

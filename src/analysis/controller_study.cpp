@@ -9,7 +9,6 @@
 #include "analysis/experiments.hpp"
 #include "core/controller_pipeline.hpp"
 #include "core/controllers.hpp"
-#include "core/jitter.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "power/controller.hpp"
@@ -87,22 +86,22 @@ std::string schedule_pins_csv(const Trace& drift) {
   Pins pins;
   pins.out << "case,key,value\n";
 
-  // The examples/dynamic_runtime workload and Jitter configuration.
+  // The examples/dynamic_runtime workload under the jitter controller.
   WorkloadConfig workload;
   workload.ranks = 24;
   workload.iterations = 48;
   workload.target_lb = 0.5;
   const Trace amr = make_amr_drift(workload);
-  for (const Seconds penalty : {0.0, 50e-6}) {
-    JitterConfig config;
-    config.gear_set = paper_uniform(6);
-    config.transition_penalty = penalty;
-    const JitterResult jitter = run_jitter(amr, config);
-    pins.name = penalty == 0.0 ? "jitter-drift-free" : "jitter-drift-50us";
-    pins.count("switches", jitter.gear_shifts);
-    pins.metric("normalized_energy", jitter.normalized_energy());
-    pins.metric("normalized_time", jitter.normalized_time());
-    pins.rows(jitter.schedule);
+  PipelineConfig jitter = default_pipeline_config(paper_uniform(6));
+  jitter.controller.kind = ControllerKind::kJitter;
+  for (const Seconds latency : {0.0, 50e-6}) {
+    jitter.controller.transition_latency = latency;
+    const ControllerPipelineResult run = run_controller_pipeline(amr, jitter);
+    pins.name = latency == 0.0 ? "jitter-drift-free" : "jitter-drift-50us";
+    pins.count("switches", run.controller.switches);
+    pins.metric("normalized_energy", run.pipeline.normalized_energy());
+    pins.metric("normalized_time", run.pipeline.normalized_time());
+    pins.rows(run.controller.schedule);
   }
 
   const std::optional<BenchmarkInstance> pepc = benchmark_by_name("PEPC-128");

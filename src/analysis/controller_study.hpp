@@ -25,8 +25,8 @@ std::string controller_schedules_csv(const Trace& trace);
 
 /// `case,key,value` CSV of the gears, switch counts and normalized
 /// energy/time of:
-///  * the Jitter runtime on the examples/dynamic_runtime drift trace, with
-///    free and with 50 us gear switches;
+///  * the jitter controller on the examples/dynamic_runtime drift trace,
+///    with free and with 50 us gear switches;
 ///  * the per-phase PEPC-128 ablation cell (bench_ablation);
 ///  * the slack controller on BT-MZ-32 with its iteration markers removed
 ///    (the static fallback);

@@ -7,7 +7,8 @@
 //  * the drift index: 1 − min over iterations of the correlation between
 //    an iteration's per-rank load vector and the whole-run totals.
 //    ~0 = every iteration mirrors the aggregate (static DVFS is optimal);
-//    ~1 = the pattern moves (use the dynamic runtime, core/jitter.hpp).
+//    ~1 = the pattern moves (use a dynamic controller,
+//    core/controllers.hpp).
 #pragma once
 
 #include <vector>

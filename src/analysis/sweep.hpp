@@ -53,8 +53,8 @@ struct Scenario {
   /// controller / gear set / algorithm / β.
   std::string label;
   /// Online DVFS controller name (core/controllers.hpp): "static" (the
-  /// paper's one-shot assignment), "dynamic_max", "dynamic_avg", "slack"
-  /// or "ewma".
+  /// paper's one-shot assignment), "dynamic_max", "dynamic_avg", "slack",
+  /// "ewma" or "jitter".
   std::string controller = "static";
 
   std::string variant_label() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "util/error.hpp"
@@ -15,6 +16,7 @@ std::string to_string(ControllerKind kind) {
     case ControllerKind::kDynamicAvg: return "dynamic_avg";
     case ControllerKind::kSlack: return "slack";
     case ControllerKind::kEwma: return "ewma";
+    case ControllerKind::kJitter: return "jitter";
   }
   throw Error("invalid ControllerKind enum value");
 }
@@ -25,12 +27,13 @@ ControllerKind controller_by_name(const std::string& name) {
   if (name == "dynamic_avg") return ControllerKind::kDynamicAvg;
   if (name == "slack") return ControllerKind::kSlack;
   if (name == "ewma") return ControllerKind::kEwma;
+  if (name == "jitter") return ControllerKind::kJitter;
   throw Error("unknown controller '" + name +
-              "' (try static, dynamic_max, dynamic_avg, slack, ewma)");
+              "' (try static, dynamic_max, dynamic_avg, slack, ewma, jitter)");
 }
 
 std::vector<std::string> controller_names() {
-  return {"static", "dynamic_max", "dynamic_avg", "slack", "ewma"};
+  return {"static", "dynamic_max", "dynamic_avg", "slack", "ewma", "jitter"};
 }
 
 void ControllerOptions::validate() const {
@@ -254,6 +257,66 @@ class EwmaController final : public ControllerBase {
   std::vector<Seconds> smoothed_;
 };
 
+/// Jitter-style gear stepper (Kappiah et al., SC'05). Every rank starts on
+/// the top gear. After each iteration a rank with more than 5% relative
+/// slack steps one gear down, but only when the slower gear's predicted
+/// time (β time model) still fits the observed critical path; a rank with
+/// less than 2.5% slack jumps straight back to the top gear, since a
+/// one-step climb would stretch the critical path for several iterations
+/// when the imbalance pattern moves. The gap between the two thresholds is
+/// the hysteresis band.
+class JitterController final : public ControllerBase {
+ public:
+  JitterController(const ControllerOptions& options,
+                   const AlgorithmConfig& algorithm,
+                   const PowerModelConfig& power)
+      : ControllerBase(options, algorithm, power) {
+    PALS_CHECK_MSG(!algorithm.gear_set.is_continuous(),
+                   "the jitter controller steps through discrete gears");
+    PALS_CHECK_MSG(algorithm.gear_set.size() >= 2,
+                   "the jitter controller needs at least two gears");
+  }
+
+  std::string name() const override { return "jitter"; }
+
+  std::vector<Gear> start(const ControllerSeed& seed) override {
+    return std::vector<Gear>(seed.n_ranks, gears().back());
+  }
+
+  std::vector<Gear> observe(const IterationObservation& obs) override {
+    constexpr double kDownSlack = 0.05;
+    constexpr double kUpSlack = kDownSlack / 2.0;
+    const Seconds t_max = max_time(obs.observed_compute);
+    if (t_max <= 0.0) return obs.applied_gears;
+    const std::vector<Seconds> loads = reconstruct_loads(obs);
+    std::vector<Gear> next = obs.applied_gears;
+    for (std::size_t r = 0; r < next.size(); ++r) {
+      const std::size_t index = gear_index(next[r]);
+      const double slack = (t_max - obs.observed_compute[r]) / t_max;
+      if (slack > kDownSlack && index > 0) {
+        const Gear& slower = gears()[index - 1];
+        if (loads[r] * model_.time_scale(slower.frequency_ghz) <= t_max)
+          next[r] = slower;
+      } else if (slack < kUpSlack && index + 1 < gears().size()) {
+        next[r] = gears().back();
+      }
+    }
+    return next;
+  }
+
+ private:
+  std::span<const Gear> gears() const { return algorithm_.gear_set.gears(); }
+
+  /// Position of `gear` in the ascending gear set.
+  std::size_t gear_index(const Gear& gear) const {
+    const auto it = std::find(gears().begin(), gears().end(), gear);
+    PALS_CHECK_MSG(it != gears().end(),
+                   "applied gear " << gear.frequency_ghz
+                                   << " GHz is not in the gear set");
+    return static_cast<std::size_t>(it - gears().begin());
+  }
+};
+
 }  // namespace
 
 std::unique_ptr<Controller> make_controller(const ControllerOptions& options,
@@ -273,6 +336,8 @@ std::unique_ptr<Controller> make_controller(const ControllerOptions& options,
       return std::make_unique<SlackController>(options, algorithm, power);
     case ControllerKind::kEwma:
       return std::make_unique<EwmaController>(options, algorithm, power);
+    case ControllerKind::kJitter:
+      return std::make_unique<JitterController>(options, algorithm, power);
   }
   throw Error("invalid ControllerKind enum value");
 }

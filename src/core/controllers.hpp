@@ -1,7 +1,7 @@
 // The built-in online DVFS controllers (power/controller.hpp) and their
 // configuration.
 //
-// Five policies, from degenerate to fully dynamic:
+// Six policies, from degenerate to fully dynamic:
 //  * static       — adapter wrapping the one-shot assigner (MAX / AVG /
 //                   kEnergyOptimalMax per AlgorithmConfig::algorithm): it
 //                   solves once on the whole-run profile and never moves.
@@ -20,6 +20,13 @@
 //  * ewma         — exponentially-weighted moving average of the load
 //                   vector feeding the re-solver (scenario algorithm):
 //                   smooths noisy iterations instead of chasing them.
+//  * jitter       — Jitter-style gear stepper (Kappiah et al., SC'05, the
+//                   paper's ref. [18]; the paper's §2 calls MAX "a static
+//                   version of this approach"): every rank starts on the
+//                   top gear, steps one gear down while its slack exceeds
+//                   5% and the slower gear still fits the critical path,
+//                   and jumps back to the top gear when its slack falls
+//                   below 2.5%. Discrete gear sets only.
 //
 // When to use which: compute drift_index (analysis/iteration_stats.hpp).
 // ~0 means static is already optimal (and dynamic_max must match it —
@@ -43,12 +50,13 @@ enum class ControllerKind {
   kDynamicAvg,
   kSlack,
   kEwma,
+  kJitter,
 };
 
 std::string to_string(ControllerKind kind);
 
 /// Parse a controller name ("static", "dynamic_max", "dynamic_avg",
-/// "slack", "ewma"); throws pals::Error listing the options.
+/// "slack", "ewma", "jitter"); throws pals::Error listing the options.
 ControllerKind controller_by_name(const std::string& name);
 
 /// All controller names, in canonical order (for CLIs and docs).
@@ -93,6 +101,7 @@ struct ControllerOptions {
 /// Build a controller. `algorithm` supplies the gear set, β, snapping and
 /// (for static/ewma) which one-shot algorithm to solve; `power` supplies
 /// the time/power models used to reconstruct loads and price switches.
+/// Throws when jitter is given a continuous or single-gear set.
 std::unique_ptr<Controller> make_controller(const ControllerOptions& options,
                                             const AlgorithmConfig& algorithm,
                                             const PowerModelConfig& power);

@@ -8,8 +8,8 @@
 // transition stalls and regulator energy an online controller's switches
 // cost. plan_schedule() is the only place gears are chosen; the schedule
 // then rescales the trace (rescale) and prices the replayed timeline
-// (energy, power_series). The pipeline, the Jitter runtime and the bounds
-// analyzer all go through it, so they describe the same run.
+// (energy, power_series). The pipeline and the bounds analyzer both go
+// through it, so they describe the same run.
 #pragma once
 
 #include <cstddef>

@@ -13,9 +13,10 @@
 // hidden randomness — so controller-driven sweeps inherit the engine's
 // byte-identical determinism across thread counts and resumes. Concrete
 // controllers (static adapters, per-iteration re-solvers, the slack
-// tracker, the EWMA predictor) live in core/controllers.hpp; the replay
-// hooks that apply schedules at iteration boundaries live in
-// core/controller_pipeline.hpp. See docs/controllers.md.
+// tracker, the EWMA predictor, the Jitter-style stepper) live in
+// core/controllers.hpp; plan_schedule (core/gear_schedule.hpp) runs their
+// start/observe loop and turns the decisions into the per-iteration gear
+// schedule the replay applies. See docs/controllers.md.
 #pragma once
 
 #include <string>

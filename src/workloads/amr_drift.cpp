@@ -4,7 +4,7 @@
 // (per-iteration LB equals the configured target), but the hot spot
 // visits every rank, so the *total* per-rank computation is nearly
 // balanced. Static whole-run algorithms (MAX/AVG) see balanced totals and
-// save nothing; a dynamic per-iteration runtime (core/jitter.hpp) tracks
+// save nothing; a per-iteration controller (core/controllers.hpp) tracks
 // the drift.
 #include <cmath>
 #include <vector>

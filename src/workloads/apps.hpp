@@ -55,8 +55,8 @@ Trace make_wrf(const WorkloadConfig& config);
 Trace make_pepc(const WorkloadConfig& config);
 /// AMR-style code whose hot region drifts across ranks over the run;
 /// every iteration hits `target_lb`, the totals are nearly balanced.
-/// Not part of the paper's Table 3 — used by the dynamic-runtime
-/// extension study (core/jitter.hpp).
+/// Not part of the paper's Table 3 — used by the dynamic-controller
+/// extension studies (core/controllers.hpp).
 Trace make_amr_drift(const WorkloadConfig& config);
 /// NAS LU: pipelined wavefront sweeps (blocking dependency chains).
 /// Suite extension beyond the paper's benchmark subset.

@@ -343,6 +343,13 @@ TEST(PlanSchedule, GearStuckPinsEveryShape) {
   const GearSchedule iterated = plan_schedule(t, controlled, seed);
   ASSERT_EQ(iterated.rows.size(), 3u);
   for (const auto& row : iterated.rows) expect_pinned(row, "iteration row");
+
+  // The jitter stepper reads its gear index back from the pinned gears.
+  controlled.controller.kind = ControllerKind::kJitter;
+  const GearSchedule stepped = plan_schedule(t, controlled, seed);
+  ASSERT_EQ(stepped.rows.size(), 3u);
+  for (const auto& row : stepped.rows) expect_pinned(row, "jitter row");
+  expect_pinned(stepped.fallback.gears, "jitter fallback");
 }
 
 }  // namespace

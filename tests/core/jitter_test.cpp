@@ -1,8 +1,10 @@
-#include "core/jitter.hpp"
-
+// The jitter controller (ControllerKind::kJitter, core/controllers.hpp):
+// a Jitter-style gear stepper planned by plan_schedule and run through
+// run_controller_pipeline like every other controller.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include "core/controller_pipeline.hpp"
+#include "core/controllers.hpp"
 #include "util/error.hpp"
 #include "workloads/apps.hpp"
 
@@ -24,45 +26,57 @@ Trace steady_trace(const std::vector<double>& weights, int iterations) {
   return t;
 }
 
-JitterConfig default_config() {
-  JitterConfig c;
-  c.gear_set = paper_uniform(6);
+PipelineConfig default_config() {
+  PipelineConfig c;
+  c.algorithm.gear_set = paper_uniform(6);
+  c.controller.kind = ControllerKind::kJitter;
   return c;
 }
 
-TEST(Jitter, ConfigValidation) {
-  JitterConfig c = default_config();
-  c.gear_set = paper_limited_continuous();
-  EXPECT_THROW(c.validate(), Error);
-  c = default_config();
-  c.slack_threshold = 0.0;
-  EXPECT_THROW(c.validate(), Error);
-  c = default_config();
-  EXPECT_NO_THROW(c.validate());
+ControllerPipelineResult jitter_run(
+    const Trace& t, const PipelineConfig& config = default_config()) {
+  return run_controller_pipeline(t, config);
 }
 
+TEST(Jitter, ConfigValidation) {
+  PipelineConfig c = default_config();
+  EXPECT_NO_THROW(make_controller(c.controller, c.algorithm, c.power));
+  c.algorithm.gear_set = paper_limited_continuous();
+  EXPECT_THROW(make_controller(c.controller, c.algorithm, c.power), Error);
+  EXPECT_THROW(jitter_run(steady_trace({0.5, 1.0}, 3), c), Error);
+}
+
+// Like every controller, jitter degrades to the documented static
+// whole-run assignment on a trace without iteration markers.
 TEST(Jitter, RequiresIterationMarkers) {
   Trace t(2);
   TraceBuilder(t, 0).compute(1.0);
   TraceBuilder(t, 1).compute(2.0);
-  EXPECT_THROW(run_jitter(t, default_config()), Error);
+  const ControllerPipelineResult r = jitter_run(t);
+  EXPECT_TRUE(r.controller.fell_back_static);
+  EXPECT_TRUE(r.controller.schedule.empty());
+  PipelineConfig static_config = default_config();
+  static_config.controller.kind = ControllerKind::kStatic;
+  const PipelineResult classic = run_pipeline(t, static_config);
+  EXPECT_EQ(r.pipeline.assignment.gears, classic.assignment.gears);
+  EXPECT_DOUBLE_EQ(r.pipeline.scaled_energy, classic.scaled_energy);
 }
 
 TEST(Jitter, BalancedTraceStaysAtTopGear) {
   const Trace t = steady_trace({1.0, 1.0, 1.0, 1.0}, 6);
-  const JitterResult r = run_jitter(t, default_config());
-  for (const auto& iteration : r.schedule)
+  const ControllerPipelineResult r = jitter_run(t);
+  for (const auto& iteration : r.controller.schedule)
     for (const Gear& g : iteration)
       EXPECT_NEAR(g.frequency_ghz, 2.3, 1e-12);
-  EXPECT_EQ(r.gear_shifts, 0u);
-  EXPECT_NEAR(r.normalized_energy(), 1.0, 1e-9);
-  EXPECT_NEAR(r.normalized_time(), 1.0, 1e-9);
+  EXPECT_EQ(r.controller.switches, 0u);
+  EXPECT_NEAR(r.pipeline.normalized_energy(), 1.0, 1e-9);
+  EXPECT_NEAR(r.pipeline.normalized_time(), 1.0, 1e-9);
 }
 
 TEST(Jitter, SteadyImbalanceConvergesTowardsStaticAssignment) {
   const std::vector<double> weights{0.2, 0.5, 0.8, 1.0};
   const Trace t = steady_trace(weights, 12);
-  const JitterResult dynamic = run_jitter(t, default_config());
+  const ControllerPipelineResult dynamic = jitter_run(t);
 
   PipelineConfig static_config;
   static_config.algorithm.gear_set = paper_uniform(6);
@@ -70,7 +84,7 @@ TEST(Jitter, SteadyImbalanceConvergesTowardsStaticAssignment) {
 
   // After the stepping transient, each rank's gear equals the static
   // MAX-algorithm gear.
-  const auto& final_gears = dynamic.schedule.back();
+  const auto& final_gears = dynamic.controller.schedule.back();
   for (std::size_t r = 0; r < final_gears.size(); ++r) {
     EXPECT_NEAR(final_gears[r].frequency_ghz,
                 static_result.assignment.gears[r].frequency_ghz, 1e-12)
@@ -78,18 +92,19 @@ TEST(Jitter, SteadyImbalanceConvergesTowardsStaticAssignment) {
   }
   // And the energy approaches the static result from above (the transient
   // iterations run too fast).
-  EXPECT_LT(dynamic.normalized_energy(), 1.0);
-  EXPECT_GE(dynamic.normalized_energy(),
+  EXPECT_LT(dynamic.pipeline.normalized_energy(), 1.0);
+  EXPECT_GE(dynamic.pipeline.normalized_energy(),
             static_result.normalized_energy() - 1e-9);
 }
 
 TEST(Jitter, DownshiftsAtMostOneGearPerIteration) {
   const Trace t = steady_trace({0.1, 1.0}, 8);
-  const JitterResult r = run_jitter(t, default_config());
-  for (std::size_t i = 1; i < r.schedule.size(); ++i) {
-    for (std::size_t rank = 0; rank < r.schedule[i].size(); ++rank) {
-      const double prev = r.schedule[i - 1][rank].frequency_ghz;
-      const double curr = r.schedule[i][rank].frequency_ghz;
+  const ControllerPipelineResult r = jitter_run(t);
+  const auto& schedule = r.controller.schedule;
+  for (std::size_t i = 1; i < schedule.size(); ++i) {
+    for (std::size_t rank = 0; rank < schedule[i].size(); ++rank) {
+      const double prev = schedule[i - 1][rank].frequency_ghz;
+      const double curr = schedule[i][rank].frequency_ghz;
       // Down: one uniform-6 step max. Up: may jump straight to the top.
       EXPECT_GE(curr - prev, -0.3 - 1e-9)
           << "iteration " << i << " rank " << rank;
@@ -113,25 +128,26 @@ TEST(Jitter, CriticalRankJumpsBackToTop) {
           .marker(MarkerKind::kIterationEnd, i);
     }
   }
-  const JitterResult r = run_jitter(t, default_config());
+  const ControllerPipelineResult r = jitter_run(t);
   // One observation lag after the flip, then rank 0 is back at 2.3 GHz.
-  EXPECT_NEAR(r.schedule[kIterations / 2 + 1][0].frequency_ghz, 2.3, 1e-12);
+  EXPECT_NEAR(r.controller.schedule[kIterations / 2 + 1][0].frequency_ghz,
+              2.3, 1e-12);
 }
 
 TEST(Jitter, CriticalRankNeverLeavesTopGear) {
   const Trace t = steady_trace({0.3, 0.7, 1.0}, 10);
-  const JitterResult r = run_jitter(t, default_config());
-  for (const auto& iteration : r.schedule)
+  const ControllerPipelineResult r = jitter_run(t);
+  for (const auto& iteration : r.controller.schedule)
     EXPECT_NEAR(iteration[2].frequency_ghz, 2.3, 1e-12);
 }
 
 TEST(Jitter, DownshiftNeverViolatesCriticalPathPrediction) {
   const std::vector<double> weights{0.4, 0.6, 1.0};
   const Trace t = steady_trace(weights, 10);
-  const JitterConfig config = default_config();
-  const JitterResult r = run_jitter(t, config);
+  const PipelineConfig config = default_config();
+  const ControllerPipelineResult r = jitter_run(t, config);
   const PowerModel power(config.power);
-  for (const auto& iteration : r.schedule) {
+  for (const auto& iteration : r.controller.schedule) {
     const double t_max = 0.05 * 1.0;  // critical rank at top gear
     for (std::size_t rank = 0; rank < weights.size(); ++rank) {
       const double stretched =
@@ -144,8 +160,8 @@ TEST(Jitter, DownshiftNeverViolatesCriticalPathPrediction) {
 
 TEST(Jitter, TimePenaltyBoundedOnSteadyTrace) {
   const Trace t = steady_trace({0.2, 0.5, 0.8, 1.0}, 10);
-  const JitterResult r = run_jitter(t, default_config());
-  EXPECT_NEAR(r.normalized_time(), 1.0, 0.02);
+  const ControllerPipelineResult r = jitter_run(t);
+  EXPECT_NEAR(r.pipeline.normalized_time(), 1.0, 0.02);
 }
 
 TEST(Jitter, AdaptsToDriftingImbalance) {
@@ -160,54 +176,54 @@ TEST(Jitter, AdaptsToDriftingImbalance) {
   static_config.algorithm.gear_set = paper_uniform(6);
   const PipelineResult static_result = run_pipeline(t, static_config);
 
-  const JitterResult dynamic = run_jitter(t, default_config());
+  const ControllerPipelineResult dynamic = jitter_run(t);
 
   EXPECT_GT(static_result.load_balance, 0.9);  // totals balanced
   // The dynamic runtime tracks the moving hot spot and saves clearly more
   // than the static whole-run assignment.
-  EXPECT_LT(dynamic.normalized_energy(),
+  EXPECT_LT(dynamic.pipeline.normalized_energy(),
             static_result.normalized_energy() - 0.05);
 }
 
 TEST(Jitter, TransitionPenaltyOnlyHurts) {
   const Trace t = steady_trace({0.2, 0.5, 1.0}, 10);
-  JitterConfig free = default_config();
-  JitterConfig costly = default_config();
-  costly.transition_penalty = 2e-3;  // 2 ms per switch
-  const JitterResult r_free = run_jitter(t, free);
-  const JitterResult r_costly = run_jitter(t, costly);
-  EXPECT_GE(r_costly.scaled_time, r_free.scaled_time);
-  EXPECT_GT(r_costly.scaled_energy, r_free.scaled_energy);
-  EXPECT_EQ(r_costly.gear_shifts, r_free.gear_shifts);
+  PipelineConfig costly = default_config();
+  costly.controller.transition_latency = 2e-3;  // 2 ms per switch
+  const ControllerPipelineResult r_free = jitter_run(t);
+  const ControllerPipelineResult r_costly = jitter_run(t, costly);
+  EXPECT_GE(r_costly.pipeline.scaled_time, r_free.pipeline.scaled_time);
+  EXPECT_GT(r_costly.pipeline.scaled_energy, r_free.pipeline.scaled_energy);
+  EXPECT_EQ(r_costly.controller.switches, r_free.controller.switches);
 }
 
 TEST(Jitter, ZeroShiftsMeansNoPenalty) {
   const Trace t = steady_trace({1.0, 1.0}, 5);
-  JitterConfig config = default_config();
-  config.transition_penalty = 1e-2;
-  const JitterResult r = run_jitter(t, config);
-  EXPECT_EQ(r.gear_shifts, 0u);
-  EXPECT_NEAR(r.normalized_time(), 1.0, 1e-9);
+  PipelineConfig config = default_config();
+  config.controller.transition_latency = 1e-2;
+  const ControllerPipelineResult r = jitter_run(t, config);
+  EXPECT_EQ(r.controller.switches, 0u);
+  EXPECT_NEAR(r.pipeline.normalized_time(), 1.0, 1e-9);
 }
 
 TEST(Jitter, RejectsNegativePenalty) {
-  JitterConfig config = default_config();
-  config.transition_penalty = -1.0;
-  EXPECT_THROW(config.validate(), Error);
+  PipelineConfig config = default_config();
+  config.controller.transition_latency = -1.0;
+  EXPECT_THROW(jitter_run(steady_trace({0.5, 1.0}, 3), config), Error);
 }
 
 TEST(Jitter, SchedulesCoverEveryIteration) {
   const Trace t = steady_trace({0.5, 1.0}, 7);
-  const JitterResult r = run_jitter(t, default_config());
-  EXPECT_EQ(r.schedule.size(), 7u);
-  EXPECT_GT(r.gear_shifts, 0u);
+  const ControllerPipelineResult r = jitter_run(t);
+  EXPECT_EQ(r.controller.schedule.size(), 7u);
+  EXPECT_GT(r.controller.switches, 0u);
 }
 
 TEST(Jitter, EdpConsistency) {
   const Trace t = steady_trace({0.3, 1.0}, 6);
-  const JitterResult r = run_jitter(t, default_config());
-  EXPECT_NEAR(r.normalized_edp(),
-              r.normalized_energy() * r.normalized_time(), 1e-12);
+  const ControllerPipelineResult r = jitter_run(t);
+  EXPECT_NEAR(r.pipeline.normalized_edp(),
+              r.pipeline.normalized_energy() * r.pipeline.normalized_time(),
+              1e-12);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 //    slack controller strictly dominates static AVG on a drifting
 //    workload (the headline Pareto result, pinned as a test),
 //  * fresh schedules on the committed drift4 fixture match the golden
-//    CSV byte-for-byte, and the Jitter / per-phase / fallback /
+//    CSV byte-for-byte, and the jitter-controller / per-phase / fallback /
 //    gear_stuck pins match golden/schedule_pins.csv (regenerate both with
 //    tools/update_golden).
 #include "core/controllers.hpp"
@@ -127,7 +127,7 @@ const std::vector<double> kBalanced{1.0, 1.0, 1.0, 1.0};
 TEST(ControllerNames, RoundTripThroughParser) {
   for (const std::string& name : controller_names())
     EXPECT_EQ(to_string(controller_by_name(name)), name);
-  EXPECT_EQ(controller_names().size(), 5u);
+  EXPECT_EQ(controller_names().size(), 6u);
 }
 
 TEST(ControllerNames, UnknownNameIsRejectedWithSuggestions) {
@@ -354,8 +354,9 @@ TEST(GoldenSchedules, Drift4MatchesPinnedCsv) {
   EXPECT_EQ(controller_schedules_csv(drift), pinned);
 }
 
-// The schedule shapes outside controller_schedules.csv — Jitter, per
-// phase, static fallback and gear_stuck — pinned by golden/
+// The schedule shapes outside controller_schedules.csv — the jitter
+// controller on a longer drift trace, per phase, static fallback and
+// gear_stuck — pinned by golden/
 // schedule_pins.csv: gears and counts exactly, normalized energy and time
 // at 1e-12 relative.
 TEST(GoldenSchedules, SchedulePinsMatch) {

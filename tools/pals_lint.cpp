@@ -5,8 +5,8 @@
 //             [--no-deadlock] [--quiet]
 //   pals_lint --workload=CG-32 [--iterations=N] ...
 //   pals_lint --workload=CG-32 --bounds [--power-cap=P]
-//             [--algorithm=max|avg] [--gears=uniform-6]
-//             [--controller=static|dynamic_max|...] [--beta=0.5]
+//             [--algorithm=max|avg|energy-optimal] [--gears=uniform-6]
+//             [--controller=static,dynamic_max,...] [--beta=0.5]
 //
 // Loads each input trace *without* Trace::validate() (so broken traces
 // reach the linter intact), runs every lint pass (lint/lint.hpp) and
@@ -15,11 +15,16 @@
 //
 // Static bounds (docs/bounds.md): --bounds additionally abstract-
 // interprets each *clean* input under the configured gear set /
-// algorithm / controller and prints guaranteed pre-replay intervals on
-// makespan and CPU energy, plus the provable floor on time-average
-// power. With --power-cap=P, a cap below that floor is reported as
-// statically infeasible and fails the run. Traces with lint errors skip
-// the analysis (the abstract interpretation assumes a replayable trace).
+// algorithm and every controller of the comma-separated --controller
+// list, and prints guaranteed pre-replay intervals on makespan and CPU
+// energy, plus the provable floor on time-average power. With
+// --power-cap=P, a cap below the floor of *every* listed controller is
+// reported as statically infeasible and fails the run: no configured
+// scenario can meet it (the cap-feasibility check of Medhat et al.,
+// arXiv:1410.6824). A cap above some floor passes, since feasibility of
+// the cheapest admissible scenario is all a static gate can promise.
+// Traces with lint errors skip the analysis (the abstract interpretation
+// assumes a replayable trace).
 //
 // Exit codes:
 //
@@ -27,14 +32,16 @@
 //      with --bounds --power-cap, every cap is feasible
 //   1  at least one input has errors (or warnings, with --strict), or a
 //      power cap is statically infeasible
-//   2  usage error or unreadable/unparseable input
+//   2  usage error (including an unknown --algorithm or --controller) or
+//      unreadable/unparseable input
+#include <algorithm>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/bounds.hpp"
 #include "analysis/experiments.hpp"
+#include "analysis/sweep.hpp"
 #include "core/controllers.hpp"
 #include "lint/lint.hpp"
 #include "trace/io.hpp"
@@ -63,16 +70,17 @@ int run(int argc, char** argv) {
   cli.add_option("workload", "lint a generated benchmark instance "
                              "(registry name, e.g. CG-32) instead of a file");
   cli.add_option("iterations", "iterations for --workload", "10");
-  cli.add_option("algorithm", "--bounds scenario: max or avg", "max");
+  cli.add_option("algorithm",
+                 "--bounds scenario: max, avg or energy-optimal", "max");
   cli.add_option("gears", "--bounds scenario: gear set name", "uniform-6");
   cli.add_option("controller",
-                 "--bounds scenario: static, dynamic_max, dynamic_avg, "
-                 "slack or ewma", "static");
+                 "--bounds scenarios: comma-separated list of static, "
+                 "dynamic_max, dynamic_avg, slack, ewma, jitter", "static");
   cli.add_option("beta", "--bounds scenario: memory boundedness [0,1]",
                  "0.5");
   cli.add_option("power-cap",
-                 "with --bounds: fail when the cap (a.u./s) is below the "
-                 "provable average-power floor");
+                 "with --bounds: fail when the cap (a.u./s) is below every "
+                 "controller's provable average-power floor");
   cli.add_flag("strict", "treat warnings as fatal (exit 1)");
   cli.add_flag("no-deadlock", "skip the abstract-replay deadlock analysis");
   cli.add_flag("quiet", "print only the per-input summary line");
@@ -106,6 +114,7 @@ int run(int argc, char** argv) {
     std::cerr << "--power-cap requires --bounds\n";
     return 2;
   }
+  const Algorithm algorithm = algorithm_by_name(cli.get("algorithm"));
 
   lint::LintOptions options;
   options.max_diagnostics =
@@ -132,17 +141,17 @@ int run(int argc, char** argv) {
     inputs.push_back(Input{name, instance->make()});
   }
 
-  // The pre-replay scenario the bounds analyzer interprets; built once,
-  // shared by every input.
-  std::optional<PipelineConfig> bounds_config;
+  // The pre-replay scenarios the bounds analyzer interprets, one per
+  // --controller name; built once, shared by every input.
+  std::vector<PipelineConfig> bounds_configs;
   if (cli.get_flag("bounds")) {
-    const Algorithm algorithm =
-        cli.get("algorithm") == "avg" ? Algorithm::kAvg : Algorithm::kMax;
-    bounds_config =
-        default_pipeline_config(gear_set_by_name(cli.get("gears")), algorithm);
-    bounds_config->controller.kind =
-        controller_by_name(cli.get("controller"));
-    set_beta(*bounds_config, cli.get_double("beta", 0.5));
+    for (const std::string& name : split(cli.get("controller"), ',')) {
+      PipelineConfig config = default_pipeline_config(
+          gear_set_by_name(cli.get("gears")), algorithm);
+      config.controller.kind = controller_by_name(std::string(trim(name)));
+      set_beta(config, cli.get_double("beta", 0.5));
+      bounds_configs.push_back(config);
+    }
   }
 
   bool failed = false;
@@ -152,13 +161,16 @@ int run(int argc, char** argv) {
         report.has_errors() || (cli.get_flag("strict") && report.warnings > 0);
     failed = failed || bad;
 
-    std::optional<bounds::ScenarioBounds> scenario;
+    std::vector<bounds::ScenarioBounds> scenarios;
     bool cap_infeasible = false;
-    if (bounds_config.has_value() && !report.has_errors()) {
-      scenario = bounds::analyze(input.trace, *bounds_config);
+    if (!report.has_errors()) {
+      for (const PipelineConfig& config : bounds_configs)
+        scenarios.push_back(bounds::analyze(input.trace, config));
       if (cli.has("power-cap")) {
-        cap_infeasible =
-            cli.get_double("power-cap", 0.0) < scenario->min_average_power;
+        const double cap = cli.get_double("power-cap", 0.0);
+        cap_infeasible = std::all_of(
+            scenarios.begin(), scenarios.end(),
+            [cap](const auto& b) { return cap < b.min_average_power; });
         failed = failed || cap_infeasible;
       }
     }
@@ -171,8 +183,13 @@ int run(int argc, char** argv) {
       // One self-contained object per input, one per line.
       std::cout << "{\"input\":\"" << json_escape(input.label)
                 << "\",\"lint\":" << to_json(report);
-      if (scenario.has_value()) {
-        std::cout << ",\"bounds\":" << to_json(*scenario);
+      if (!scenarios.empty()) {
+        std::cout << ",\"bounds\":{";
+        for (std::size_t i = 0; i < scenarios.size(); ++i)
+          std::cout << (i > 0 ? "," : "") << '"'
+                    << to_string(bounds_configs[i].controller.kind)
+                    << "\":" << to_json(scenarios[i]);
+        std::cout << '}';
         if (cli.has("power-cap"))
           std::cout << ",\"power_cap\":{\"cap\":"
                     << format_roundtrip(cli.get_double("power-cap", 0.0))
@@ -185,19 +202,22 @@ int run(int argc, char** argv) {
     } else {
       std::cout << to_text(report);
     }
-    if (format != "json" && format != "csv" &&
-        bounds_config.has_value()) {
-      if (!scenario.has_value()) {
+    if (format != "json" && format != "csv" && !bounds_configs.empty()) {
+      if (scenarios.empty()) {
         std::cout << "bounds: skipped (trace has lint errors)\n";
       } else {
-        std::cout << "bounds (" << cli.get("controller") << " over "
-                  << bounds_config->algorithm.gear_set.describe() << "):\n"
-                  << bounds::to_text(*scenario);
+        for (std::size_t i = 0; i < scenarios.size(); ++i) {
+          const PipelineConfig& config = bounds_configs[i];
+          std::cout << "bounds (" << to_string(config.controller.kind)
+                    << " over " << config.algorithm.gear_set.describe()
+                    << "):\n"
+                    << bounds::to_text(scenarios[i]);
+        }
         if (cli.has("power-cap"))
           std::cout << "power cap " << cli.get("power-cap") << ": "
-                    << (cap_infeasible
-                            ? "STATICALLY INFEASIBLE (below provable floor)"
-                            : "feasible")
+                    << (cap_infeasible ? "STATICALLY INFEASIBLE (below every "
+                                         "provable floor)"
+                                       : "feasible")
                     << '\n';
       }
     }

@@ -299,7 +299,7 @@ int run(int argc, char** argv) {
   cli.add_option("gear-set", "gear-set name", "uniform-6");
   cli.add_option("algorithm", "max | avg | energy-optimal", "max");
   cli.add_option("controller", "static | dynamic_max | dynamic_avg | "
-                               "slack | ewma", "static");
+                               "slack | ewma | jitter", "static");
   cli.add_option("beta", "β of the time model", "0.5");
   cli.add_option("iterations", "iteration count (0 = server default)", "0");
   cli.add_option("deadline-ms", "per-request wall budget (0 = server "

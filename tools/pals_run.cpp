@@ -1,8 +1,8 @@
 // pals_run — the power-analysis pipeline as a command-line tool.
 //
-//   pals_run --trace=app.palst [--algorithm=max|avg] [--gears=...]
-//            [--beta=0.5] [--static-fraction=0.2] [--activity-ratio=1.5]
-//            [--warmup=N] [--gantt] [--svg=out.svg]
+//   pals_run --trace=app.palst [--algorithm=max|avg|energy-optimal]
+//            [--gears=...] [--beta=0.5] [--static-fraction=0.2]
+//            [--activity-ratio=1.5] [--warmup=N] [--gantt] [--svg=out.svg]
 //   pals_run --workload=cg --ranks=32 --lb=0.9 ...
 //
 // Gear set names: unlimited, limited, uniform-N, exponential-N,
@@ -17,6 +17,7 @@
 #include "analysis/gantt.hpp"
 #include "analysis/svg.hpp"
 #include "analysis/svg_chart.hpp"
+#include "analysis/sweep.hpp"
 #include "paraver/export.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
@@ -38,7 +39,7 @@ int run(int argc, char** argv) {
   cli.add_option("ranks", "ranks for --workload", "32");
   cli.add_option("iterations", "iterations for --workload", "10");
   cli.add_option("lb", "target load balance for --workload", "0.9");
-  cli.add_option("algorithm", "max or avg", "max");
+  cli.add_option("algorithm", "max, avg or energy-optimal", "max");
   cli.add_option("gears", "gear set name", "uniform-6");
   cli.add_option("beta", "memory boundedness [0,1]", "0.5");
   cli.add_option("static-fraction", "static power share at fmax", "0.2");
@@ -64,6 +65,13 @@ int run(int argc, char** argv) {
     std::cout << cli.usage("pals_run");
     return 0;
   }
+  Algorithm algorithm{};
+  try {
+    algorithm = algorithm_by_name(cli.get("algorithm"));
+  } catch (const Error& e) {
+    std::cerr << e.what() << '\n' << cli.usage("pals_run");
+    return 2;
+  }
 
   Trace trace;
   if (cli.has("trace")) {
@@ -81,8 +89,6 @@ int run(int argc, char** argv) {
   if (const long long warmup = cli.get_int("warmup", 0); warmup > 0)
     trace = drop_warmup(trace, static_cast<std::size_t>(warmup));
 
-  const Algorithm algorithm =
-      cli.get("algorithm") == "avg" ? Algorithm::kAvg : Algorithm::kMax;
   PipelineConfig config =
       default_pipeline_config(gear_set_by_name(cli.get("gears")), algorithm);
   set_beta(config, cli.get_double("beta", 0.5));

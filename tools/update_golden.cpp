@@ -62,8 +62,8 @@ int run(int argc, char** argv) {
                     controller_schedules_csv(drift));
   std::cout << "wrote " << dir << "/controller_schedules.csv\n";
 
-  // Jitter, per-phase, static-fallback and gear_stuck schedules with
-  // their normalized energy/time (compared at 1e-12 relative).
+  // Jitter-controller, per-phase, static-fallback and gear_stuck schedules
+  // with their normalized energy/time (compared at 1e-12 relative).
   atomic_write_file(dir + "/schedule_pins.csv", schedule_pins_csv(drift));
   std::cout << "wrote " << dir << "/schedule_pins.csv\n";
   return 0;
