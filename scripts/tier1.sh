@@ -54,16 +54,13 @@ mkdir -p "${OBS_DIR}"
     --repeat=4 --jobs=1 --quiet \
     --metrics="${OBS_DIR}/metrics_j1.json" \
     --sim-metrics="${OBS_DIR}/sim_metrics_j1.json" \
-    --sim-trace="${OBS_DIR}/sim_trace_j1.json" \
-    --bench-json="${OBS_DIR}/BENCH_replay.json"
+    --sim-trace="${OBS_DIR}/sim_trace_j1.json"
 "${BUILD_DIR}/tools/pals_profile" --trace=examples/traces/ring.palst \
     --repeat=4 --jobs=4 --quiet \
     --sim-metrics="${OBS_DIR}/sim_metrics_j4.json" \
     --sim-trace="${OBS_DIR}/sim_trace_j4.json"
 "${BUILD_DIR}/tools/pals_json_check" --quiet "${OBS_DIR}/metrics_j1.json" \
     --require=replay.events,replay.messages_matched,pool.tasks_executed,span.pipeline.scaled_replay.wall_ns
-"${BUILD_DIR}/tools/pals_json_check" --quiet "${OBS_DIR}/BENCH_replay.json" \
-    --require=events_per_second,scenarios_per_second
 cmp "${OBS_DIR}/sim_metrics_j1.json" "${OBS_DIR}/sim_metrics_j4.json"
 cmp "${OBS_DIR}/sim_trace_j1.json" "${OBS_DIR}/sim_trace_j4.json"
 diff golden/ring_chrome_trace.json "${OBS_DIR}/sim_trace_j1.json"

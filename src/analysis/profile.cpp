@@ -5,7 +5,6 @@
 
 #include "obs/record.hpp"
 #include "util/error.hpp"
-#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace pals {
@@ -43,31 +42,6 @@ std::vector<PhaseProfile> phase_deltas(const obs::MetricsSnapshot& before,
 }
 
 }  // namespace
-
-std::string ProfileReport::bench_json() const {
-  std::string out = "{\n";
-  out += "  \"benchmark\": \"replay_pipeline\",\n";
-  out += "  \"pipelines\": " + std::to_string(pipelines) + ",\n";
-  out += "  \"replays\": " + std::to_string(replays) + ",\n";
-  out += "  \"simulated_events\": " + std::to_string(simulated_events) + ",\n";
-  out += "  \"jobs\": " + std::to_string(jobs) + ",\n";
-  out += "  \"wall_seconds\": " + format_fixed(wall_seconds, 6) + ",\n";
-  out += "  \"scenarios_per_second\": " + format_fixed(pipelines_per_second, 6) +
-         ",\n";
-  out += "  \"pipelines_per_second\": " + format_fixed(pipelines_per_second, 6) +
-         ",\n";
-  out += "  \"events_per_second\": " + format_fixed(events_per_second, 6) +
-         ",\n";
-  out += "  \"phases\": {";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    \"" + json_escape(phases[i].name) +
-           "\": {\"count\": " + std::to_string(phases[i].count) +
-           ", \"seconds\": " + format_fixed(phases[i].seconds, 6) + "}";
-  }
-  out += "\n  }\n}\n";
-  return out;
-}
 
 ProfileReport profile_pipeline(const Trace& trace,
                                const ProfileOptions& options) {

@@ -1,12 +1,9 @@
-// Pipeline profiling harness shared by tools/pals_profile and
-// bench/bench_replay_profile.
+// Pipeline profiling harness behind tools/pals_profile.
 //
 // Runs the full power-analysis pipeline repeatedly (optionally across a
 // thread pool), with observability forced on, and reduces the metric and
 // span deltas into a throughput report: pipelines/sec, simulated
-// events/sec and the per-phase wall-clock breakdown. The same report
-// serializes to the BENCH_replay.json format consumed by the bench
-// harness (see EXPERIMENTS.md).
+// events/sec and the per-phase wall-clock breakdown.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +48,6 @@ struct ProfileReport {
   ThreadPoolStats pool;
   /// Result of the first repetition (all repetitions are identical).
   PipelineResult result;
-
-  /// The BENCH_replay.json payload: one flat JSON object with
-  /// scenarios_per_second / events_per_second and the phase breakdown.
-  std::string bench_json() const;
 };
 
 /// Profile `options.repeat` pipeline runs over `trace`. Forces

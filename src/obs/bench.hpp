@@ -112,7 +112,7 @@ struct CaseResult {
 /// A full suite run: methodology + environment + per-case results.
 struct Report {
   int schema_version = kSchemaVersion;
-  std::string suite;  ///< "macro", "replay", "micro", ...
+  std::string suite;  ///< suite label; pals_bench writes "macro"
   Methodology methodology;
   EnvInfo env;
   std::uint64_t peak_rss_bytes = 0;  ///< getrusage high-water mark

@@ -4,6 +4,8 @@
 #include "obs/bench.hpp"
 
 #include <gtest/gtest.h>
+#include <spawn.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -406,6 +408,40 @@ TEST(BenchBinary, ReducedSuiteIsCounterDeterministicAndSelfComparesClean) {
   EXPECT_NE(run_bench("--compare --counters-only " + dir + "/ac.json " + dir +
                       "/tampered.json"),
             0);
+}
+
+// Two sweep.sharded runs at once: each must own its shard directory (the
+// children get a private TMPDIR) and remove it when the case ends.
+TEST(BenchBinary, ConcurrentShardedRunsDoNotCollideOrLeaveDirectories) {
+  const std::filesystem::path dir = scratch_dir();
+  const std::filesystem::path tmp = dir / "tmp";
+  std::filesystem::create_directories(tmp);
+  std::string env_tmpdir = "TMPDIR=" + tmp.string();
+  char* envp[] = {env_tmpdir.data(), nullptr};
+
+  std::vector<pid_t> pids;
+  for (const char* out : {"a.json", "b.json"}) {
+    std::vector<std::string> args = {
+        PALS_BENCH_BIN,         "--suite",         "--filter=sweep.sharded",
+        "--warmup=0",           "--repetitions=3", "--quiet",
+        "--out=" + (dir / out).string()};
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    pid_t pid = -1;
+    ASSERT_EQ(::posix_spawn(&pid, PALS_BENCH_BIN, nullptr, nullptr,
+                            argv.data(), envp),
+              0);
+    pids.push_back(pid);
+  }
+  for (const pid_t pid : pids) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    const bool exited_ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    EXPECT_TRUE(exited_ok) << "pals_bench pid " << pid << " status "
+                           << status;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(tmp));
 }
 
 }  // namespace

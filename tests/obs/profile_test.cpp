@@ -6,7 +6,6 @@
 
 #include "analysis/experiments.hpp"
 #include "obs/metrics.hpp"
-#include "util/json.hpp"
 
 namespace pals {
 namespace {
@@ -45,30 +44,6 @@ TEST(ProfileTest, ReportCountsAndThroughput) {
   EXPECT_TRUE(has_phase("pipeline.assignment"));
   EXPECT_TRUE(has_phase("pipeline.rescale"));
   obs::default_registry().reset();
-}
-
-TEST(ProfileTest, BenchJsonHasRequiredFields) {
-  obs::default_registry().reset();
-  const Trace trace = resolve_workload("cg:8:0.85:2", 2).build();
-  const ProfileReport report = profile_pipeline(trace, ProfileOptions{});
-  const JsonValue doc = json_parse(report.bench_json());
-  obs::default_registry().reset();
-
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.find("benchmark")->string, "replay_pipeline");
-  for (const char* field :
-       {"pipelines", "replays", "simulated_events", "jobs", "wall_seconds",
-        "scenarios_per_second", "pipelines_per_second", "events_per_second"}) {
-    ASSERT_NE(doc.find(field), nullptr) << field;
-    EXPECT_TRUE(doc.find(field)->is_number()) << field;
-  }
-  const JsonValue* phases = doc.find("phases");
-  ASSERT_NE(phases, nullptr);
-  ASSERT_TRUE(phases->is_object());
-  const JsonValue* scaled = phases->find("pipeline.scaled_replay");
-  ASSERT_NE(scaled, nullptr);
-  EXPECT_TRUE(scaled->find("count")->is_number());
-  EXPECT_TRUE(scaled->find("seconds")->is_number());
 }
 
 TEST(ProfileTest, RepeatZeroIsRejected) {

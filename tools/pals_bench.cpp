@@ -13,27 +13,37 @@
 // Suite cases cover the hot paths ROADMAP item 3 will optimize: replay
 // throughput, the full DVFS pipeline, the parallel sweep engine, the
 // sharded sweep + journal merge, the online-controller replay, the
-// static bounds analyzer, trace binary I/O, the trace linter and the
-// serve daemon's in-process query path. Every case carries deterministic work
+// static bounds analyzer, trace binary and text I/O, the trace linter,
+// the serve daemon's in-process query path, and the single layers
+// frequency assignment, energy integration, trace generation and
+// critical-path extraction. Every case carries deterministic work
 // counters from obs::default_registry() alongside its wall-clock
 // statistics; --compare gates byte-exactly on the former and with a
 // relative threshold on the latter. Exit codes: 0 ok, 1 regression /
 // counter drift / non-deterministic counters, 2 usage.
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <iostream>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "analysis/bounds.hpp"
+#include "analysis/critical_path.hpp"
 #include "analysis/experiments.hpp"
 #include "analysis/sweep.hpp"
+#include "core/algorithms.hpp"
 #include "core/controllers.hpp"
 #include "core/pipeline.hpp"
 #include "lint/lint.hpp"
 #include "obs/bench.hpp"
 #include "obs/record.hpp"
 #include "power/gearset.hpp"
+#include "power/power_model.hpp"
 #include "replay/replay.hpp"
 #include "serve/cache.hpp"
 #include "serve/query.hpp"
@@ -44,8 +54,9 @@
 #include "util/error.hpp"
 #include "util/exit_codes.hpp"
 #include "util/fsio.hpp"
-#include "util/strings.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace pals {
 namespace {
@@ -59,6 +70,16 @@ namespace bench = obs::bench;
 const Trace& suite_trace(TraceCache& cache, const std::string& spec) {
   const WorkloadRef ref = resolve_workload(spec, 10);
   return cache.get(ref.key, ref.build);
+}
+
+/// A baseline replay prebuilt before any case runs, so a case that
+/// consumes it times only its own layer. The runner resets the registry
+/// before every repetition, so the prebuild's replay counters never
+/// reach a report.
+std::shared_ptr<const ReplayResult> suite_replay(TraceCache& cache,
+                                                 const std::string& spec) {
+  return std::make_shared<const ReplayResult>(
+      replay(suite_trace(cache, spec), ReplayConfig{}));
 }
 
 std::vector<bench::Case> build_suite(TraceCache& cache, int jobs) {
@@ -115,8 +136,17 @@ std::vector<bench::Case> build_suite(TraceCache& cache, int jobs) {
     grid.gear_sets = {"uniform-6", "avg-discrete"};
     grid.iterations = 4;
     const std::vector<Scenario> scenarios = grid.expand();
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "pals_bench_sharded";
+    // Unique per process and removed when the case ends, so concurrent
+    // pals_bench runs never share it.
+    struct RemovedOnExit {
+      std::filesystem::path path;
+      ~RemovedOnExit() {
+        std::error_code ignored;
+        std::filesystem::remove_all(path, ignored);
+      }
+    } const scratch{std::filesystem::temp_directory_path() /
+                    ("pals_bench_sharded." + std::to_string(::getpid()))};
+    const std::filesystem::path& dir = scratch.path;
     std::filesystem::remove_all(dir);
     constexpr std::size_t kShards = 3;
     const auto start = std::chrono::steady_clock::now();
@@ -215,6 +245,52 @@ std::vector<bench::Case> build_suite(TraceCache& cache, int jobs) {
       sink.sample("queries_per_second", queries / seconds);
   }});
 
+  // Frequency assignment alone, over 4096 random per-rank loads.
+  cases.push_back({"assignment.4096", [](bench::Sink&) {
+    Rng rng(42);
+    std::vector<Seconds> times(4096);
+    for (auto& t : times) t = rng.uniform(0.1, 1.0);
+    AlgorithmConfig config;
+    config.gear_set = paper_uniform(6);
+    if (assign_frequencies(times, config).gears.empty())
+      throw Error("empty assignment");
+  }});
+
+  // Energy integration alone, over a prebuilt WRF-128 replay.
+  const auto wrf = suite_replay(cache, "WRF-128");
+  cases.push_back({"energy.wrf128", [wrf](bench::Sink&) {
+    const PowerModel model(PowerModelConfig{});
+    const std::vector<Gear> gears(
+        static_cast<std::size_t>(wrf->timeline.n_ranks()), Gear{2.3, 1.5});
+    if (model.total_energy(wrf->timeline, gears) <= 0.0)
+      throw Error("zero energy");
+  }});
+
+  // Workload generation alone: a fresh MG-64 trace every repetition.
+  cases.push_back({"tracegen.mg64", [](bench::Sink&) {
+    if (resolve_workload("MG-64", 10).build().total_events() == 0)
+      throw Error("empty trace");
+  }});
+
+  // Trace text serialization round trip, mirrored like trace.binary_io.
+  cases.push_back({"serialize.text", [&cache](bench::Sink&) {
+    const Trace& trace = suite_trace(cache, "CG-32");
+    reset_trace_io_stats();
+    std::stringstream buffer;
+    write_trace(trace, buffer);
+    const Trace restored = read_trace(buffer);
+    if (restored.total_events() != trace.total_events())
+      throw Error("text round trip lost events");
+    obs::record_trace_io(obs::default_registry());
+  }});
+
+  // Critical-path extraction alone, over a prebuilt PEPC-128 replay.
+  const auto pepc = suite_replay(cache, "PEPC-128");
+  cases.push_back({"critical_path.pepc128", [pepc](bench::Sink&) {
+    if (critical_path(*pepc).segments.empty())
+      throw Error("empty critical path");
+  }});
+
   return cases;
 }
 
@@ -268,7 +344,6 @@ int run(int argc, char** argv) {
   cli.add_option("repetitions", "measured repetitions per case", "5");
   cli.add_option("jobs", "worker threads for the sweep case", "1");
   cli.add_option("filter", "run only cases whose name contains this");
-  cli.add_option("suite-name", "suite label recorded in the report", "macro");
   cli.add_option("timing-threshold",
                  "allowed relative timing drift (--compare)", "0.5");
   cli.add_flag("counters-only", "gate only deterministic counters (--compare)");
@@ -301,7 +376,7 @@ int run(int argc, char** argv) {
   const std::vector<bench::Case> cases =
       filter_cases(build_suite(cache, jobs), cli.get_or("filter", ""));
 
-  bench::Report report = bench::run_suite(cli.get("suite-name"), cases, options);
+  bench::Report report = bench::run_suite("macro", cases, options);
 
   atomic_write_file(cli.get("out"), report.to_json());
   if (cli.has("counters-out"))
@@ -337,7 +412,7 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return pals::run(argc, argv);
-  } catch (const pals::Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return pals::exit_code(pals::ToolExit::kError);
   }

@@ -2,8 +2,7 @@
 // export the observability artifacts.
 //
 //   pals_profile --workload CG-32 --metrics m.json --chrome-trace t.json
-//   pals_profile --trace examples/traces/ring.palst --repeat 32 --jobs 8 \
-//                --bench-json BENCH_replay.json
+//   pals_profile --trace examples/traces/ring.palst --repeat 32 --jobs 8
 //
 // Runs the pipeline (--repeat times, across --jobs threads) with span
 // profiling on, then writes any of:
@@ -16,8 +15,6 @@
 //                   timelines; load it in Perfetto (ui.perfetto.dev)
 //   --sim-trace     simulated baseline timeline only — byte-stable, used
 //                   for golden comparisons
-//   --bench-json    throughput report (scenarios/sec, events/sec,
-//                   per-phase seconds) in the BENCH_replay.json format
 #include <iostream>
 
 #include "analysis/profile.hpp"
@@ -56,7 +53,6 @@ int run(int argc, char** argv) {
                  "write a Chrome trace_event JSON (host + simulation)");
   cli.add_option("sim-trace",
                  "write the simulated baseline timeline only (byte-stable)");
-  cli.add_option("bench-json", "write the BENCH_replay.json report");
   cli.add_flag("quiet", "skip the human-readable summary");
   cli.add_flag("help", "show usage");
 
@@ -105,8 +101,6 @@ int run(int argc, char** argv) {
   if (cli.has("sim-metrics"))
     atomic_write_file(cli.get("sim-metrics"),
                     snapshot.simulation_only().to_json());
-  if (cli.has("bench-json"))
-    atomic_write_file(cli.get("bench-json"), report.bench_json());
   if (cli.has("chrome-trace")) {
     obs::ChromeTraceWriter writer;
     append_host_spans(writer, obs::default_registry(), /*pid=*/1);
