@@ -135,7 +135,8 @@ echo "== tier 1: bounds oracle + pruning under ASan/UBSan =="
 # under all six controllers and replays the shipped Pareto grid with the
 # soundness check armed, so an unsound interval or an out-of-bounds read
 # fails here.
-cmake --build "${ASAN_DIR}" -j "${JOBS}" --target test_bounds pals_lint_tool
+cmake --build "${ASAN_DIR}" -j "${JOBS}" --target test_bounds pals_lint_tool \
+      pals_sweep
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" \
       -R 'BoundsAnalyzer|BoundsOracle|BoundsRendering|PruneBounds|LintCodeDrift'
 for trace in examples/traces/*.palst; do
@@ -216,6 +217,17 @@ done
 "${ASAN_DIR}/tools/pals_sweep" --grid=configs/serve_smoke.grid --jobs=1 \
     --quiet --out="${SERVE_DIR}/reference.csv"
 cmp "${SERVE_DIR}/served.csv" "${SERVE_DIR}/reference.csv"
+# The same grid on a contended platform: every cell carries the six keys
+# of the --config file as query overrides (one settings table for both).
+CONTENDED=$(sed -e '/^#/d' -e '/^ *$/d' -e 's/ //g' \
+    configs/gigabit_contended.cfg | paste -sd, -)
+"${ASAN_DIR}/tools/pals_query" --socket="${SERVE_SOCK}" \
+    --grid=configs/serve_smoke.grid --platform="${CONTENDED}" \
+    --out="${SERVE_DIR}/served_contended.csv"
+"${ASAN_DIR}/tools/pals_sweep" --grid=configs/serve_smoke.grid --jobs=1 \
+    --quiet --config=configs/gigabit_contended.cfg \
+    --out="${SERVE_DIR}/reference_contended.csv"
+cmp "${SERVE_DIR}/served_contended.csv" "${SERVE_DIR}/reference_contended.csv"
 kill -TERM "${SERVE_PID}"
 SERVE_CODE=0
 wait "${SERVE_PID}" || SERVE_CODE=$?

@@ -72,40 +72,82 @@ void set_beta(PipelineConfig& config, double beta) {
   config.power.beta = beta;
 }
 
+namespace {
+
+/// Every whole number in [0, 2^53] is exact in a double.
+constexpr double kExactIntegerMax = 9007199254740992.0;
+constexpr double kInt32Max = INT32_MAX;
+
+/// The settings table: every config-file key, the nine a serve query may
+/// override first.
+const Setting kSettings[] = {
+    {"latency", true, 0.0,
+     [](PipelineConfig& c, double v) { c.replay.platform.latency = v; }},
+    {"bandwidth", true, 0.0,
+     [](PipelineConfig& c, double v) { c.replay.platform.bandwidth = v; }},
+    {"eager_threshold", true, kExactIntegerMax,
+     [](PipelineConfig& c, double v) {
+       c.replay.platform.eager_threshold = static_cast<Bytes>(v);
+     }},
+    {"buses", true, kInt32Max,
+     [](PipelineConfig& c, double v) {
+       c.replay.platform.buses = static_cast<std::int32_t>(v);
+     }},
+    {"links_per_node", true, kInt32Max,
+     [](PipelineConfig& c, double v) {
+       c.replay.platform.links_per_node = static_cast<std::int32_t>(v);
+     }},
+    {"collective_scale", true, 0.0,
+     [](PipelineConfig& c, double v) {
+       c.replay.platform.collective_scale = v;
+     }},
+    {"static_fraction", true, 0.0,
+     [](PipelineConfig& c, double v) { c.power.static_fraction = v; }},
+    {"activity_ratio", true, 0.0,
+     [](PipelineConfig& c, double v) { c.power.activity_ratio = v; }},
+    {"idle_scale", true, 0.0,
+     [](PipelineConfig& c, double v) { c.power.idle_scale = v; }},
+    {"beta", false, 0.0, [](PipelineConfig& c, double v) { set_beta(c, v); }},
+    {"transition_latency", false, 0.0,
+     [](PipelineConfig& c, double v) { c.controller.transition_latency = v; }},
+    {"transition_energy", false, 0.0,
+     [](PipelineConfig& c, double v) { c.controller.transition_energy = v; }},
+    {"slack_threshold", false, 0.0,
+     [](PipelineConfig& c, double v) { c.controller.slack_threshold = v; }},
+    {"hysteresis", false, 0.0,
+     [](PipelineConfig& c, double v) { c.controller.hysteresis = v; }},
+    {"ewma_alpha", false, 0.0,
+     [](PipelineConfig& c, double v) { c.controller.ewma_alpha = v; }},
+};
+
+}  // namespace
+
+const Setting* find_setting(const std::string& key) {
+  for (const Setting& setting : kSettings)
+    if (key == setting.key) return &setting;
+  return nullptr;
+}
+
+void apply_setting(PipelineConfig& config, const std::string& key,
+                   double value) {
+  const Setting* setting = find_setting(key);
+  if (setting == nullptr) throw Error("unknown config key '" + key + "'");
+  const double max = setting->max_integer;
+  // Range before the cast: casting an out-of-range double to an integer
+  // is undefined.
+  if (max != 0.0 &&
+      !(value >= 0.0 && value <= max &&
+        value == static_cast<double>(static_cast<long long>(value))))
+    throw Error("setting '" + key + "' must be an integer within [0, " +
+                std::to_string(static_cast<long long>(max)) + "], not " +
+                format_roundtrip(value));
+  setting->set(config, value);
+}
+
 void apply_config_file(PipelineConfig& config, const std::string& path) {
   const KvConfig kv = KvConfig::parse_file(path);
-  kv.require_known_keys({"latency", "bandwidth", "eager_threshold", "buses",
-                         "links_per_node", "collective_scale", "beta",
-                         "static_fraction", "activity_ratio", "idle_scale",
-                         "transition_latency", "transition_energy",
-                         "slack_threshold", "hysteresis", "ewma_alpha"});
-  PlatformModel& platform = config.replay.platform;
-  platform.latency = kv.get_double_or("latency", platform.latency);
-  platform.bandwidth = kv.get_double_or("bandwidth", platform.bandwidth);
-  platform.eager_threshold = static_cast<Bytes>(kv.get_int_or(
-      "eager_threshold", static_cast<long long>(platform.eager_threshold)));
-  platform.buses =
-      static_cast<std::int32_t>(kv.get_int_or("buses", platform.buses));
-  platform.links_per_node = static_cast<std::int32_t>(
-      kv.get_int_or("links_per_node", platform.links_per_node));
-  platform.collective_scale =
-      kv.get_double_or("collective_scale", platform.collective_scale);
-  if (kv.has("beta")) set_beta(config, kv.get_double("beta"));
-  config.power.static_fraction =
-      kv.get_double_or("static_fraction", config.power.static_fraction);
-  config.power.activity_ratio =
-      kv.get_double_or("activity_ratio", config.power.activity_ratio);
-  config.power.idle_scale =
-      kv.get_double_or("idle_scale", config.power.idle_scale);
-  ControllerOptions& ctrl = config.controller;
-  ctrl.transition_latency =
-      kv.get_double_or("transition_latency", ctrl.transition_latency);
-  ctrl.transition_energy =
-      kv.get_double_or("transition_energy", ctrl.transition_energy);
-  ctrl.slack_threshold =
-      kv.get_double_or("slack_threshold", ctrl.slack_threshold);
-  ctrl.hysteresis = kv.get_double_or("hysteresis", ctrl.hysteresis);
-  ctrl.ewma_alpha = kv.get_double_or("ewma_alpha", ctrl.ewma_alpha);
+  for (const std::string& key : kv.keys())
+    apply_setting(config, key, kv.get_double(key));
   config.validate();
 }
 

@@ -25,10 +25,30 @@ PipelineConfig default_pipeline_config(const GearSet& gear_set,
 /// Set beta consistently in both the algorithm and the power model.
 void set_beta(PipelineConfig& config, double beta);
 
+/// One entry of the settings table: a platform, power or controller knob
+/// of a config file. The nine platform/power knobs are also what a serve
+/// query may override (serve::Request::platform).
+struct Setting {
+  const char* key;
+  bool query_overridable;
+  /// Integer settings take whole values in [0, max_integer]; 0 marks a
+  /// real-valued one (range-checked by PipelineConfig::validate).
+  double max_integer;
+  void (*set)(PipelineConfig& config, double value);
+};
+
+/// The settings table entry named `key`, or nullptr.
+const Setting* find_setting(const std::string& key);
+
+/// Set `key` to `value` through the settings table. Throws pals::Error on
+/// an unknown key and on a non-integral, negative or out-of-range value
+/// of an integer setting.
+void apply_setting(PipelineConfig& config, const std::string& key,
+                   double value);
+
 /// Overlay a key = value config file (util/kvconfig.hpp) onto a pipeline
-/// configuration. Recognized keys: latency, bandwidth, eager_threshold,
-/// buses, collective_scale, beta, static_fraction, activity_ratio.
-/// Unknown keys throw (typo detection).
+/// configuration, one apply_setting per key. Unknown keys throw (typo
+/// detection).
 void apply_config_file(PipelineConfig& config, const std::string& path);
 
 /// A resolved workload: cache key, display name and trace builder.

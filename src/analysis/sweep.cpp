@@ -185,6 +185,17 @@ std::string Scenario::variant_label() const {
   return derived;
 }
 
+PipelineConfig Scenario::cell_config(const PipelineConfig& base) const {
+  PipelineConfig config = base;
+  config.algorithm.algorithm = algorithm;
+  config.algorithm.gear_set = gear_set_by_name(gear_set);
+  config.controller.kind = controller.empty() ? ControllerKind::kStatic
+                                              : controller_by_name(controller);
+  config.lint = false;
+  set_beta(config, beta);
+  return config;
+}
+
 SweepGrid SweepGrid::from_file(const std::string& path) {
   const KvConfig kv = KvConfig::parse_file(path);
   kv.require_known_keys({"workloads", "gear_sets", "algorithms", "controllers",
@@ -377,15 +388,20 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   reg.counter("sweep.runs").add(1);
   reg.counter("sweep.scenarios").add(scenarios.size());
 
+  // The fault injector (if any) rides through PipelineConfig::replay so
+  // baseline and scaled replays both see the perturbed machine.
+  const fault::Injector* faults =
+      options.faults != nullptr ? options.faults : options.base.replay.faults;
+
   // Resolve everything serially up front so bad names fail with scenario
   // context before any thread spawns, and workers only do numeric work.
+  // Each cell's configuration is shared verbatim between its replay and
+  // the bounds analyzer, so both describe the same run.
   std::vector<WorkloadRef> workloads;
   std::map<std::string, std::size_t> workload_index;
   std::vector<std::size_t> scenario_workload(scenarios.size());
-  std::vector<GearSet> scenario_gears;
-  scenario_gears.reserve(scenarios.size());
-  std::vector<ControllerKind> scenario_controllers;
-  scenario_controllers.reserve(scenarios.size());
+  std::vector<PipelineConfig> cell_configs;
+  cell_configs.reserve(scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const Scenario& s = scenarios[i];
     WorkloadRef ref = resolve_workload(s.workload, options.iterations);
@@ -393,10 +409,11 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
         workload_index.emplace(ref.key, workloads.size());
     if (inserted) workloads.push_back(std::move(ref));
     scenario_workload[i] = it->second;
-    scenario_gears.push_back(gear_set_by_name(s.gear_set));
-    scenario_controllers.push_back(
-        s.controller.empty() ? ControllerKind::kStatic
-                             : controller_by_name(s.controller));
+    PipelineConfig& config =
+        cell_configs.emplace_back(s.cell_config(options.base));
+    config.replay.faults = faults;
+    if (options.cell_timeout_seconds > 0.0)
+      config.replay.max_wall_seconds = options.cell_timeout_seconds;
   }
 
   // Sharded execution (docs/sharding.md): ownership is a pure function of
@@ -426,11 +443,6 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   TraceCache& cache =
       options.trace_cache ? *options.trace_cache : private_cache;
   ThreadPool pool(options.jobs);
-
-  // The fault injector (if any) rides through PipelineConfig::replay so
-  // baseline and scaled replays both see the perturbed machine.
-  const fault::Injector* faults =
-      options.faults != nullptr ? options.faults : options.base.replay.faults;
 
   // Static bounds integration (docs/bounds.md). The analyzer describes
   // the fault-free single-schedule replay, so pruning refuses fault plans
@@ -689,27 +701,13 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
         completed.add(1);
         return;
       }
-      // The cell's pipeline configuration, shared verbatim between the
-      // replay and the bounds analyzer so both describe the same run.
-      const auto make_config = [&] {
-        PipelineConfig config = options.base;
-        config.algorithm.algorithm = s.algorithm;
-        config.algorithm.gear_set = scenario_gears[i];
-        config.controller.kind = scenario_controllers[i];
-        config.lint = false;  // each workload was already linted in phase 1
-        config.replay.faults = faults;
-        if (options.cell_timeout_seconds > 0.0)
-          config.replay.max_wall_seconds = options.cell_timeout_seconds;
-        set_beta(config, s.beta);
-        return config;
-      };
       // Static intervals, computed once and reused by the pruner and the
       // oracle. A throw here is an analyzer bug and aborts the sweep even
       // under keep_going — silently degrading the soundness contract
       // would hide exactly the failures the oracle exists to catch.
       std::optional<bounds::ScenarioBounds> cell_bounds;
       if (prune_enabled || oracle_armed)
-        cell_bounds = bounds::analyze(*traces[w], make_config(),
+        cell_bounds = bounds::analyze(*traces[w], cell_configs[i],
                                       &baselines[w]);
       if (prune_enabled && cell_bounds->normalized) {
         // Candidate dominators are completed earlier cells of the same
@@ -760,7 +758,7 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
                 ")");
         }
         const PipelineResult pipeline =
-            run_pipeline(*traces[w], make_config(), baselines[w]);
+            run_pipeline(*traces[w], cell_configs[i], baselines[w]);
         if (oracle_armed) {
           const std::vector<lint::Diagnostic> violations =
               bounds::check_soundness(*cell_bounds, pipeline.scaled_time,

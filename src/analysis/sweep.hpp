@@ -58,6 +58,11 @@ struct Scenario {
   std::string controller = "static";
 
   std::string variant_label() const;
+  /// The cell's pipeline configuration: `base` with this scenario's gear
+  /// set, algorithm, controller and β, lint off (a sweep lints each
+  /// workload once, up front). Throws pals::Error on an unknown gear set
+  /// or controller name.
+  PipelineConfig cell_config(const PipelineConfig& base) const;
 };
 
 /// Declarative cross-product grid; expand() yields the canonical scenario

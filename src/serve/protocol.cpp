@@ -11,17 +11,6 @@ namespace serve {
 
 namespace {
 
-/// Platform/power override keys a query may carry (the numeric subset of
-/// analysis/experiments.cpp apply_config_file, minus the controller
-/// knobs, which are cell-identity and belong in the grid).
-const std::set<std::string>& platform_keys() {
-  static const std::set<std::string> keys = {
-      "latency",         "bandwidth",      "eager_threshold",
-      "buses",           "links_per_node", "collective_scale",
-      "static_fraction", "activity_ratio", "idle_scale"};
-  return keys;
-}
-
 [[noreturn]] void bad(const std::string& message, const std::string& id = "") {
   throw ProtocolError(ErrorCode::kBadRequest, message, id);
 }
@@ -161,7 +150,8 @@ Request parse_request(const std::string& line) {
       if (!value.is_object())
         bad("member 'platform' must be an object", id);
       for (const auto& [pkey, pvalue] : value.object) {
-        if (!platform_keys().contains(pkey))
+        const Setting* setting = find_setting(pkey);
+        if (setting == nullptr || !setting->query_overridable)
           bad("unknown platform override '" + pkey + "'", id);
         request.platform.emplace_back(
             pkey, finite_number(pvalue, "platform." + pkey, id));

@@ -86,9 +86,8 @@ struct Request {
   /// Optional inline fault-plan spec (fault/fault_plan.hpp grammar).
   std::string faults;
   /// Optional platform/power overrides, in document order. Keys are the
-  /// numeric subset of analysis/experiments.cpp apply_config_file:
-  /// latency, bandwidth, eager_threshold, buses, links_per_node,
-  /// collective_scale, static_fraction, activity_ratio, idle_scale.
+  /// settings-table entries marked query_overridable
+  /// (analysis/experiments.hpp Setting).
   std::vector<std::pair<std::string, double>> platform;
 
   /// Deterministic fingerprint of everything that changes the *baseline*

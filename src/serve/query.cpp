@@ -1,70 +1,35 @@
 #include "serve/query.hpp"
 
-#include <cmath>
 #include <optional>
 
 #include "analysis/sweep.hpp"
 #include "fault/guard.hpp"
 #include "fault/injector.hpp"
-#include "power/gearset.hpp"
 
 namespace pals {
 namespace serve {
-
-namespace {
-
-/// Apply one platform/power override by key — the request-borne twin of
-/// analysis/experiments.cpp apply_config_file, restricted to the numeric
-/// platform/power knobs (the parser already rejects unknown keys).
-void apply_override(PipelineConfig& config, const std::string& key,
-                    double value, const std::string& id) {
-  const auto integral = [&](const char* what) {
-    if (value != std::floor(value) || value < 0.0)
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          std::string("platform override '") + what +
-                              "' must be a non-negative integer",
-                          id);
-    return static_cast<long long>(value);
-  };
-  PlatformModel& platform = config.replay.platform;
-  if (key == "latency") platform.latency = value;
-  else if (key == "bandwidth") platform.bandwidth = value;
-  else if (key == "eager_threshold")
-    platform.eager_threshold = static_cast<Bytes>(integral("eager_threshold"));
-  else if (key == "buses")
-    platform.buses = static_cast<std::int32_t>(integral("buses"));
-  else if (key == "links_per_node")
-    platform.links_per_node =
-        static_cast<std::int32_t>(integral("links_per_node"));
-  else if (key == "collective_scale") platform.collective_scale = value;
-  else if (key == "static_fraction") config.power.static_fraction = value;
-  else if (key == "activity_ratio") config.power.activity_ratio = value;
-  else if (key == "idle_scale") config.power.idle_scale = value;
-  else
-    throw ProtocolError(ErrorCode::kBadRequest,
-                        "unknown platform override '" + key + "'", id);
-}
-
-}  // namespace
 
 ExperimentRow QueryEngine::execute(const Request& request,
                                    double deadline_seconds) {
   // Resolve every name first: an unknown workload / gear set / algorithm /
   // controller is the caller's typo, answered not-found without touching
-  // the cache or burning any replay time.
+  // the cache or burning any replay time. The request's cell is composed
+  // exactly as a sweep composes its cells (Scenario::cell_config), and
+  // the same Scenario labels the row.
   std::optional<WorkloadRef> workload;
-  std::optional<GearSet> gear_set;
-  Algorithm algorithm = Algorithm::kMax;
-  ControllerKind controller = ControllerKind::kStatic;
-  const int iterations = request.iterations > 0 ? request.iterations
-                                                : options_.default_iterations;
+  Scenario scenario;
+  scenario.workload = request.workload;
+  scenario.gear_set = request.gear_set;
+  scenario.beta = request.beta;
+  scenario.controller = request.controller;
+  PipelineConfig config;
   try {
-    workload = resolve_workload(request.workload, iterations);
-    gear_set = gear_set_by_name(request.gear_set);
-    algorithm = algorithm_by_name(request.algorithm);
-    controller = request.controller.empty()
-                     ? ControllerKind::kStatic
-                     : controller_by_name(request.controller);
+    workload = resolve_workload(request.workload,
+                                request.iterations > 0
+                                    ? request.iterations
+                                    : options_.default_iterations);
+    scenario.algorithm = algorithm_by_name(request.algorithm);
+    config = scenario.cell_config(options_.base);
   } catch (const Error& e) {
     throw ProtocolError(ErrorCode::kNotFound, e.what(), request.id);
   }
@@ -84,20 +49,13 @@ ExperimentRow QueryEngine::execute(const Request& request,
     }
   }
 
-  // Compose the cell's configuration exactly like the sweep engine's
-  // make_config: base + cell axes; platform overrides mirror what a
-  // --config overlay would have done to the batch run.
-  PipelineConfig config = options_.base;
-  for (const auto& [key, value] : request.platform)
-    apply_override(config, key, value, request.id);
-  config.algorithm.algorithm = algorithm;
-  config.algorithm.gear_set = *gear_set;
-  config.controller.kind = controller;
-  config.lint = false;
+  // Platform overrides go through the settings table, as a --config
+  // overlay would have set them for the batch run.
   config.replay.faults = injector ? &*injector : nullptr;
   config.replay.max_wall_seconds = deadline_seconds;
-  set_beta(config, request.beta);
   try {
+    for (const auto& [key, value] : request.platform)
+      apply_setting(config, key, value);
     config.validate();
   } catch (const Error& e) {
     throw ProtocolError(ErrorCode::kBadRequest,
@@ -122,12 +80,6 @@ ExperimentRow QueryEngine::execute(const Request& request,
     const PipelineResult pipeline =
         run_pipeline(warm->trace, config, warm->baseline);
 
-    Scenario scenario;
-    scenario.workload = request.workload;
-    scenario.gear_set = request.gear_set;
-    scenario.algorithm = algorithm;
-    scenario.beta = request.beta;
-    scenario.controller = request.controller;
     return flatten_result(pipeline, workload->display,
                           scenario.variant_label());
   } catch (const ProtocolError&) {

@@ -1,12 +1,12 @@
 // Query execution: one serve request -> one byte-exact sweep cell.
 //
-// The engine replicates the sweep engine's cell path exactly —
-// resolve_workload, gear/algorithm/controller lookup, the same
-// PipelineConfig composition as analysis/sweep.cpp make_config, a shared
-// baseline replay, run_pipeline, flatten_result with
-// Scenario::variant_label — so a served row is byte-identical to the row
-// `pals_sweep --jobs=1` writes for the same cell. Any divergence here is
-// a determinism bug, and tests/serve/serve_torture_test.cpp pins it.
+// The engine runs the sweep cell itself: the request becomes a Scenario,
+// Scenario::cell_config composes its PipelineConfig (the one composition
+// run_sweep uses), platform overrides go through the settings table
+// that --config files also use (analysis/experiments.hpp apply_setting),
+// and the row is flattened under the Scenario's variant_label. A served row is therefore byte-identical to the row
+// `pals_sweep --jobs=1` writes for the same cell;
+// tests/serve/serve_torture_test.cpp pins it.
 #pragma once
 
 #include "analysis/experiments.hpp"

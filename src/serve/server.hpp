@@ -19,8 +19,9 @@
 //    connections are told `shutting-down` — and a daemon killed hard
 //    instead leaves only a stale socket file the next start replaces
 //    (UnixListener::bind_or_replace).
-//  * Determinism: query rows come from serve::QueryEngine, which
-//    replicates the batch sweep's cell path byte-for-byte.
+//  * Determinism: query rows come from serve::QueryEngine, which runs
+//    the batch sweep's cell composition (Scenario::cell_config), so they
+//    match batch rows byte-for-byte.
 #pragma once
 
 #include <atomic>

@@ -60,16 +60,6 @@ long long KvConfig::get_int(const std::string& key) const {
   return parse_int(get_string(key));
 }
 
-std::string KvConfig::get_string_or(const std::string& key,
-                                    const std::string& fallback) const {
-  return has(key) ? get_string(key) : fallback;
-}
-
-double KvConfig::get_double_or(const std::string& key,
-                               double fallback) const {
-  return has(key) ? get_double(key) : fallback;
-}
-
 long long KvConfig::get_int_or(const std::string& key,
                                long long fallback) const {
   return has(key) ? get_int(key) : fallback;

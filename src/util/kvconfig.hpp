@@ -29,9 +29,6 @@ public:
   double get_double(const std::string& key) const;
   long long get_int(const std::string& key) const;
 
-  std::string get_string_or(const std::string& key,
-                            const std::string& fallback) const;
-  double get_double_or(const std::string& key, double fallback) const;
   long long get_int_or(const std::string& key, long long fallback) const;
 
   /// All keys in file order.

@@ -74,20 +74,53 @@ TEST(IterationStats, RequiresIterationMarkers) {
 }
 
 TEST(ConfigFile, OverlaysOntoPipelineConfig) {
+  // Every key of the settings table, each off its default.
   const std::string path = (scratch_dir() / "pals_platform.cfg").string();
   {
     std::ofstream out(path);
     out << "# test platform\nlatency = 5e-6\nbandwidth = 1e9\n"
-        << "buses = 8\nbeta = 0.7\nstatic_fraction = 0.4\n";
+        << "eager_threshold = 4096\nbuses = 8\nlinks_per_node = 2\n"
+        << "collective_scale = 1.5\nbeta = 0.7\nstatic_fraction = 0.4\n"
+        << "activity_ratio = 1.8\nidle_scale = 0.6\n"
+        << "transition_latency = 1e-4\ntransition_energy = 0.25\n"
+        << "slack_threshold = 0.3\nhysteresis = 0.5\newma_alpha = 0.9\n";
   }
   PipelineConfig config = default_pipeline_config(paper_uniform(6));
   apply_config_file(config, path);
-  EXPECT_DOUBLE_EQ(config.replay.platform.latency, 5e-6);
-  EXPECT_DOUBLE_EQ(config.replay.platform.bandwidth, 1e9);
-  EXPECT_EQ(config.replay.platform.buses, 8);
+  const PlatformModel& platform = config.replay.platform;
+  EXPECT_DOUBLE_EQ(platform.latency, 5e-6);
+  EXPECT_DOUBLE_EQ(platform.bandwidth, 1e9);
+  EXPECT_EQ(platform.eager_threshold, 4096u);
+  EXPECT_EQ(platform.buses, 8);
+  EXPECT_EQ(platform.links_per_node, 2);
+  EXPECT_DOUBLE_EQ(platform.collective_scale, 1.5);
   EXPECT_DOUBLE_EQ(config.algorithm.beta, 0.7);
   EXPECT_DOUBLE_EQ(config.power.beta, 0.7);
   EXPECT_DOUBLE_EQ(config.power.static_fraction, 0.4);
+  EXPECT_DOUBLE_EQ(config.power.activity_ratio, 1.8);
+  EXPECT_DOUBLE_EQ(config.power.idle_scale, 0.6);
+  EXPECT_DOUBLE_EQ(config.controller.transition_latency, 1e-4);
+  EXPECT_DOUBLE_EQ(config.controller.transition_energy, 0.25);
+  EXPECT_DOUBLE_EQ(config.controller.slack_threshold, 0.3);
+  EXPECT_DOUBLE_EQ(config.controller.hysteresis, 0.5);
+  EXPECT_DOUBLE_EQ(config.controller.ewma_alpha, 0.9);
+  std::remove(path.c_str());
+}
+
+TEST(ConfigFile, RejectsIntegersThatWouldWrap) {
+  // Negative, past the field's type, or not whole: each used to wrap or
+  // truncate into a different machine instead of failing.
+  const std::string path = (scratch_dir() / "pals_wrap.cfg").string();
+  for (const char* line :
+       {"eager_threshold = -4", "eager_threshold = 1e30",
+        "buses = 4294967297", "links_per_node = 2.5"}) {
+    {
+      std::ofstream out(path);
+      out << line << "\n";
+    }
+    PipelineConfig config = default_pipeline_config(paper_uniform(6));
+    EXPECT_THROW(apply_config_file(config, path), Error) << line;
+  }
   std::remove(path.c_str());
 }
 

@@ -52,18 +52,23 @@ ParsedResponse round_trip(UnixStream& stream, const std::string& line) {
   return parse_response(reply);
 }
 
+/// The algorithm_by_name spelling of `algorithm`.
+const char* algorithm_name(Algorithm algorithm) {
+  switch (algorithm) {
+    case Algorithm::kMax: return "max";
+    case Algorithm::kAvg: return "avg";
+    case Algorithm::kEnergyOptimalMax: return "energy-optimal";
+  }
+  return "max";
+}
+
 std::string query_line(const Scenario& scenario, int iterations,
                        const std::string& id) {
-  const char* algorithm = "max";
-  switch (scenario.algorithm) {
-    case Algorithm::kMax: algorithm = "max"; break;
-    case Algorithm::kAvg: algorithm = "avg"; break;
-    case Algorithm::kEnergyOptimalMax: algorithm = "energy-optimal"; break;
-  }
   std::string line = R"({"schema":"pals-serve-v1","id":")" + id + "\"";
   line += ",\"workload\":\"" + scenario.workload + "\"";
   line += ",\"gear_set\":\"" + scenario.gear_set + "\"";
-  line += std::string(",\"algorithm\":\"") + algorithm + "\"";
+  line += std::string(",\"algorithm\":\"") +
+          algorithm_name(scenario.algorithm) + "\"";
   line += ",\"controller\":\"" + scenario.controller + "\"";
   line += ",\"beta\":" + format_roundtrip(scenario.beta);
   line += ",\"iterations\":" + std::to_string(iterations) + "}";
@@ -182,6 +187,53 @@ TEST_F(ServeTorture, ServedRowsAreByteIdenticalToBatchSweep) {
   for (std::thread& client : clients) client.join();
   for (std::size_t i = 0; i < scenarios.size(); ++i)
     EXPECT_EQ(parallel[i], csv_data_line(reference.rows[i])) << "cell " << i;
+}
+
+TEST_F(ServeTorture, OverriddenRowsAreByteIdenticalToConfigFileSweep) {
+  // In process, no socket. All nine query-overridable settings, in range
+  // and off their defaults: served as request overrides, batch-run as a
+  // --config file.
+  const std::vector<std::pair<std::string, double>> overrides = {
+      {"latency", 2e-5},         {"bandwidth", 5e8},
+      {"eager_threshold", 4096}, {"buses", 3},
+      {"links_per_node", 2},     {"collective_scale", 1.5},
+      {"static_fraction", 0.3},  {"activity_ratio", 1.8},
+      {"idle_scale", 0.7}};
+  const std::string config_path = (scratch_dir() / "overrides.cfg").string();
+  {
+    std::ofstream out(config_path);
+    for (const auto& [key, value] : overrides)
+      out << key << " = " << format_roundtrip(value) << "\n";
+  }
+  const SweepGrid grid = SweepGrid::from_file(
+      (fs::path(PALS_SOURCE_DIR) / "configs" / "serve_smoke.grid").string());
+  SweepOptions options;
+  options.jobs = 1;
+  apply_config_file(options.base, config_path);
+  const SweepResult reference = run_sweep(grid, options);
+  const std::vector<Scenario> scenarios = grid.expand();
+  ASSERT_EQ(reference.rows.size(), scenarios.size());
+
+  WarmCache cache(0);
+  QueryEngine engine(QueryEngineOptions{}, cache);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    Request request;
+    request.workload = scenarios[i].workload;
+    request.gear_set = scenarios[i].gear_set;
+    request.algorithm = algorithm_name(scenarios[i].algorithm);
+    request.controller = scenarios[i].controller;
+    request.beta = scenarios[i].beta;
+    request.iterations = grid.iterations;
+    request.platform = overrides;
+    EXPECT_EQ(csv_data_line(engine.execute(request, 0.0)),
+              csv_data_line(reference.rows[i]))
+        << "cell " << i;
+  }
+  // The overrides reached the replay: default-platform rows differ.
+  SweepOptions defaults;
+  defaults.jobs = 1;
+  EXPECT_NE(rows_to_csv(run_sweep(grid, defaults).rows),
+            rows_to_csv(reference.rows));
 }
 
 TEST_F(ServeTorture, OverloadShedsWithRetryableResponse) {
@@ -438,15 +490,23 @@ TEST(QueryEngineErrors, UnknownNamesAnswerNotFound) {
 TEST(QueryEngineErrors, RejectedPlatformOverrideAnswersBadRequest) {
   WarmCache cache(0);
   QueryEngine engine(QueryEngineOptions{}, cache);
-  Request request;
-  request.workload = "cg:8:0.9:2";
-  request.iterations = 2;
-  request.platform.emplace_back("eager_threshold", -4.0);
-  try {
-    engine.execute(request, 0.0);
-    FAIL() << "negative eager_threshold was accepted";
-  } catch (const ProtocolError& e) {
-    EXPECT_EQ(e.code, ErrorCode::kBadRequest);
+  // Negative, past the field's type (2^32 + 1 used to wrap to 1, 1e30
+  // to 0), or not whole.
+  const std::vector<std::pair<std::string, double>> rejected = {
+      {"eager_threshold", -4.0}, {"eager_threshold", 1e30},
+      {"buses", 4294967297.0},   {"buses", 1e30},
+      {"links_per_node", 2.5}};
+  for (const auto& [key, value] : rejected) {
+    Request request;
+    request.workload = "cg:8:0.9:2";
+    request.iterations = 2;
+    request.platform.emplace_back(key, value);
+    try {
+      engine.execute(request, 0.0);
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.code, ErrorCode::kBadRequest) << key << "=" << value;
+    }
   }
 }
 

@@ -50,8 +50,6 @@ TEST(KvConfig, FallbackAccessors) {
   const KvConfig c = parse_text("x = 5\n");
   EXPECT_EQ(c.get_int_or("x", 1), 5);
   EXPECT_EQ(c.get_int_or("y", 1), 1);
-  EXPECT_DOUBLE_EQ(c.get_double_or("z", 2.5), 2.5);
-  EXPECT_EQ(c.get_string_or("w", "d"), "d");
 }
 
 TEST(KvConfig, UnknownKeyDetection) {

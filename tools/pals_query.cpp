@@ -8,6 +8,7 @@
 //   pals_query --socket=S --ping | --stats | --shutdown
 //   pals_query --socket=S --requests=FILE [--out=FILE]
 //   pals_query --socket=S --grid=FILE [--out=FILE] [--deadline-ms=MS]
+//              [--faults=SPEC] [--platform=...]
 //   pals_query --socket=S --chaos=N [--workload=SPEC]
 //
 // One request, one line: the default mode sends a single query and
@@ -16,11 +17,12 @@
 // malformed-request torture corpus drives the daemon's parser hardening
 // this way — printing one response line each. --grid expands a sweep
 // grid file (docs/sweep.md) into its canonical scenario order, queries
-// every cell over one connection and writes header+rows CSV
-// byte-identical to `pals_sweep --jobs=1 --out`. --chaos opens N
-// deliberately rude connections (half vanish before reading their
-// reply, half quit mid-request-line) to exercise the daemon's
-// disconnect handling; it never fails the run.
+// every cell over one connection — each with the --deadline-ms, --faults
+// and --platform given — and writes header+rows CSV byte-identical to
+// `pals_sweep --jobs=1 --out` run with the same faults and a --config
+// file of the same keys. --chaos opens N deliberately rude connections
+// (half vanish before reading their reply, half quit mid-request-line)
+// to exercise the daemon's disconnect handling; it never fails the run.
 //
 // Overload handling: an `overloaded` (or `shutting-down`) rejection is
 // retried with capped exponential backoff (util/backoff.hpp,
@@ -229,13 +231,13 @@ int run_requests_file(Client& client, const std::string& path,
 }
 
 int run_grid(Client& client, const std::string& grid_path,
-             const std::string& out_path, double deadline_ms) {
+             const std::string& out_path, const QuerySpec& base) {
   const SweepGrid grid = SweepGrid::from_file(grid_path);
   const std::vector<Scenario> scenarios = grid.expand();
   std::string csv = csv_header() + "\n";
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const Scenario& s = scenarios[i];
-    QuerySpec spec;
+    QuerySpec spec = base;
     spec.workload = s.workload;
     spec.gear_set = s.gear_set;
     // algorithm_by_name spellings, not to_string display names.
@@ -249,7 +251,6 @@ int run_grid(Client& client, const std::string& grid_path,
     spec.controller = s.controller;
     spec.beta = s.beta;
     spec.iterations = grid.iterations;
-    spec.deadline_ms = deadline_ms;
     const serve::ParsedResponse response =
         client.exchange(build_query_line(spec, "grid-" + std::to_string(i)));
     if (!response.ok) return finish_error(response);
@@ -403,8 +404,7 @@ int run(int argc, char** argv) {
       return run_requests_file(client, cli.get("requests"),
                                cli.get_or("out", ""));
     if (cli.has("grid"))
-      return run_grid(client, cli.get("grid"), cli.get_or("out", ""),
-                      spec.deadline_ms);
+      return run_grid(client, cli.get("grid"), cli.get_or("out", ""), spec);
 
     if (spec.workload.empty()) {
       std::cerr << "need --workload (or --ping/--stats/--shutdown/"
