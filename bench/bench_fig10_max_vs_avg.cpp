@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
     cli.parse(argc, argv);
     pals::TraceCache cache;
     pals::print_rows(
-        pals::figure10_rows(cache, static_cast<int>(cli.get_int("jobs", 1))),
+        pals::figure10_rows(cache, 10,
+                            static_cast<int>(cli.get_int("jobs", 1))),
         "Figure 10: comparison of MAX and AVG algorithms",
         "fig10_max_vs_avg.csv");
     return 0;

@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
     cli.parse(argc, argv);
     pals::TraceCache cache;
     pals::print_rows(
-        pals::figure2_rows(cache, static_cast<int>(cli.get_int("jobs", 1))),
+        pals::figure2_rows(cache, 10,
+                           static_cast<int>(cli.get_int("jobs", 1))),
         "Figure 2: normalized energy and EDP vs gear set (MAX)",
         "fig2_gearset_size.csv");
     return 0;

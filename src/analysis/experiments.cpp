@@ -34,7 +34,7 @@ WorkloadRef resolve_workload(const std::string& spec, int default_iterations) {
                        << spec
                        << "' (not a Table 3 instance; inline specs use "
                           "family:ranks:lb[:iterations])");
-    return WorkloadRef{spec, spec,
+    return WorkloadRef{spec + ":" + std::to_string(default_iterations), spec,
                        [inst = *instance] { return inst.make(); }};
   }
   const std::vector<std::string> parts = split(spec, ':');
@@ -76,7 +76,11 @@ namespace {
 
 /// Every whole number in [0, 2^53] is exact in a double.
 constexpr double kExactIntegerMax = 9007199254740992.0;
-constexpr double kInt32Max = INT32_MAX;
+/// Machine-sized bound on the platform's slot counts: the replay holds
+/// one bus slot per bus and two allocators of links_per_node slots per
+/// rank, so an int32-sized value would ask for gigabytes. Shipped configs
+/// use at most 16.
+constexpr double kMaxSlots = 4096.0;
 
 /// The settings table: every config-file key, the nine a serve query may
 /// override first.
@@ -89,11 +93,11 @@ const Setting kSettings[] = {
      [](PipelineConfig& c, double v) {
        c.replay.platform.eager_threshold = static_cast<Bytes>(v);
      }},
-    {"buses", true, kInt32Max,
+    {"buses", true, kMaxSlots,
      [](PipelineConfig& c, double v) {
        c.replay.platform.buses = static_cast<std::int32_t>(v);
      }},
-    {"links_per_node", true, kInt32Max,
+    {"links_per_node", true, kMaxSlots,
      [](PipelineConfig& c, double v) {
        c.replay.platform.links_per_node = static_cast<std::int32_t>(v);
      }},
@@ -172,16 +176,10 @@ ExperimentRow run_experiment(const Trace& trace, const std::string& instance,
   return flatten_result(run_pipeline(trace, config), instance, variant);
 }
 
-ExperimentRow run_experiment(const Trace& trace, const ReplayResult& baseline,
-                             const std::string& instance,
-                             const std::string& variant,
-                             const PipelineConfig& config) {
-  return flatten_result(run_pipeline(trace, config, baseline), instance,
-                        variant);
-}
-
 const Trace& TraceCache::get(const BenchmarkInstance& instance) {
-  return get(instance.name, [&instance] { return instance.make(); });
+  // resolve_workload's key for the same name and count.
+  return get(instance.name + ":" + std::to_string(instance.config.iterations),
+             [&instance] { return instance.make(); });
 }
 
 const Trace& TraceCache::get(const std::string& key,

@@ -60,9 +60,11 @@ struct WorkloadRef {
 
 /// Resolve a registry instance name ("CG-32") or an inline spec
 /// "family:ranks:lb[:iterations]" (e.g. "lu:32:0.93:6") to a WorkloadRef.
-/// Specs without an iteration count use `default_iterations`; the cache
-/// key always carries the resolved count so grids with different defaults
-/// never collide. Throws pals::Error on unknown names or malformed specs.
+/// Registry names and specs without an iteration count use
+/// `default_iterations`; the cache key always carries the resolved count
+/// ("CG-32:10") so grids and queries with different counts never collide;
+/// a registry instance's display name stays its name. Throws pals::Error
+/// on unknown names or malformed specs.
 WorkloadRef resolve_workload(const std::string& spec, int default_iterations);
 
 /// One measured row of an experiment.
@@ -90,19 +92,14 @@ ExperimentRow run_experiment(const Trace& trace, const std::string& instance,
                              const std::string& variant,
                              const PipelineConfig& config);
 
-/// Same, but reuse a precomputed baseline replay (see the matching
-/// run_pipeline overload); the sweep engine computes it once per workload.
-ExperimentRow run_experiment(const Trace& trace, const ReplayResult& baseline,
-                             const std::string& instance,
-                             const std::string& variant,
-                             const PipelineConfig& config);
-
-/// Caches generated traces by instance name so multi-variant sweeps build
-/// each workload once. Thread-safe: the sweep engine shares one cache
+/// Caches generated traces by workload key (resolve_workload's, which
+/// carries the iteration count) so multi-variant sweeps build each
+/// workload once. Thread-safe: the sweep engine shares one cache
 /// across workers (std::map never invalidates references, so the returned
 /// Trace& stays valid while the cache lives).
 class TraceCache {
 public:
+  /// Keyed as resolve_workload keys the instance's name and count.
   const Trace& get(const BenchmarkInstance& instance);
   /// Generic keyed access for non-registry workloads: builds (under the
   /// cache lock) and memoizes `build()` on first use of `key`.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "analysis/sweep.hpp"
 #include "replay/replay.hpp"
@@ -29,35 +30,43 @@ std::vector<ExperimentRow> table3_rows(TraceCache& cache, int iterations) {
   return rows;
 }
 
-std::vector<ExperimentRow> figure2_rows(TraceCache& cache, int jobs) {
+namespace {
+
+/// Every (instance, variant) cell, instance-major, on the sweep engine:
+/// one baseline per workload, the bounds soundness oracle on every cell.
+std::vector<ExperimentRow> sweep_rows(
+    TraceCache& cache, int iterations, const std::vector<Scenario>& variants,
+    const std::vector<BenchmarkInstance>& instances = paper_benchmarks(),
+    int jobs = 1) {
   std::vector<Scenario> scenarios;
-  for (const BenchmarkInstance& inst : figure2_benchmarks()) {
-    const auto measure = [&](const std::string& set) {
-      scenarios.push_back(Scenario{inst.name, set, Algorithm::kMax, 0.5, ""});
-    };
-    measure("continuous-unlimited");
-    measure("continuous-limited");
-    for (int gears = 2; gears <= 15; ++gears)
-      measure("uniform-" + std::to_string(gears));
+  for (const BenchmarkInstance& inst : instances) {
+    for (Scenario scenario : variants) {
+      scenario.workload = inst.name;
+      scenarios.push_back(std::move(scenario));
+    }
   }
   SweepOptions options;
   options.jobs = jobs;
+  options.iterations = iterations;
   options.trace_cache = &cache;
   return run_sweep(scenarios, options).rows;
 }
 
-std::vector<ExperimentRow> figure3_rows(TraceCache& cache) {
-  std::vector<ExperimentRow> rows;
-  for (const BenchmarkInstance& inst : paper_benchmarks()) {
-    const Trace& trace = cache.get(inst);
-    rows.push_back(run_experiment(
-        trace, inst.name, "continuous-unlimited",
-        default_pipeline_config(paper_unlimited_continuous())));
-    rows.push_back(run_experiment(trace, inst.name, "uniform-2",
-                                  default_pipeline_config(paper_uniform(2))));
-    rows.push_back(run_experiment(trace, inst.name, "uniform-6",
-                                  default_pipeline_config(paper_uniform(6))));
-  }
+}  // namespace
+
+std::vector<ExperimentRow> figure2_rows(TraceCache& cache, int iterations,
+                                        int jobs) {
+  std::vector<Scenario> variants = {{"", "continuous-unlimited"},
+                                    {"", "continuous-limited"}};
+  for (int gears = 2; gears <= 15; ++gears)
+    variants.push_back({"", "uniform-" + std::to_string(gears)});
+  return sweep_rows(cache, iterations, variants, figure2_benchmarks(), jobs);
+}
+
+std::vector<ExperimentRow> figure3_rows(TraceCache& cache, int iterations) {
+  std::vector<ExperimentRow> rows = sweep_rows(
+      cache, iterations,
+      {{"", "continuous-unlimited"}, {"", "uniform-2"}, {"", "uniform-6"}});
   std::stable_sort(rows.begin(), rows.end(),
                    [](const ExperimentRow& a, const ExperimentRow& b) {
                      return a.load_balance < b.load_balance;
@@ -65,103 +74,60 @@ std::vector<ExperimentRow> figure3_rows(TraceCache& cache) {
   return rows;
 }
 
-std::vector<ExperimentRow> figure4_rows(TraceCache& cache) {
-  std::vector<ExperimentRow> rows;
-  for (const BenchmarkInstance& inst : paper_benchmarks()) {
-    const Trace& trace = cache.get(inst);
-    for (int gears = 3; gears <= 7; ++gears) {
-      rows.push_back(
-          run_experiment(trace, inst.name,
-                         "exponential-" + std::to_string(gears),
-                         default_pipeline_config(paper_exponential(gears))));
-    }
-  }
-  return rows;
+std::vector<ExperimentRow> figure4_rows(TraceCache& cache, int iterations) {
+  std::vector<Scenario> variants;
+  for (int gears = 3; gears <= 7; ++gears)
+    variants.push_back({"", "exponential-" + std::to_string(gears)});
+  return sweep_rows(cache, iterations, variants);
 }
 
-std::vector<ExperimentRow> figure5_rows(TraceCache& cache) {
-  std::vector<ExperimentRow> rows;
-  for (const BenchmarkInstance& inst : paper_benchmarks()) {
-    const Trace& trace = cache.get(inst);
-    for (const double beta : {0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}) {
-      PipelineConfig config = default_pipeline_config(paper_uniform(6));
-      set_beta(config, beta);
-      rows.push_back(run_experiment(trace, inst.name,
-                                    "beta=" + format_fixed(beta, 1), config));
-    }
-  }
-  return rows;
+std::vector<ExperimentRow> figure5_rows(TraceCache& cache, int iterations) {
+  std::vector<Scenario> variants;
+  for (const double beta : {0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
+    variants.push_back({"", "uniform-6", Algorithm::kMax, beta,
+                        "beta=" + format_fixed(beta, 1)});
+  return sweep_rows(cache, iterations, variants);
 }
 
-std::vector<ExperimentRow> figure6_rows(TraceCache& cache) {
-  std::vector<ExperimentRow> rows;
-  for (const BenchmarkInstance& inst : paper_benchmarks()) {
-    const Trace& trace = cache.get(inst);
-    for (int percent = 0; percent <= 90; percent += 10) {
-      PipelineConfig config = default_pipeline_config(paper_uniform(6));
-      config.power.static_fraction = percent / 100.0;
-      rows.push_back(run_experiment(
-          trace, inst.name, "static=" + std::to_string(percent) + "%",
-          config));
-    }
-  }
-  return rows;
+std::vector<ExperimentRow> figure6_rows(TraceCache& cache, int iterations) {
+  std::vector<Scenario> variants;
+  for (int percent = 0; percent <= 90; percent += 10)
+    variants.push_back({"", "uniform-6", Algorithm::kMax, 0.5,
+                        "static=" + std::to_string(percent) + "%", "static",
+                        {{"static_fraction", percent / 100.0}}});
+  return sweep_rows(cache, iterations, variants);
 }
 
-std::vector<ExperimentRow> figure7_rows(TraceCache& cache) {
-  std::vector<ExperimentRow> rows;
-  for (const BenchmarkInstance& inst : paper_benchmarks()) {
-    const Trace& trace = cache.get(inst);
-    for (const double ratio : {1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0}) {
-      PipelineConfig config = default_pipeline_config(paper_uniform(6));
-      config.power.activity_ratio = ratio;
-      rows.push_back(run_experiment(
-          trace, inst.name, "ratio=" + format_fixed(ratio, 2), config));
-    }
-  }
-  return rows;
+std::vector<ExperimentRow> figure7_rows(TraceCache& cache, int iterations) {
+  std::vector<Scenario> variants;
+  for (const double ratio : {1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0})
+    variants.push_back({"", "uniform-6", Algorithm::kMax, 0.5,
+                        "ratio=" + format_fixed(ratio, 2), "static",
+                        {{"activity_ratio", ratio}}});
+  return sweep_rows(cache, iterations, variants);
 }
 
-std::vector<ExperimentRow> figure8_rows(TraceCache& cache) {
-  std::vector<ExperimentRow> rows;
-  for (const BenchmarkInstance& inst : paper_benchmarks()) {
-    const Trace& trace = cache.get(inst);
-    for (const double oc : {1.1, 1.2}) {
-      const GearSet set = paper_limited_continuous().with_fmax_scaled(oc);
-      rows.push_back(run_experiment(
-          trace, inst.name,
-          "overclock+" +
-              std::to_string(static_cast<int>((oc - 1.0) * 100.0 + 0.5)) +
-              "%",
-          default_pipeline_config(set, Algorithm::kAvg)));
-    }
-  }
-  return rows;
+std::vector<ExperimentRow> figure8_rows(TraceCache& cache, int iterations) {
+  std::vector<Scenario> variants;
+  for (const std::string oc : {"10", "20"})
+    variants.push_back(
+        {"", "limited-oc" + oc, Algorithm::kAvg, 0.5, "overclock+" + oc + "%"});
+  return sweep_rows(cache, iterations, variants);
 }
 
-std::vector<ExperimentRow> figure9_rows(TraceCache& cache) {
-  std::vector<ExperimentRow> rows;
-  for (const BenchmarkInstance& inst : paper_benchmarks()) {
-    const Trace& trace = cache.get(inst);
-    rows.push_back(run_experiment(
-        trace, inst.name, "uniform-6+2.6GHz",
-        default_pipeline_config(paper_avg_discrete(), Algorithm::kAvg)));
-  }
-  return rows;
+std::vector<ExperimentRow> figure9_rows(TraceCache& cache, int iterations) {
+  return sweep_rows(
+      cache, iterations,
+      {{"", "avg-discrete", Algorithm::kAvg, 0.5, "uniform-6+2.6GHz"}});
 }
 
-std::vector<ExperimentRow> figure10_rows(TraceCache& cache, int jobs) {
-  std::vector<Scenario> scenarios;
-  for (const BenchmarkInstance& inst : paper_benchmarks()) {
-    scenarios.push_back(Scenario{inst.name, "uniform-6", Algorithm::kMax, 0.5,
-                                 "MAX uniform-6"});
-    scenarios.push_back(Scenario{inst.name, "avg-discrete", Algorithm::kAvg,
-                                 0.5, "AVG uniform-6+2.6GHz"});
-  }
-  SweepOptions options;
-  options.jobs = jobs;
-  options.trace_cache = &cache;
-  return run_sweep(scenarios, options).rows;
+std::vector<ExperimentRow> figure10_rows(TraceCache& cache, int iterations,
+                                         int jobs) {
+  return sweep_rows(
+      cache, iterations,
+      {{"", "uniform-6", Algorithm::kMax, 0.5, "MAX uniform-6"},
+       {"", "avg-discrete", Algorithm::kAvg, 0.5, "AVG uniform-6+2.6GHz"}},
+      paper_benchmarks(), jobs);
 }
 
 std::string rows_to_markdown(const std::vector<ExperimentRow>& rows) {

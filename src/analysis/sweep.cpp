@@ -193,6 +193,7 @@ PipelineConfig Scenario::cell_config(const PipelineConfig& base) const {
                                               : controller_by_name(controller);
   config.lint = false;
   set_beta(config, beta);
+  for (const auto& [key, value] : settings) apply_setting(config, key, value);
   return config;
 }
 
@@ -358,6 +359,9 @@ std::string config_canonical_text(const std::vector<Scenario>& scenarios,
     canon += "|scenario=" + s.workload + ";" + s.gear_set + ";" +
              std::to_string(static_cast<int>(s.algorithm)) + ";" +
              format_roundtrip(s.beta) + ";" + s.label + ";" + s.controller;
+    // Appended only when present, so settings-free hashes stay valid.
+    for (const auto& [key, value] : s.settings)
+      canon += ";" + key + "=" + format_roundtrip(value);
   }
   return canon;
 }
@@ -411,6 +415,12 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
     scenario_workload[i] = it->second;
     PipelineConfig& config =
         cell_configs.emplace_back(s.cell_config(options.base));
+    PALS_CHECK_MSG(config.replay.platform == options.base.replay.platform,
+                   "sweep scenario " << i << " (" << s.workload << " "
+                       << s.variant_label()
+                       << ") changes the platform; a sweep shares one "
+                          "baseline per workload, so platform settings "
+                          "belong in the sweep's base configuration");
     config.replay.faults = faults;
     if (options.cell_timeout_seconds > 0.0)
       config.replay.max_wall_seconds = options.cell_timeout_seconds;

@@ -25,6 +25,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -51,17 +52,23 @@ struct Scenario {
   double beta = 0.5;
   /// Variant label for the result row; empty derives one from the
   /// controller / gear set / algorithm / β.
-  std::string label;
+  std::string label{};
   /// Online DVFS controller name (core/controllers.hpp): "static" (the
   /// paper's one-shot assignment), "dynamic_max", "dynamic_avg", "slack",
   /// "ewma" or "jitter".
   std::string controller = "static";
+  /// Settings-table overrides (analysis/experiments.hpp, apply_setting)
+  /// applied last, in order: the power and controller knobs a figure
+  /// varies per cell ("static_fraction", "activity_ratio", ...). A sweep
+  /// shares one baseline per workload, so run_sweep rejects a setting
+  /// that changes the platform.
+  std::vector<std::pair<std::string, double>> settings{};
 
   std::string variant_label() const;
   /// The cell's pipeline configuration: `base` with this scenario's gear
-  /// set, algorithm, controller and β, lint off (a sweep lints each
-  /// workload once, up front). Throws pals::Error on an unknown gear set
-  /// or controller name.
+  /// set, algorithm, controller, β and settings, lint off (a sweep lints
+  /// each workload once, up front). Throws pals::Error on an unknown gear
+  /// set, controller name or setting.
   PipelineConfig cell_config(const PipelineConfig& base) const;
 };
 
@@ -301,8 +308,9 @@ struct SweepResult {
 };
 
 /// Run an explicit scenario list. Scenario errors (unknown workload or
-/// gear set) throw pals::Error naming the offending scenario; runtime
-/// cell failures throw unless SweepOptions::keep_going quarantines them.
+/// gear set, a setting that changes the platform) throw pals::Error
+/// naming the offending scenario; runtime cell failures throw unless
+/// SweepOptions::keep_going quarantines them.
 SweepResult run_sweep(const std::vector<Scenario>& scenarios,
                       const SweepOptions& options = {});
 

@@ -54,6 +54,8 @@ struct PlatformModel {
 
   /// Throws pals::Error if any parameter is out of range.
   void validate() const;
+
+  bool operator==(const PlatformModel&) const = default;
 };
 
 /// Closed-form collective duration once all ranks have entered.

@@ -228,13 +228,16 @@ GearSet gear_set_by_name(const std::string& name) {
   if (name == "limited" || name == "continuous-limited")
     return paper_limited_continuous();
   if (name == "avg-discrete") return paper_avg_discrete();
+  if (starts_with(name, "limited-oc"))
+    return paper_limited_continuous().with_fmax_scaled(
+        (100.0 + static_cast<double>(parse_int(name.substr(10)))) / 100.0);
   if (starts_with(name, "uniform-"))
     return paper_uniform(static_cast<int>(parse_int(name.substr(8))));
   if (starts_with(name, "exponential-"))
     return paper_exponential(static_cast<int>(parse_int(name.substr(12))));
   throw Error("unknown gear set '" + name +
-              "' (try unlimited, limited, uniform-N, exponential-N, "
-              "avg-discrete)");
+              "' (try unlimited, limited, limited-ocP, uniform-N, "
+              "exponential-N, avg-discrete)");
 }
 
 }  // namespace pals

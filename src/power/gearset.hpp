@@ -117,7 +117,8 @@ GearSet paper_exponential(int n_gears);
 GearSet paper_avg_discrete();
 
 /// Look up a gear set by the CLI/grid-file name: unlimited, limited,
-/// uniform-N, exponential-N, avg-discrete (continuous-unlimited and
+/// limited-ocP (the limited set with fmax over-clocked by P %), uniform-N,
+/// exponential-N, avg-discrete (continuous-unlimited and
 /// continuous-limited are accepted as aliases of the first two). Throws
 /// pals::Error listing the options for unknown names.
 GearSet gear_set_by_name(const std::string& name);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "obs/metrics.hpp"
+
 namespace pals {
 namespace {
 
@@ -42,6 +46,15 @@ TEST(Figures, SweepRowCounts) {
   EXPECT_EQ(figure8_rows(cache()).size(), 12u * 2u);
   EXPECT_EQ(figure9_rows(cache()).size(), 12u);
   EXPECT_EQ(figure10_rows(cache()).size(), 12u * 2u);
+}
+
+TEST(Figures, Figure6ReplaysEachBaselineOnce) {
+  // The static-power fraction changes only the energy, so the 120 cells
+  // share their instance's baseline: 12 baselines + 120 scaled replays.
+  const obs::Counter& runs = obs::default_registry().counter("replay.runs");
+  const std::uint64_t before = runs.value();
+  EXPECT_EQ(figure6_rows(cache(), 2).size(), 12u * 10u);
+  EXPECT_EQ(runs.value() - before, 12u + 120u);
 }
 
 TEST(Figures, MarkdownRendering) {

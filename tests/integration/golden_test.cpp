@@ -91,6 +91,20 @@ TEST(GoldenResults, Table3MatchesPinnedResults) {
   EXPECT_TRUE(diffs.empty()) << describe_differences(diffs);
 }
 
+TEST(GoldenResults, Figure6MatchesPinnedResults) {
+  const auto expected = load_rows_csv(golden("fig6.csv"));
+  const auto actual = figure6_rows(cache());
+  const auto diffs = compare_rows(expected, actual, 0.002);
+  EXPECT_TRUE(diffs.empty()) << describe_differences(diffs);
+}
+
+TEST(GoldenResults, Figure8MatchesPinnedResults) {
+  const auto expected = load_rows_csv(golden("fig8.csv"));
+  const auto actual = figure8_rows(cache());
+  const auto diffs = compare_rows(expected, actual, 0.002);
+  EXPECT_TRUE(diffs.empty()) << describe_differences(diffs);
+}
+
 TEST(GoldenResults, Figure9MatchesPinnedResults) {
   const auto expected = load_rows_csv(golden("fig9.csv"));
   const auto actual = figure9_rows(cache());

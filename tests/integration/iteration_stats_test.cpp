@@ -109,11 +109,13 @@ TEST(ConfigFile, OverlaysOntoPipelineConfig) {
 
 TEST(ConfigFile, RejectsIntegersThatWouldWrap) {
   // Negative, past the field's type, or not whole: each used to wrap or
-  // truncate into a different machine instead of failing.
+  // truncate into a different machine instead of failing. Slot counts
+  // past 4096 would size per-run allocations past the machine.
   const std::string path = (scratch_dir() / "pals_wrap.cfg").string();
   for (const char* line :
        {"eager_threshold = -4", "eager_threshold = 1e30",
-        "buses = 4294967297", "links_per_node = 2.5"}) {
+        "buses = 4294967297", "links_per_node = 2.5", "buses = 4097",
+        "links_per_node = 4097"}) {
     {
       std::ofstream out(path);
       out << line << "\n";

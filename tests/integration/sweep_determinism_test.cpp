@@ -243,5 +243,62 @@ TEST(SweepErrors, EmptyScenarioListRejected) {
   EXPECT_THROW(run_sweep(std::vector<Scenario>{}), Error);
 }
 
+TEST(SweepErrors, PlatformSettingRejected) {
+  // One baseline per workload: a cell that changes the platform would
+  // be scaled against the wrong baseline.
+  Scenario scenario{"cg:8:0.9:2", "uniform-4"};
+  scenario.settings = {{"latency", 5e-6}};
+  try {
+    run_sweep(std::vector<Scenario>{scenario});
+    FAIL() << "expected the platform setting to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cg:8:0.9:2"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("platform"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SweepSettings, PowerSettingMatchesBaseConfiguration) {
+  // A per-cell setting gives the row a sweep with that value in its base
+  // configuration gives.
+  Scenario scenario{"cg:8:0.9:2", "uniform-4"};
+  scenario.settings = {{"static_fraction", 0.6}};
+  SweepOptions overlaid;
+  apply_setting(overlaid.base, "static_fraction", 0.6);
+  const std::vector<Scenario> plain = {Scenario{"cg:8:0.9:2", "uniform-4"}};
+  const std::string expected = rows_to_csv(run_sweep(plain, overlaid).rows);
+  EXPECT_EQ(rows_to_csv(run_sweep(std::vector<Scenario>{scenario}).rows),
+            expected);
+  EXPECT_NE(rows_to_csv(run_sweep(plain).rows), expected);
+}
+
+TEST(SweepSettings, SettingsFreeHashIsUnchanged) {
+  // Settings enter the journal hash only when present, so journals of
+  // settings-free sweeps written before settings existed still resume.
+  const std::vector<Scenario> scenarios = small_grid().expand();
+  const SweepOptions options;
+  EXPECT_EQ(sweep_config_hash(scenarios, options), "894782fcbc51252a");
+  std::vector<Scenario> with_setting = scenarios;
+  with_setting[0].settings = {{"static_fraction", 0.2}};
+  EXPECT_NE(sweep_config_hash(with_setting, options),
+            sweep_config_hash(scenarios, options));
+}
+
+TEST(ResolveWorkload, RegistryKeyCarriesIterationCount) {
+  const WorkloadRef three = resolve_workload("CG-32", 3);
+  const WorkloadRef ten = resolve_workload("CG-32", 10);
+  EXPECT_EQ(three.key, "CG-32:3");
+  EXPECT_EQ(ten.key, "CG-32:10");
+  EXPECT_EQ(three.display, "CG-32");
+  EXPECT_EQ(ten.display, "CG-32");
+  // A registry instance and its resolved name share one cache entry.
+  TraceCache cache;
+  const Trace& by_instance = cache.get(*benchmark_by_name("CG-32", 2));
+  const WorkloadRef two = resolve_workload("CG-32", 2);
+  EXPECT_EQ(&cache.get(two.key, two.build), &by_instance);
+  EXPECT_NE(&cache.get(three.key, three.build), &by_instance);
+}
+
 }  // namespace
 }  // namespace pals

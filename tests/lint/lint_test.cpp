@@ -409,13 +409,15 @@ TEST(LintHooks, PipelineRejectsDeadlockBeforeReplayStarts) {
 }
 
 TEST(LintHooks, SweepRejectsPoisonedWorkloadWithItsName) {
-  // Pre-poison the shared trace cache so the registry key "CG-32" resolves
-  // to a deadlocking trace, then sweep it with the lint hook armed.
-  TraceCache cache;
-  cache.get("CG-32", [] { return cycle_trace(); });
+  // Pre-poison the shared trace cache so the registry name "CG-32"
+  // resolves to a deadlocking trace, then sweep it with the lint hook
+  // armed.
   SweepOptions options;
   options.jobs = 1;
   options.base.lint = true;
+  TraceCache cache;
+  cache.get(resolve_workload("CG-32", options.iterations).key,
+            [] { return cycle_trace(); });
   options.trace_cache = &cache;
   try {
     Scenario scenario;

@@ -152,6 +152,17 @@ TEST(GearSet, WithFmaxScaledExtendsContinuousSet) {
   EXPECT_NEAR(set.snap_up(2.4), 2.4, 1e-12);
 }
 
+TEST(GearSet, LimitedOverclockNameScalesFmaxByPercent) {
+  // Fig. 8's sets by name: the factor (100 + P) / 100 is the exact double
+  // of the literal 1.1 / 1.2.
+  EXPECT_EQ(gear_set_by_name("limited-oc10").fmax(),
+            paper_limited_continuous().with_fmax_scaled(1.1).fmax());
+  EXPECT_EQ(gear_set_by_name("limited-oc20").fmax(),
+            paper_limited_continuous().with_fmax_scaled(1.2).fmax());
+  EXPECT_THROW(gear_set_by_name("limited-oc-5"), Error);
+  EXPECT_THROW(gear_set_by_name("limited-ocx"), Error);
+}
+
 TEST(GearSet, WithFmaxScaledRejectsDiscrete) {
   EXPECT_THROW(paper_uniform(6).with_fmax_scaled(1.1), Error);
 }

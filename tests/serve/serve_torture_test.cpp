@@ -491,11 +491,12 @@ TEST(QueryEngineErrors, RejectedPlatformOverrideAnswersBadRequest) {
   WarmCache cache(0);
   QueryEngine engine(QueryEngineOptions{}, cache);
   // Negative, past the field's type (2^32 + 1 used to wrap to 1, 1e30
-  // to 0), or not whole.
+  // to 0), not whole, or past the machine-sized slot bound of 4096.
   const std::vector<std::pair<std::string, double>> rejected = {
       {"eager_threshold", -4.0}, {"eager_threshold", 1e30},
       {"buses", 4294967297.0},   {"buses", 1e30},
-      {"links_per_node", 2.5}};
+      {"links_per_node", 2.5},   {"buses", 4097.0},
+      {"links_per_node", 4097.0}};
   for (const auto& [key, value] : rejected) {
     Request request;
     request.workload = "cg:8:0.9:2";
@@ -507,6 +508,42 @@ TEST(QueryEngineErrors, RejectedPlatformOverrideAnswersBadRequest) {
     } catch (const ProtocolError& e) {
       EXPECT_EQ(e.code, ErrorCode::kBadRequest) << key << "=" << value;
     }
+  }
+}
+
+TEST(QueryEngine, RegistryWorkloadAnswersFollowTheIterationCount) {
+  // The warm cache keys a registry name with its iteration count: a
+  // query for 2 iterations and a default-count query each get the row a
+  // fresh engine gives them, in either order.
+  QueryEngineOptions options;
+  options.default_iterations = 3;
+  Request explicit_count;
+  explicit_count.workload = "CG-32";
+  explicit_count.iterations = 2;
+  Request default_count;
+  default_count.workload = "CG-32";
+  const auto answer = [](QueryEngine& engine, const Request& request) {
+    return rows_to_csv({engine.execute(request, 0.0)});
+  };
+  const auto fresh = [&](const Request& request) {
+    WarmCache cache(0);
+    QueryEngine engine(options, cache);
+    return answer(engine, request);
+  };
+  const std::string two = fresh(explicit_count);
+  const std::string three = fresh(default_count);
+  ASSERT_NE(two, three);
+  {
+    WarmCache cache(0);
+    QueryEngine engine(options, cache);
+    EXPECT_EQ(answer(engine, explicit_count), two);
+    EXPECT_EQ(answer(engine, default_count), three);
+  }
+  {
+    WarmCache cache(0);
+    QueryEngine engine(options, cache);
+    EXPECT_EQ(answer(engine, default_count), three);
+    EXPECT_EQ(answer(engine, explicit_count), two);
   }
 }
 

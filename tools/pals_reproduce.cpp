@@ -49,19 +49,19 @@ int run(int argc, char** argv) {
   } sections[] = {
       {"Table 3: application characteristics",
        table3_rows(cache, iterations)},
-      {"Figure 2: energy/EDP vs gear-set size (MAX)", figure2_rows(cache)},
-      {"Figure 3: energy vs load balance (MAX)", figure3_rows(cache)},
-      {"Figure 4: exponential gear sets (MAX)", figure4_rows(cache)},
-      {"Figure 5: beta sweep (uniform-6, MAX)", figure5_rows(cache)},
+      {"Figure 2: energy/EDP vs gear-set size (MAX)", figure2_rows(cache, iterations)},
+      {"Figure 3: energy vs load balance (MAX)", figure3_rows(cache, iterations)},
+      {"Figure 4: exponential gear sets (MAX)", figure4_rows(cache, iterations)},
+      {"Figure 5: beta sweep (uniform-6, MAX)", figure5_rows(cache, iterations)},
       {"Figure 6: static-power sweep (uniform-6, MAX)",
-       figure6_rows(cache)},
+       figure6_rows(cache, iterations)},
       {"Figure 7: activity-factor sweep (uniform-6, MAX)",
-       figure7_rows(cache)},
+       figure7_rows(cache, iterations)},
       {"Figure 8: AVG with continuous set (+10/20% OC)",
-       figure8_rows(cache)},
+       figure8_rows(cache, iterations)},
       {"Figure 9: AVG with discrete set (+2.6 GHz gear)",
-       figure9_rows(cache)},
-      {"Figure 10: MAX vs AVG", figure10_rows(cache)},
+       figure9_rows(cache, iterations)},
+      {"Figure 10: MAX vs AVG", figure10_rows(cache, iterations)},
   };
   for (const auto& section : sections) {
     out << "### " << section.title << "\n\n"

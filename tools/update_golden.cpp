@@ -38,6 +38,10 @@ int run(int argc, char** argv) {
   TraceCache cache;
   save_rows_csv(table3_rows(cache), dir + "/table3.csv");
   std::cout << "wrote " << dir << "/table3.csv\n";
+  save_rows_csv(figure6_rows(cache), dir + "/fig6.csv");
+  std::cout << "wrote " << dir << "/fig6.csv\n";
+  save_rows_csv(figure8_rows(cache), dir + "/fig8.csv");
+  std::cout << "wrote " << dir << "/fig8.csv\n";
   save_rows_csv(figure9_rows(cache), dir + "/fig9.csv");
   std::cout << "wrote " << dir << "/fig9.csv\n";
   save_rows_csv(figure10_rows(cache), dir + "/fig10.csv");
