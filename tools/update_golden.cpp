@@ -15,6 +15,7 @@
 #include "analysis/controller_study.hpp"
 #include "analysis/figures.hpp"
 #include "analysis/golden.hpp"
+#include "analysis/replay_pins.hpp"
 #include "obs/chrome_trace.hpp"
 #include "replay/replay.hpp"
 #include "trace/io.hpp"
@@ -70,6 +71,11 @@ int run(int argc, char** argv) {
   // with their normalized energy/time (compared at 1e-12 relative).
   atomic_write_file(dir + "/schedule_pins.csv", schedule_pins_csv(drift));
   std::cout << "wrote " << dir << "/schedule_pins.csv\n";
+
+  // Makespan, per-rank state totals, match order and DES counters of
+  // seeded random traces (compared byte for byte).
+  atomic_write_file(dir + "/replay_pins.csv", replay_pins_csv());
+  std::cout << "wrote " << dir << "/replay_pins.csv\n";
   return 0;
 }
 
