@@ -120,6 +120,15 @@ cmake --build "${ASAN_DIR}" -j "${JOBS}" --target test_sweep
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" \
       -R 'SweepDeterminism|SweepGridFile|SweepErrors'
 
+echo "== tier 1: DES engine + replay core under ASan/UBSan =="
+# The replay's hot loop indexes the event heap and the dense channel and
+# request-slot vectors of its compile pass, where an off-by-one reads out
+# of bounds silently in a plain build. The engine, stress, replay-property
+# and golden-pin suites (golden/replay_pins.csv) run sanitized.
+cmake --build "${ASAN_DIR}" -j "${JOBS}" --target test_sim
+ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" \
+      -R 'SimEngine|EngineStress|ReplayStress|Replay'
+
 echo "== tier 1: fault injection + corrupt-trace corpus under ASan/UBSan =="
 # The fault suite (plan grammar, retry/quarantine, injected-sweep
 # determinism) and the corrupted-fixture torture corpus both probe

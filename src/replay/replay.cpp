@@ -1,33 +1,23 @@
 #include "replay/replay.hpp"
 
-#include <deque>
-#include <map>
-#include <optional>
+#include <algorithm>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "lint/lint.hpp"
 #include "obs/metrics.hpp"
 #include "simcore/engine.hpp"
+#include "trace/open_requests.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace pals {
 namespace {
 
-/// Identifies a point-to-point matching queue. MPI ordering (non-overtaking
-/// per sender/receiver/tag triple) is preserved by FIFO deques per key.
-struct ChannelKey {
-  Rank src;
-  Rank dst;
-  std::int32_t tag;
-
-  bool operator<(const ChannelKey& o) const {
-    if (src != o.src) return src < o.src;
-    if (dst != o.dst) return dst < o.dst;
-    return tag < o.tag;
-  }
+/// Dense ids the compile pass gives a p2p event: its (src, dst, tag)
+/// matching channel and its request slot (rank-local, see OpenRequests;
+/// -1 when blocking). Wait events carry only the slot.
+struct OpRef {
+  std::int32_t channel = -1;
+  std::int32_t slot = -1;
 };
 
 struct PendingSend {
@@ -35,7 +25,7 @@ struct PendingSend {
   Bytes bytes = 0;
   bool eager = false;
   bool blocking = false;
-  RequestId request = -1;   ///< valid when !blocking
+  std::int32_t slot = -1;   ///< valid when !blocking
   Seconds arrival = 0.0;    ///< valid when eager (computed at post time)
   Seconds jitter = 0.0;     ///< injected latency (sender-side, fault plan)
 };
@@ -43,7 +33,133 @@ struct PendingSend {
 struct PendingRecv {
   Seconds post_time = 0.0;
   bool blocking = false;
-  RequestId request = -1;   ///< valid when !blocking
+  std::int32_t slot = -1;   ///< valid when !blocking
+};
+
+/// One FIFO of pending T per matching channel. MPI ordering (non-
+/// overtaking per sender/receiver/tag triple) is preserved by popping at
+/// the head. All queues link through one pooled node vector with a free
+/// list, so memory follows the pending high-water mark, not the message
+/// count, and a channel costs two ints.
+template <typename T>
+class ChannelQueues {
+public:
+  explicit ChannelQueues(std::size_t channels = 0) : ends_(channels) {}
+
+  bool empty(std::int32_t channel) const { return end(channel).head < 0; }
+  const T& front(std::int32_t channel) const {
+    return nodes_[static_cast<std::size_t>(end(channel).head)].value;
+  }
+  void pop(std::int32_t channel) {
+    Ends& q = end(channel);
+    Node& node = nodes_[static_cast<std::size_t>(q.head)];
+    const std::int32_t freed = q.head;
+    q.head = node.next;
+    if (q.head < 0) q.tail = -1;
+    node.next = free_;
+    free_ = freed;
+  }
+  void push(std::int32_t channel, const T& value) {
+    std::int32_t index = free_;
+    if (index >= 0) {
+      free_ = nodes_[static_cast<std::size_t>(index)].next;
+      nodes_[static_cast<std::size_t>(index)] = Node{value, -1};
+    } else {
+      index = static_cast<std::int32_t>(nodes_.size());
+      nodes_.push_back(Node{value, -1});
+    }
+    Ends& q = end(channel);
+    if (q.tail >= 0)
+      nodes_[static_cast<std::size_t>(q.tail)].next = index;
+    else
+      q.head = index;
+    q.tail = index;
+  }
+
+private:
+  struct Node {
+    T value;
+    std::int32_t next;
+  };
+  struct Ends {
+    std::int32_t head = -1;
+    std::int32_t tail = -1;
+  };
+  Ends& end(std::int32_t channel) {
+    return ends_[static_cast<std::size_t>(channel)];
+  }
+  const Ends& end(std::int32_t channel) const {
+    return ends_[static_cast<std::size_t>(channel)];
+  }
+
+  std::vector<Node> nodes_;
+  std::vector<Ends> ends_;
+  std::int32_t free_ = -1;
+};
+
+/// Dense ids for (src, dst, tag) matching channels, handed out 0, 1, 2, ...
+/// in first-seen order from one open-addressing table (linear probing,
+/// load <= 1/2). Only the compile pass looks channels up; the replay loop
+/// indexes by the ids.
+class ChannelIds {
+public:
+  /// The id of channel (src, dst, tag); a new channel gets size().
+  std::int32_t id(Rank src, Rank dst, std::int32_t tag) {
+    if (2 * (static_cast<std::size_t>(size_) + 1) > entries_.size()) grow();
+    const std::size_t mask = entries_.size() - 1;
+    for (std::size_t i = home(src, dst, tag) & mask;; i = (i + 1) & mask) {
+      Entry& e = entries_[i];
+      if (e.id < 0) {
+        e = Entry{src, dst, tag, size_};
+        return size_++;
+      }
+      if (e.src == src && e.dst == dst && e.tag == tag) return e.id;
+    }
+  }
+
+  /// Number of distinct channels seen.
+  std::int32_t size() const { return size_; }
+
+private:
+  struct Entry {
+    Rank src = 0;
+    Rank dst = 0;
+    std::int32_t tag = 0;
+    std::int32_t id = -1;  ///< -1: empty
+  };
+
+  static std::size_t home(Rank src, Rank dst, std::int32_t tag) {
+    constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+    std::uint64_t h = static_cast<std::uint32_t>(src);
+    h = (h * kMul) ^ static_cast<std::uint32_t>(dst);
+    h = (h * kMul) ^ static_cast<std::uint32_t>(tag);
+    h *= kMul;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+
+  void grow() {
+    std::vector<Entry> old(entries_.empty() ? 64 : 2 * entries_.size());
+    old.swap(entries_);
+    const std::size_t mask = entries_.size() - 1;
+    for (const Entry& e : old) {
+      if (e.id < 0) continue;
+      std::size_t i = home(e.src, e.dst, e.tag) & mask;
+      while (entries_[i].id >= 0) i = (i + 1) & mask;
+      entries_[i] = e;
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::int32_t size_ = 0;
+};
+
+/// Lifecycle of a rank's request slot. A slot holds one request from its
+/// post to the Wait/Waitall that consumes it, then the compile pass may
+/// hand it to a later post.
+enum class SlotState : std::uint8_t {
+  kFree,  ///< not posted, or waited on
+  kOpen,  ///< posted, completion unknown
+  kDone,  ///< completed, not yet waited on
 };
 
 /// Why a rank is currently not runnable.
@@ -75,13 +191,12 @@ public:
       out_links_.emplace_back(config.platform.links_per_node);
       in_links_.emplace_back(config.platform.links_per_node);
     }
+    compile();
   }
 
   ReplayResult run() {
-    for (Rank r = 0; r < n_; ++r) {
-      engine_.schedule_at(0.0, [this, r] { advance(r); });
-    }
-    engine_.run();
+    for (Rank r = 0; r < n_; ++r) engine_.schedule_at(0.0, r);
+    engine_.run([this](Rank r) { advance(r); });
     check_completion();
 
     timeline_.pad_to_makespan();
@@ -117,10 +232,10 @@ public:
     result.timeline = std::move(timeline_);
     result.messages = std::move(messages_);
     result.collectives.reserve(collectives_.size());
-    for (const CollectiveState& state : collectives_) {
+    for (CollectiveState& state : collectives_) {
       result.collectives.push_back(CollectiveRecord{
           state.op, state.max_bytes, state.root, state.completion,
-          state.arrivals});
+          std::move(state.arrivals)});
     }
     return result;
   }
@@ -129,15 +244,22 @@ private:
   struct RankCtx {
     std::span<const Event> stream;
     std::size_t cursor = 0;
+    std::size_t next_op = 0;  ///< index into ops_ of the next p2p/Wait event
     Seconds now = 0.0;
     bool finished = false;
 
     BlockReason block_reason = BlockReason::kNone;
     Seconds block_start = 0.0;
-    RequestId waiting_request = -1;  ///< valid when blocked in kWait
+    std::int32_t waiting_slot = -1;  ///< valid when blocked in kWait
 
-    std::unordered_map<RequestId, Seconds> completion;  ///< completed reqs
-    std::unordered_set<RequestId> open;  ///< posted, completion unknown
+    /// Request slots: the trace id of the request in each, its state and
+    /// completion time.
+    std::vector<RequestId> slot_ids;
+    std::vector<SlotState> slot_state;
+    std::vector<Seconds> slot_time;            ///< valid when kDone
+    std::vector<std::int32_t> done;            ///< the kDone slots
+    std::vector<std::int32_t> done_position;   ///< slot -> index in done
+    std::size_t open_count = 0;                ///< slots in kOpen
     Seconds waitall_latest = 0.0;        ///< max completion while in WaitAll
     std::size_t collective_index = 0;
     std::int32_t current_iteration = -1;
@@ -146,6 +268,67 @@ private:
 
   RankCtx& ctx(Rank r) { return ranks_[static_cast<std::size_t>(r)]; }
 
+  /// One pass over the streams: every (src, dst, tag) gets a dense channel
+  /// id and every open request a rank-local slot, and each p2p and Wait
+  /// event gets its OpRef in stream order, so the replay loop matches and
+  /// completes through plain vector indexing. replay() validated the
+  /// trace, so every Isend/Irecv opens a slot and every Wait closes one.
+  void compile() {
+    std::size_t refs = 0;
+    std::size_t sends = 0;
+    for (const RankCtx& c : ranks_)
+      for (const Event& e : c.stream) {
+        if (takes_op(e)) ++refs;
+        if (std::holds_alternative<SendEvent>(e) ||
+            std::holds_alternative<IsendEvent>(e))
+          ++sends;
+      }
+    ops_.reserve(refs);
+    messages_.reserve(sends);  // one record per matched send
+    ChannelIds channels;
+    for (Rank r = 0; r < n_; ++r) {
+      RankCtx& c = ctx(r);
+      c.next_op = ops_.size();
+      OpenRequests requests;
+      for (const Event& e : c.stream) {
+        if (const auto* s = std::get_if<SendEvent>(&e)) {
+          ops_.push_back(OpRef{channels.id(r, s->peer, s->tag), -1});
+        } else if (const auto* v = std::get_if<RecvEvent>(&e)) {
+          ops_.push_back(OpRef{channels.id(v->peer, r, v->tag), -1});
+        } else if (const auto* is = std::get_if<IsendEvent>(&e)) {
+          ops_.push_back(OpRef{channels.id(r, is->peer, is->tag),
+                               requests.open(is->request)});
+        } else if (const auto* ir = std::get_if<IrecvEvent>(&e)) {
+          ops_.push_back(OpRef{channels.id(ir->peer, r, ir->tag),
+                               requests.open(ir->request)});
+        } else if (const auto* w = std::get_if<WaitEvent>(&e)) {
+          ops_.push_back(OpRef{-1, requests.close(w->request)});
+        } else if (std::holds_alternative<WaitAllEvent>(e)) {
+          requests.close_all();
+        }
+      }
+      const auto slots = static_cast<std::size_t>(requests.slots());
+      c.slot_ids.assign(slots, 0);
+      c.slot_state.assign(slots, SlotState::kFree);
+      c.slot_time.assign(slots, 0.0);
+      c.done_position.assign(slots, -1);
+    }
+    sends_ = ChannelQueues<PendingSend>(
+        static_cast<std::size_t>(channels.size()));
+    recvs_ = ChannelQueues<PendingRecv>(
+        static_cast<std::size_t>(channels.size()));
+  }
+
+  static bool takes_op(const Event& e) {
+    return std::holds_alternative<SendEvent>(e) ||
+           std::holds_alternative<RecvEvent>(e) ||
+           std::holds_alternative<IsendEvent>(e) ||
+           std::holds_alternative<IrecvEvent>(e) ||
+           std::holds_alternative<WaitEvent>(e);
+  }
+
+  const OpRef& next_op(RankCtx& c) { return ops_[c.next_op++]; }
+
   /// Advance rank `r` until it blocks, finishes, or crosses simulated time.
   void advance(Rank r) {
     RankCtx& c = ctx(r);
@@ -153,7 +336,7 @@ private:
       // Keep global event ordering: never process an event that lies in the
       // future relative to the DES clock.
       if (c.now > engine_.now()) {
-        engine_.schedule_at(c.now, [this, r] { advance(r); });
+        engine_.schedule_at(c.now, r);
         return;
       }
       const Event& e = c.stream[c.cursor];
@@ -196,47 +379,56 @@ private:
   }
 
   bool handle(Rank r, const SendEvent& e) {
-    return post_send(r, e.peer, e.tag, e.bytes, /*blocking=*/true, -1);
+    return post_send(r, next_op(ctx(r)), e.peer, e.tag, e.bytes,
+                     /*blocking=*/true);
   }
 
   bool handle(Rank r, const IsendEvent& e) {
-    return post_send(r, e.peer, e.tag, e.bytes, /*blocking=*/false, e.request);
+    RankCtx& c = ctx(r);
+    const OpRef& op = next_op(c);
+    c.slot_ids[static_cast<std::size_t>(op.slot)] = e.request;
+    return post_send(r, op, e.peer, e.tag, e.bytes, /*blocking=*/false);
   }
 
   bool handle(Rank r, const RecvEvent& e) {
-    return post_recv(r, e.peer, e.tag, e.bytes, /*blocking=*/true, -1);
+    return post_recv(r, next_op(ctx(r)), e.peer, e.tag, /*blocking=*/true);
   }
 
   bool handle(Rank r, const IrecvEvent& e) {
-    return post_recv(r, e.peer, e.tag, e.bytes, /*blocking=*/false, e.request);
+    RankCtx& c = ctx(r);
+    const OpRef& op = next_op(c);
+    c.slot_ids[static_cast<std::size_t>(op.slot)] = e.request;
+    return post_recv(r, op, e.peer, e.tag, /*blocking=*/false);
   }
 
   bool handle(Rank r, const WaitEvent& e) {
     RankCtx& c = ctx(r);
-    if (const auto it = c.completion.find(e.request);
-        it != c.completion.end()) {
-      const Seconds t = std::max(c.now, it->second);
+    const std::int32_t slot = next_op(c).slot;
+    PALS_CHECK_MSG(slot >= 0,
+                   "rank " << r << ": wait on unknown request " << e.request);
+    if (c.slot_state[static_cast<std::size_t>(slot)] == SlotState::kDone) {
+      const Seconds t =
+          std::max(c.now, c.slot_time[static_cast<std::size_t>(slot)]);
       record(r, c.now, t, RankState::kWait, -1);
       c.now = t;
-      c.completion.erase(it);
+      release(c, slot);
       return true;
     }
-    PALS_CHECK_MSG(c.open.count(e.request),
-                   "rank " << r << ": wait on unknown request " << e.request);
     c.block_reason = BlockReason::kWait;
     c.block_start = c.now;
-    c.waiting_request = e.request;
+    c.waiting_slot = slot;
     return false;
   }
 
   bool handle(Rank r, const WaitAllEvent&) {
     RankCtx& c = ctx(r);
     Seconds latest = c.now;
-    for (const auto& [req, t] : c.completion) latest = std::max(latest, t);
-    if (c.open.empty()) {
+    for (const std::int32_t slot : c.done)
+      latest = std::max(latest, c.slot_time[static_cast<std::size_t>(slot)]);
+    if (c.open_count == 0) {
       record(r, c.now, latest, RankState::kWait, -1);
       c.now = latest;
-      c.completion.clear();
+      release_all(c);
       return true;
     }
     c.block_reason = BlockReason::kWaitAll;
@@ -253,6 +445,7 @@ private:
     if (state.arrivals.empty()) {
       state.op = e.op;
       state.root = e.root;
+      state.arrivals.reserve(static_cast<std::size_t>(n_));
     }
     state.max_bytes = std::max(state.max_bytes, e.bytes);
     state.arrivals.emplace_back(r, c.now);
@@ -274,15 +467,14 @@ private:
     return false;  // even the last arriver resumes through resume()
   }
 
-  bool post_send(Rank r, Rank peer, std::int32_t tag, Bytes bytes,
-                 bool blocking, RequestId request) {
+  bool post_send(Rank r, const OpRef& op, Rank peer, std::int32_t tag,
+                 Bytes bytes, bool blocking) {
     RankCtx& c = ctx(r);
     const bool eager = bytes <= config_.platform.eager_threshold;
     const Seconds latency = config_.platform.latency;
     // Jitter is drawn at post time from the sender's message index so that
     // both rendezvous halves (which match at different times) agree on it.
     const Seconds jitter = send_jitter(r, c.p2p_posted++);
-    const ChannelKey key{r, peer, tag};
     ++p2p_messages_;
     p2p_bytes_ += bytes;
     if (eager)
@@ -290,36 +482,34 @@ private:
     else
       ++rendezvous_messages_;
 
-    auto& recvs = pending_recvs_[key];
     if (eager) {
       // Payload leaves regardless of the receiver.
       const Seconds transfer = perturbed_transfer(r, peer, c.now, bytes);
       const Seconds start = reserve_transfer(r, peer, c.now, transfer);
       const Seconds arrival = start + latency + jitter + transfer;
       messages_.push_back(MessageRecord{r, peer, tag, bytes, c.now, arrival});
-      if (!recvs.empty()) {
-        const PendingRecv rv = recvs.front();
-        recvs.pop_front();
+      if (!recvs_.empty(op.channel)) {
+        const PendingRecv rv = recvs_.front(op.channel);
+        recvs_.pop(op.channel);
         complete_recv(peer, rv, arrival);
       } else {
-        pending_sends_[key].push_back(
-            PendingSend{c.now, bytes, true, blocking, request, arrival,
-                        jitter});
+        sends_.push(op.channel, PendingSend{c.now, bytes, true, blocking,
+                                            op.slot, arrival, jitter});
       }
       const Seconds sender_done = c.now + latency;
       if (blocking) {
         record(r, c.now, sender_done, RankState::kSend, -1);
         c.now = sender_done;
       } else {
-        complete_request_local(r, request, sender_done);
+        complete(r, op.slot, sender_done);
       }
       return true;
     }
 
     // Rendezvous.
-    if (!recvs.empty()) {
-      const PendingRecv rv = recvs.front();
-      recvs.pop_front();
+    if (!recvs_.empty(op.channel)) {
+      const PendingRecv rv = recvs_.front(op.channel);
+      recvs_.pop(op.channel);
       const Seconds both_posted = std::max(c.now, rv.post_time);
       const Seconds transfer = perturbed_transfer(r, peer, both_posted, bytes);
       const Seconds start =
@@ -332,31 +522,30 @@ private:
         c.now = end;
         return true;
       }
-      complete_request_local(r, request, end);
+      complete(r, op.slot, end);
       return true;
     }
 
-    pending_sends_[key].push_back(
-        PendingSend{c.now, bytes, false, blocking, request, 0.0, jitter});
+    sends_.push(op.channel, PendingSend{c.now, bytes, false, blocking,
+                                        op.slot, 0.0, jitter});
     if (blocking) {
       c.block_reason = BlockReason::kSend;
       c.block_start = c.now;
       return false;
     }
-    PALS_CHECK(c.open.insert(request).second);
+    open(c, op.slot);
     return true;
   }
 
-  bool post_recv(Rank r, Rank peer, std::int32_t tag, Bytes bytes,
-                 bool blocking, RequestId request) {
+  bool post_recv(Rank r, const OpRef& op, Rank peer, std::int32_t tag,
+                 bool blocking) {
     RankCtx& c = ctx(r);
-    const ChannelKey key{peer, r, tag};
     const Seconds latency = config_.platform.latency;
 
-    auto& sends = pending_sends_[key];
-    if (!sends.empty()) {
-      const PendingSend sd = sends.front();
-      sends.pop_front();
+    if (!sends_.empty(op.channel)) {
+      // The payload size is taken from the sender record.
+      const PendingSend sd = sends_.front(op.channel);
+      sends_.pop(op.channel);
       Seconds data_ready = 0.0;
       if (sd.eager) {
         data_ready = sd.arrival;
@@ -373,27 +562,26 @@ private:
         if (sd.blocking) {
           resume(peer, data_ready);
         } else {
-          complete_request_remote(peer, sd.request, data_ready);
+          complete_remote(peer, sd.slot, data_ready);
         }
       }
-      (void)bytes;  // payload size is taken from the sender record
       const Seconds done = std::max(c.now, data_ready);
       if (blocking) {
         record(r, c.now, done, RankState::kRecv, -1);
         c.now = done;
         return true;
       }
-      complete_request_local(r, request, done);
+      complete(r, op.slot, done);
       return true;
     }
 
-    pending_recvs_[key].push_back(PendingRecv{c.now, blocking, request});
+    recvs_.push(op.channel, PendingRecv{c.now, blocking, op.slot});
     if (blocking) {
       c.block_reason = BlockReason::kRecv;
       c.block_start = c.now;
       return false;
     }
-    PALS_CHECK(c.open.insert(request).second);
+    open(c, op.slot);
     return true;
   }
 
@@ -434,40 +622,72 @@ private:
     if (rv.blocking) {
       resume(r, std::max(rv.post_time, data_ready));
     } else {
-      complete_request_remote(r, rv.request, data_ready);
+      complete_remote(r, rv.slot, data_ready);
     }
   }
 
+  /// A posted request whose completion is not known yet.
+  static void open(RankCtx& c, std::int32_t slot) {
+    SlotState& state = c.slot_state[static_cast<std::size_t>(slot)];
+    PALS_CHECK(state == SlotState::kFree);
+    state = SlotState::kOpen;
+    ++c.open_count;
+  }
+
   /// Record a request completion for the rank currently executing (its
-  /// event is being handled, so direct map insertion is safe).
-  void complete_request_local(Rank r, RequestId request, Seconds t) {
+  /// event is being handled, so no wake-up is due).
+  void complete(Rank r, std::int32_t slot, Seconds t) {
     RankCtx& c = ctx(r);
-    c.open.erase(request);
-    PALS_CHECK_MSG(c.completion.emplace(request, t).second,
-                   "rank " << r << ": request " << request
+    const auto s = static_cast<std::size_t>(slot);
+    PALS_CHECK_MSG(c.slot_state[s] != SlotState::kDone,
+                   "rank " << r << ": request " << c.slot_ids[s]
                            << " completed twice");
+    if (c.slot_state[s] == SlotState::kOpen) --c.open_count;
+    c.slot_state[s] = SlotState::kDone;
+    c.slot_time[s] = t;
+    c.done_position[s] = static_cast<std::int32_t>(c.done.size());
+    c.done.push_back(slot);
   }
 
   /// Complete a request of a *different* rank, possibly waking it from
   /// Wait/Waitall.
-  void complete_request_remote(Rank r, RequestId request, Seconds t) {
+  void complete_remote(Rank r, std::int32_t slot, Seconds t) {
+    complete(r, slot, t);
     RankCtx& c = ctx(r);
-    c.open.erase(request);
-    PALS_CHECK_MSG(c.completion.emplace(request, t).second,
-                   "rank " << r << ": request " << request
-                           << " completed twice");
-    if (c.block_reason == BlockReason::kWait && c.waiting_request == request) {
+    if (c.block_reason == BlockReason::kWait && c.waiting_slot == slot) {
       const Seconds resume_at = std::max(c.block_start, t);
-      c.completion.erase(request);
-      c.waiting_request = -1;
+      release(c, slot);
+      c.waiting_slot = -1;
       resume(r, resume_at);
     } else if (c.block_reason == BlockReason::kWaitAll) {
       c.waitall_latest = std::max(c.waitall_latest, t);
-      if (c.open.empty()) {
-        c.completion.clear();
+      if (c.open_count == 0) {
+        release_all(c);
         resume(r, std::max(c.block_start, c.waitall_latest));
       }
     }
+  }
+
+  /// Free a completed slot that a Wait consumed.
+  static void release(RankCtx& c, std::int32_t slot) {
+    const auto s = static_cast<std::size_t>(slot);
+    const auto position = static_cast<std::size_t>(c.done_position[s]);
+    const std::int32_t moved = c.done.back();
+    c.done[position] = moved;
+    c.done_position[static_cast<std::size_t>(moved)] =
+        static_cast<std::int32_t>(position);
+    c.done.pop_back();
+    c.done_position[s] = -1;
+    c.slot_state[s] = SlotState::kFree;
+  }
+
+  /// Free every completed slot (a Waitall consumed them).
+  static void release_all(RankCtx& c) {
+    for (const std::int32_t slot : c.done) {
+      c.slot_state[static_cast<std::size_t>(slot)] = SlotState::kFree;
+      c.done_position[static_cast<std::size_t>(slot)] = -1;
+    }
+    c.done.clear();
   }
 
   /// Wake a blocked rank at time `t`: close its blocked interval, consume
@@ -491,7 +711,7 @@ private:
     c.block_reason = BlockReason::kNone;
     c.now = t;
     ++c.cursor;  // the blocking event is done
-    engine_.schedule_at(t, [this, r] { advance(r); });
+    engine_.schedule_at(t, r);
   }
 
   void record(Rank r, Seconds begin, Seconds end, RankState state,
@@ -538,8 +758,9 @@ private:
   Timeline timeline_;
   std::vector<RankCtx> ranks_;
 
-  std::map<ChannelKey, std::deque<PendingSend>> pending_sends_;
-  std::map<ChannelKey, std::deque<PendingRecv>> pending_recvs_;
+  std::vector<OpRef> ops_;  ///< every rank's p2p/Wait refs, rank by rank
+  ChannelQueues<PendingSend> sends_;
+  ChannelQueues<PendingRecv> recvs_;
   std::vector<CollectiveState> collectives_;
 
   std::size_t p2p_messages_ = 0;

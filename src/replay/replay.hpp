@@ -17,6 +17,14 @@
 //    then all leave together after a closed-form cost (network/platform.hpp).
 //  * A configurable number of shared buses serializes concurrent transfers.
 //
+// Engine: the replay validates the trace, then compiles it in one pass —
+// each (src, dst, tag) triple gets a dense channel id, each open request
+// a rank-local slot (OpenRequests, trace/open_requests.hpp), and each
+// send, recv and wait event its ids. Pending sends and receives wait in
+// per-channel FIFOs (MPI non-overtaking order), request state lives in
+// per-slot arrays, and a typed (time, seq, rank) event heap (simcore)
+// wakes one rank at a time, so the hot loop only indexes vectors.
+//
 // Deadlocks (e.g. a recv whose send never happens) are detected and
 // reported with the blocked ranks plus the wait-for cycle diagnosed by
 // the static linter (lint/lint.hpp). Running lint_trace() before replay

@@ -1,29 +1,14 @@
 #include "simcore/engine.hpp"
 
 #include <cstdio>
-#include <utility>
-
-#include "util/error.hpp"
+#include <string>
 
 namespace pals {
 
-void SimEngine::schedule_at(Seconds when, Callback fn) {
-  PALS_CHECK_MSG(when >= now_, "cannot schedule event in the past (when="
-                                   << when << ", now=" << now_ << ")");
-  queue_.push(Item{when, next_seq_++, std::move(fn)});
-  if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
-}
-
-void SimEngine::schedule_after(Seconds delay, Callback fn) {
-  PALS_CHECK_MSG(delay >= 0.0, "negative delay " << delay);
-  schedule_at(now_ + delay, std::move(fn));
-}
-
-void SimEngine::check_event_limit() const {
-  if (event_limit_ != 0 && executed_ >= event_limit_)
-    throw Error("simulated event limit exceeded (limit=" +
-                std::to_string(event_limit_) +
-                ", simulated time=" + std::to_string(now_) + "s)");
+void SimEngine::throw_event_limit() const {
+  throw Error("simulated event limit exceeded (limit=" +
+              std::to_string(event_limit_) +
+              ", simulated time=" + std::to_string(now_) + "s)");
 }
 
 void SimEngine::arm_wall_limit() {
@@ -32,7 +17,6 @@ void SimEngine::arm_wall_limit() {
 }
 
 void SimEngine::check_wall_limit() const {
-  if (wall_limit_seconds_ <= 0.0) return;
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start_)
@@ -45,37 +29,6 @@ void SimEngine::check_wall_limit() const {
     throw Error(std::string("wall-clock watchdog expired (limit=") + limit +
                 "s)");
   }
-}
-
-Seconds SimEngine::run() {
-  arm_wall_limit();
-  while (!queue_.empty()) {
-    check_event_limit();
-    check_wall_limit();
-    // The queue stores const refs through top(); move out via const_cast is
-    // avoided by copying the callback handle (cheap: std::function).
-    Item item = queue_.top();
-    queue_.pop();
-    now_ = item.when;
-    ++executed_;
-    item.fn();
-  }
-  return now_;
-}
-
-Seconds SimEngine::run_until(Seconds deadline) {
-  arm_wall_limit();
-  while (!queue_.empty() && queue_.top().when <= deadline) {
-    check_event_limit();
-    check_wall_limit();
-    Item item = queue_.top();
-    queue_.pop();
-    now_ = item.when;
-    ++executed_;
-    item.fn();
-  }
-  if (now_ < deadline && queue_.empty()) now_ = deadline;
-  return now_;
 }
 
 }  // namespace pals

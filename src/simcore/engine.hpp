@@ -1,46 +1,50 @@
 // Discrete-event simulation engine.
 //
-// A minimal, deterministic DES core: callbacks scheduled at absolute
-// simulated times, executed in (time, insertion-order) order. The replay
-// simulator drives per-rank state machines with it.
+// A minimal, deterministic DES core: a binary heap of typed (time, seq,
+// rank) items, executed in (time, insertion-order) order. An item only
+// says "wake this rank"; run(handler) pops items and calls handler(rank),
+// which is how the replay simulator drives its per-rank state machines.
+// No callback objects are stored, so scheduling an event allocates
+// nothing beyond the heap's high-water mark.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "trace/types.hpp"
+#include "util/error.hpp"
 
 namespace pals {
 
 class SimEngine {
 public:
-  using Callback = std::function<void()>;
-
-  /// Current simulated time; only meaningful inside callbacks and after run().
+  /// Current simulated time; only meaningful inside handlers and after run().
   Seconds now() const { return now_; }
 
-  /// Schedule `fn` at absolute time `when` (>= now()). Events with equal
-  /// time run in scheduling order (stable).
-  void schedule_at(Seconds when, Callback fn);
+  /// Schedule a wake-up of `rank` at absolute time `when` (>= now()).
+  /// Events with equal time run in scheduling order (stable).
+  void schedule_at(Seconds when, Rank rank) {
+    PALS_CHECK_MSG(when >= now_, "cannot schedule event in the past (when="
+                                     << when << ", now=" << now_ << ")");
+    heap_.push_back(Item{when, next_seq_++, rank});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    if (heap_.size() > max_queue_depth_) max_queue_depth_ = heap_.size();
+  }
 
-  /// Schedule `fn` `delay` seconds from now.
-  void schedule_after(Seconds delay, Callback fn);
-
-  /// Abort guard: run()/run_until() throw pals::Error ("simulated event
-  /// limit exceeded ...") once more than `limit` events have executed
-  /// (0 = unlimited, the default). Converts runaway simulations into
+  /// Abort guard: run() throws pals::Error ("simulated event limit
+  /// exceeded ...") once more than `limit` events have executed (0 =
+  /// unlimited, the default). Converts runaway simulations into
   /// structured failures the fault-tolerant sweep can classify as
   /// timeouts; the limit is on deterministic simulated work, so hitting
   /// it is reproducible across hosts and thread counts.
   void set_event_limit(std::size_t limit) { event_limit_ = limit; }
   std::size_t event_limit() const { return event_limit_; }
 
-  /// Wall-clock watchdog: run()/run_until() throw pals::Error
-  /// ("wall-clock watchdog expired ...") once more than `seconds` of host
-  /// time has elapsed since the run started (0 = disabled, the default).
+  /// Wall-clock watchdog: run() throws pals::Error ("wall-clock watchdog
+  /// expired ...") once more than `seconds` of host time has elapsed
+  /// since the run started (0 = disabled, the default).
   /// Unlike the event limit this measures *host* time, so it is
   /// inherently nondeterministic — it exists to turn a wedged or
   /// pathologically slow simulation into a structured, classifiable
@@ -50,24 +54,36 @@ public:
   void set_wall_limit(double seconds) { wall_limit_seconds_ = seconds; }
   double wall_limit() const { return wall_limit_seconds_; }
 
-  /// Run until the event queue is empty. Returns the final time.
-  Seconds run();
-
-  /// Run until the queue is empty or `deadline` is reached (events at
-  /// exactly `deadline` are executed).
-  Seconds run_until(Seconds deadline);
+  /// Run until the event queue is empty, calling `handler(rank)` for each
+  /// event in order; the handler may schedule more. Returns the final time.
+  template <typename Handler>
+  Seconds run(Handler&& handler) {
+    arm_wall_limit();
+    while (!heap_.empty()) {
+      if (event_limit_ != 0 && executed_ >= event_limit_)
+        throw_event_limit();
+      if (wall_limit_seconds_ > 0.0) check_wall_limit();
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      const Item item = heap_.back();
+      heap_.pop_back();
+      now_ = item.when;
+      ++executed_;
+      handler(item.rank);
+    }
+    return now_;
+  }
 
   std::size_t executed_events() const { return executed_; }
   /// Largest number of pending events observed (queue-depth high-water
   /// mark); deterministic — simulated scheduling has no host concurrency.
   std::size_t max_queue_depth() const { return max_queue_depth_; }
-  bool empty() const { return queue_.empty(); }
+  bool empty() const { return heap_.empty(); }
 
 private:
   struct Item {
     Seconds when;
     std::uint64_t seq;
-    Callback fn;
+    Rank rank;
   };
   struct Later {
     bool operator()(const Item& a, const Item& b) const {
@@ -76,13 +92,12 @@ private:
     }
   };
 
-  /// Throws when the event limit is active and exhausted.
-  void check_event_limit() const;
-  /// Throws when the wall-clock watchdog is armed and expired.
+  [[noreturn]] void throw_event_limit() const;
+  /// Throws when the armed wall-clock watchdog has expired.
   void check_wall_limit() const;
   void arm_wall_limit();
 
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
+  std::vector<Item> heap_;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;

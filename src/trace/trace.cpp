@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
+#include "trace/open_requests.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -77,9 +77,10 @@ std::size_t Trace::iteration_count() const {
 
 void Trace::validate() const {
   PALS_CHECK_MSG(!streams_.empty(), "empty trace");
-  // Per-rank checks: peers, request discipline.
+  // Per-rank checks: peers, request discipline. A rank that passes leaves
+  // no request open, so the next rank reuses the table.
+  OpenRequests open_requests;
   for (Rank r = 0; r < n_ranks(); ++r) {
-    std::unordered_set<RequestId> open_requests;
     std::size_t index = 0;
     for (const Event& e : events(r)) {
       const auto check_peer = [&](Rank peer) {
@@ -95,20 +96,20 @@ void Trace::validate() const {
         check_peer(v->peer);
       } else if (const auto* is = std::get_if<IsendEvent>(&e)) {
         check_peer(is->peer);
-        PALS_CHECK_MSG(open_requests.insert(is->request).second,
+        PALS_CHECK_MSG(open_requests.open(is->request) >= 0,
                        "rank " << r << " event " << index << ": request "
                                << is->request << " already open");
       } else if (const auto* ir = std::get_if<IrecvEvent>(&e)) {
         check_peer(ir->peer);
-        PALS_CHECK_MSG(open_requests.insert(ir->request).second,
+        PALS_CHECK_MSG(open_requests.open(ir->request) >= 0,
                        "rank " << r << " event " << index << ": request "
                                << ir->request << " already open");
       } else if (const auto* w = std::get_if<WaitEvent>(&e)) {
-        PALS_CHECK_MSG(open_requests.erase(w->request) == 1,
+        PALS_CHECK_MSG(open_requests.close(w->request) >= 0,
                        "rank " << r << " event " << index
                                << ": wait on unknown request " << w->request);
       } else if (std::holds_alternative<WaitAllEvent>(e)) {
-        open_requests.clear();
+        open_requests.close_all();
       } else if (const auto* c = std::get_if<ComputeEvent>(&e)) {
         PALS_CHECK_MSG(c->duration >= 0.0,
                        "rank " << r << " event " << index
@@ -120,7 +121,7 @@ void Trace::validate() const {
       }
       ++index;
     }
-    PALS_CHECK_MSG(open_requests.empty(),
+    PALS_CHECK_MSG(open_requests.size() == 0,
                    "rank " << r << ": " << open_requests.size()
                            << " request(s) never waited on");
   }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace pals {
 
@@ -17,10 +18,22 @@ public:
 };
 
 namespace detail {
+/// `file` (a __FILE__) relative to the source root, the directory that
+/// holds src/: error texts name `src/analysis/experiments.cpp:32` however
+/// and wherever the tree was built. The root is this header's own path
+/// minus "src/util/error.hpp"; other paths pass through unchanged.
+inline const char* source_relative(const char* file) {
+  constexpr std::string_view self = __FILE__;
+  constexpr std::string_view suffix = "src/util/error.hpp";
+  if (!self.ends_with(suffix)) return file;
+  const std::string_view root = self.substr(0, self.size() - suffix.size());
+  return std::string_view(file).starts_with(root) ? file + root.size() : file;
+}
+
 [[noreturn]] inline void throw_check_failure(const char* expr, const char* file,
                                              int line, const std::string& msg) {
   std::ostringstream os;
-  os << file << ':' << line << ": check failed: " << expr;
+  os << source_relative(file) << ':' << line << ": check failed: " << expr;
   if (!msg.empty()) os << " — " << msg;
   throw Error(os.str());
 }

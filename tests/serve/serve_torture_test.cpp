@@ -487,6 +487,28 @@ TEST(QueryEngineErrors, UnknownNamesAnswerNotFound) {
   expect_not_found(request);
 }
 
+// Served error texts name the failing check relative to the source root,
+// never by the absolute path of the build's checkout.
+TEST(QueryEngineErrors, UnknownWorkloadMessageHasNoAbsolutePath) {
+  WarmCache cache(0);
+  QueryEngine engine(QueryEngineOptions{}, cache);
+  Request request;
+  request.iterations = 2;
+  request.workload = "no-such-workload";
+  try {
+    engine.execute(request, 0.0);
+    FAIL() << "request was answered";
+  } catch (const ProtocolError& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.rfind("src/analysis/experiments.cpp:", 0), 0u)
+        << message;
+    EXPECT_EQ(message.find(PALS_SOURCE_DIR), std::string::npos) << message;
+    EXPECT_NE(message.find("unknown workload 'no-such-workload'"),
+              std::string::npos)
+        << message;
+  }
+}
+
 TEST(QueryEngineErrors, RejectedPlatformOverrideAnswersBadRequest) {
   WarmCache cache(0);
   QueryEngine engine(QueryEngineOptions{}, cache);

@@ -46,15 +46,16 @@ int run_tool(const std::string& binary, const std::string& args) {
 }
 
 /// 48-cell grid, heavy enough that the chaos kills always land while
-/// the victim shard still has work in flight.
+/// the victim shard still has work in flight: a shard's 16 cells must
+/// outlast several 20 ms supervisor polls after each restart.
 fs::path write_grid() {
   const fs::path path = scratch_dir() / "shepherd_torture.grid";
   std::ofstream out(path);
-  out << "workloads  = CG-32, MG-32, lu:16:0.93:3, ft:16:0.9:3\n"
+  out << "workloads  = CG-32, MG-32, lu:16:0.93:12, ft:16:0.9:12\n"
       << "gear_sets  = uniform-6, avg-discrete, continuous-unlimited\n"
       << "algorithms = max, avg\n"
       << "betas      = 0.4, 0.6\n"
-      << "iterations = 4\n";
+      << "iterations = 16\n";
   return path;
 }
 

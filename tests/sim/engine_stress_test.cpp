@@ -16,13 +16,9 @@ TEST(EngineStress, HundredThousandEventsInOrder) {
   Rng rng(77);
   std::vector<Seconds> fire_times;
   fire_times.reserve(100000);
-  for (int i = 0; i < 100000; ++i) {
-    const Seconds when = rng.uniform(0.0, 1000.0);
-    engine.schedule_at(when, [&fire_times, &engine] {
-      fire_times.push_back(engine.now());
-    });
-  }
-  engine.run();
+  for (Rank i = 0; i < 100000; ++i)
+    engine.schedule_at(rng.uniform(0.0, 1000.0), i);
+  engine.run([&](Rank) { fire_times.push_back(engine.now()); });
   ASSERT_EQ(fire_times.size(), 100000u);
   for (std::size_t i = 1; i < fire_times.size(); ++i)
     ASSERT_LE(fire_times[i - 1], fire_times[i]);
@@ -32,11 +28,10 @@ TEST(EngineStress, HundredThousandEventsInOrder) {
 TEST(EngineStress, CascadingSchedulesTerminate) {
   SimEngine engine;
   int depth = 0;
-  std::function<void()> cascade = [&] {
-    if (++depth < 10000) engine.schedule_after(0.001, cascade);
-  };
-  engine.schedule_at(0.0, cascade);
-  engine.run();
+  engine.schedule_at(0.0, 0);
+  engine.run([&](Rank) {
+    if (++depth < 10000) engine.schedule_at(engine.now() + 0.001, 0);
+  });
   EXPECT_EQ(depth, 10000);
   EXPECT_NEAR(engine.now(), 9.999, 1e-9);
 }

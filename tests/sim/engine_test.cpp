@@ -11,28 +11,27 @@ namespace {
 
 TEST(SimEngine, ExecutesInTimeOrder) {
   SimEngine engine;
-  std::vector<int> order;
-  engine.schedule_at(2.0, [&] { order.push_back(2); });
-  engine.schedule_at(1.0, [&] { order.push_back(1); });
-  engine.schedule_at(3.0, [&] { order.push_back(3); });
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  std::vector<Rank> order;
+  engine.schedule_at(2.0, 2);
+  engine.schedule_at(1.0, 1);
+  engine.schedule_at(3.0, 3);
+  engine.run([&](Rank r) { order.push_back(r); });
+  EXPECT_EQ(order, (std::vector<Rank>{1, 2, 3}));
 }
 
 TEST(SimEngine, TiesBreakInSchedulingOrder) {
   SimEngine engine;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    engine.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  std::vector<Rank> order;
+  for (Rank r = 0; r < 5; ++r) engine.schedule_at(1.0, r);
+  engine.run([&](Rank r) { order.push_back(r); });
+  EXPECT_EQ(order, (std::vector<Rank>{0, 1, 2, 3, 4}));
 }
 
 TEST(SimEngine, NowTracksCurrentEvent) {
   SimEngine engine;
   Seconds seen = -1.0;
-  engine.schedule_at(4.5, [&] { seen = engine.now(); });
-  engine.run();
+  engine.schedule_at(4.5, 0);
+  engine.run([&](Rank) { seen = engine.now(); });
   EXPECT_DOUBLE_EQ(seen, 4.5);
   EXPECT_DOUBLE_EQ(engine.now(), 4.5);
 }
@@ -40,51 +39,32 @@ TEST(SimEngine, NowTracksCurrentEvent) {
 TEST(SimEngine, CallbacksMayScheduleMore) {
   SimEngine engine;
   int fired = 0;
-  engine.schedule_at(1.0, [&] {
+  engine.schedule_at(1.0, 0);
+  const Seconds end = engine.run([&](Rank r) {
     ++fired;
-    engine.schedule_after(1.0, [&] { ++fired; });
+    if (r == 0) engine.schedule_at(engine.now() + 1.0, 1);
   });
-  const Seconds end = engine.run();
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(end, 2.0);
 }
 
 TEST(SimEngine, RejectsSchedulingInThePast) {
   SimEngine engine;
-  engine.schedule_at(5.0, [&] {
-    EXPECT_THROW(engine.schedule_at(4.0, [] {}), Error);
-  });
-  engine.run();
-}
-
-TEST(SimEngine, RejectsNegativeDelay) {
-  SimEngine engine;
-  EXPECT_THROW(engine.schedule_after(-1.0, [] {}), Error);
-}
-
-TEST(SimEngine, RunUntilStopsAtDeadline) {
-  SimEngine engine;
-  int fired = 0;
-  engine.schedule_at(1.0, [&] { ++fired; });
-  engine.schedule_at(2.0, [&] { ++fired; });
-  engine.schedule_at(3.0, [&] { ++fired; });
-  engine.run_until(2.0);
-  EXPECT_EQ(fired, 2);  // the event at exactly the deadline runs
-  EXPECT_FALSE(engine.empty());
-  engine.run();
-  EXPECT_EQ(fired, 3);
+  engine.schedule_at(5.0, 0);
+  engine.run([&](Rank) { EXPECT_THROW(engine.schedule_at(4.0, 1), Error); });
+  EXPECT_TRUE(engine.empty());
 }
 
 TEST(SimEngine, CountsExecutedEvents) {
   SimEngine engine;
-  for (int i = 0; i < 10; ++i) engine.schedule_at(i, [] {});
-  engine.run();
+  for (Rank r = 0; r < 10; ++r) engine.schedule_at(r, r);
+  engine.run([](Rank) {});
   EXPECT_EQ(engine.executed_events(), 10u);
 }
 
 TEST(SimEngine, EmptyRunReturnsZero) {
   SimEngine engine;
-  EXPECT_DOUBLE_EQ(engine.run(), 0.0);
+  EXPECT_DOUBLE_EQ(engine.run([](Rank) {}), 0.0);
   EXPECT_TRUE(engine.empty());
 }
 

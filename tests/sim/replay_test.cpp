@@ -573,5 +573,33 @@ TEST(Replay, LongDependencyChainResolves) {
   EXPECT_DOUBLE_EQ(r.makespan, 7.0);
 }
 
+// The sweep classifies these two texts as timeouts and quarantine records
+// carry them, so both stay exactly as written.
+TEST(Replay, EventLimitAndWatchdogKeepTheirErrorTexts) {
+  Trace t(2);
+  for (int i = 0; i < 4; ++i) {
+    TraceBuilder(t, 0).compute(1.0).send(1, i, 100);
+    TraceBuilder(t, 1).recv(0, i, 100).compute(1.0);
+  }
+  ReplayConfig limited = unit_config();
+  limited.max_simulated_events = 3;
+  try {
+    replay(t, limited);
+    FAIL() << "event limit never tripped";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "simulated event limit exceeded (limit=3, simulated "
+              "time=1.000000s)");
+  }
+  ReplayConfig watched = unit_config();
+  watched.max_wall_seconds = 1e-9;
+  try {
+    replay(t, watched);
+    FAIL() << "watchdog never expired";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "wall-clock watchdog expired (limit=1e-09s)");
+  }
+}
+
 }  // namespace
 }  // namespace pals
