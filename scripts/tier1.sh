@@ -229,6 +229,12 @@ done
 "${ASAN_DIR}/tools/pals_json_check" --quiet --serve configs/serve_battery.requests
 "${ASAN_DIR}/tools/pals_query" --socket="${SERVE_SOCK}" \
     --requests=configs/serve_battery.requests > "${SERVE_DIR}/battery.txt"
+# The battery's answers are deterministic: pin the transcript. Host-time
+# fields (elapsed_ms) are masked before the compare; to regenerate, run
+# the battery against a fresh daemon and apply the same sed.
+sed -E 's/(elapsed_ms[=:]"?)[0-9.eE+-]+/\1MASKED/g' "${SERVE_DIR}/battery.txt" \
+    > "${SERVE_DIR}/battery.masked.txt"
+cmp golden/serve_battery.txt "${SERVE_DIR}/battery.masked.txt"
 "${ASAN_DIR}/tools/pals_query" --socket="${SERVE_SOCK}" --chaos=8
 "${ASAN_DIR}/tools/pals_query" --socket="${SERVE_SOCK}" --ping
 "${ASAN_DIR}/tools/pals_query" --socket="${SERVE_SOCK}" \

@@ -35,33 +35,15 @@ double widen_up(double value) {
   return value + std::abs(value) * kRelSlack + kAbsSlack;
 }
 
-/// Compute sums of one collective segment, keyed by iteration label
-/// (-1 = outside any iteration). Kept as a run-length list: bursts of one
-/// iteration are contiguous, so the list stays tiny.
-struct SegmentSums {
-  std::vector<std::pair<std::int32_t, Seconds>> by_iteration;
+}  // namespace
 
-  void add(std::int32_t iteration, Seconds duration) {
-    if (!by_iteration.empty() && by_iteration.back().first == iteration) {
-      by_iteration.back().second += duration;
-      return;
-    }
-    by_iteration.emplace_back(iteration, duration);
+void TraceShape::SegmentSums::add(std::int32_t iteration, Seconds duration) {
+  if (!by_iteration.empty() && by_iteration.back().first == iteration) {
+    by_iteration.back().second += duration;
+    return;
   }
-};
-
-/// The schedule-independent shape of a trace: its comm volume, the
-/// per-slot collective program, and per-rank compute split by collective
-/// segment and iteration label. One walk over the events.
-struct TraceShape {
-  lint::CommVolume volume;
-  std::size_t slots = 0;
-  /// [rank][segment 0..slots] — segment k precedes collective slot k.
-  std::vector<std::vector<SegmentSums>> segments;
-  /// [rank][iteration] -> segment holding that iteration's begin marker
-  /// (where GearSchedule::rescale inserts transition stalls).
-  std::vector<std::vector<std::size_t>> iteration_segment;
-};
+  by_iteration.emplace_back(iteration, duration);
+}
 
 TraceShape shape_of(const Trace& trace) {
   TraceShape shape;
@@ -69,7 +51,8 @@ TraceShape shape_of(const Trace& trace) {
   shape.slots = shape.volume.collectives.size();
   const auto n = static_cast<std::size_t>(trace.n_ranks());
   const std::size_t iterations = trace.iteration_count();
-  shape.segments.assign(n, std::vector<SegmentSums>(shape.slots + 1));
+  shape.segments.assign(
+      n, std::vector<TraceShape::SegmentSums>(shape.slots + 1));
   shape.iteration_segment.assign(n, std::vector<std::size_t>(iterations, 0));
   for (std::size_t r = 0; r < n; ++r) {
     std::size_t segment = 0;
@@ -96,8 +79,6 @@ TraceShape shape_of(const Trace& trace) {
   return shape;
 }
 
-}  // namespace
-
 ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
                        const ReplayResult* baseline) {
   config.validate();
@@ -105,30 +86,44 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
                  "bounds analysis does not support per-phase assignment "
                  "(no single schedule to bound)");
   PALS_CHECK_MSG(trace.n_ranks() > 0, "bounds analysis of an empty trace");
-  obs::default_registry().counter("bounds.analyze").add(1);
-
-  const PowerModel power(config.power);
-  const PlatformModel& platform = config.replay.platform;
-  const auto n = static_cast<std::size_t>(trace.n_ranks());
   const TraceShape shape = shape_of(trace);
 
   // Seed compute profile: exactly what the pipelines hand the assigners —
   // the baseline replay's per-rank compute when available, the trace's
   // compute sums (per-rank relative speed applied) otherwise.
-  std::vector<double> speed(n, 1.0);
-  if (!config.replay.relative_speed.empty())
-    for (std::size_t r = 0; r < n; ++r)
-      speed[r] = config.replay.relative_speed[r];
   std::vector<Seconds> seed_compute;
   if (baseline != nullptr) {
     seed_compute = baseline->compute_time;
   } else {
     seed_compute = trace.computation_times();
-    for (std::size_t r = 0; r < n; ++r) seed_compute[r] /= speed[r];
+    if (!config.replay.relative_speed.empty())
+      for (std::size_t r = 0; r < seed_compute.size(); ++r)
+        seed_compute[r] /= config.replay.relative_speed[r];
   }
 
   // The same plan the pipeline replays, so the intervals describe that run.
   const GearSchedule schedule = plan_schedule(trace, config, seed_compute);
+  if (baseline == nullptr)
+    return analyze(shape, config, schedule, seed_compute, nullptr);
+  const BaselineFacts facts{
+      baseline->makespan,
+      PowerModel(config.power).baseline_energy(baseline->timeline)};
+  return analyze(shape, config, schedule, seed_compute, &facts);
+}
+
+ScenarioBounds analyze(const TraceShape& shape, const PipelineConfig& config,
+                       const GearSchedule& schedule,
+                       std::span<const Seconds> seed_compute,
+                       const BaselineFacts* baseline) {
+  obs::default_registry().counter("bounds.analyze").add(1);
+
+  const PowerModel power(config.power);
+  const PlatformModel& platform = config.replay.platform;
+  const auto n = static_cast<std::size_t>(shape.n_ranks());
+  std::vector<double> speed(n, 1.0);
+  if (!config.replay.relative_speed.empty())
+    for (std::size_t r = 0; r < n; ++r)
+      speed[r] = config.replay.relative_speed[r];
 
   // Scaled compute per rank and collective segment (timeline seconds,
   // i.e. after the per-rank relative-speed division replay applies), the
@@ -153,8 +148,8 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
     for (std::size_t i = 0; i < schedule.stalls.size(); ++i) {
       const Seconds stall = schedule.stalls[i][r];
       if (stall <= 0.0) continue;
-      // Transition stalls are wall-clock compute bursts inserted at the
-      // iteration's start (GearSchedule::rescale), charged at that
+      // Transition stalls are wall-clock compute bursts the scaled replay
+      // runs at the iteration's start (GearSchedule::replay_scale), charged at that
       // iteration's gear and divided by the rank's relative speed.
       const Seconds scaled = stall / speed[r];
       segment_compute[r][shape.iteration_segment[r][i]] += scaled;
@@ -186,7 +181,7 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
   for (std::size_t k = 0; k < shape.slots; ++k) {
     slot_cost[k] =
         collective_cost(platform, shape.volume.collectives[k].op,
-                        trace.n_ranks(), shape.volume.collectives[k].max_bytes);
+                        shape.n_ranks(), shape.volume.collectives[k].max_bytes);
     total_slot_cost += slot_cost[k];
   }
 
@@ -256,7 +251,7 @@ ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
   if (baseline != nullptr) {
     result.normalized = true;
     const double baseline_time = baseline->makespan;
-    const double baseline_energy = power.baseline_energy(baseline->timeline);
+    const double baseline_energy = baseline->energy;
     result.normalized_time.lo = result.makespan.lo / baseline_time;
     result.normalized_time.hi = result.makespan.hi / baseline_time;
     result.normalized_energy.lo = result.energy.lo / baseline_energy;

@@ -4,8 +4,9 @@
 // controller) *without running a replay* and emits guaranteed intervals on
 // the scaled run's makespan and CPU energy:
 //
-//  * The DVFS schedule is exact: the analyzer calls plan_schedule
-//    (core/gear_schedule.hpp), the same call the pipeline makes. The
+//  * The DVFS schedule is exact: the analyzer bounds the schedule
+//    plan_schedule (core/gear_schedule.hpp) returns — the caller's plan,
+//    which run_sweep also hands the pipeline, or its own call. The
 //    one-shot assigners and every online controller are pure functions of
 //    the seed profile and the observation sequence, and that sequence
 //    (per-iteration trace compute × the β time model) is itself static, so
@@ -42,11 +43,16 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/gear_schedule.hpp"
 #include "core/pipeline.hpp"
 #include "lint/diagnostic.hpp"
+#include "lint/lint.hpp"
 #include "replay/replay.hpp"
 #include "trace/trace.hpp"
 
@@ -94,6 +100,39 @@ struct ScenarioBounds {
   std::size_t switches = 0;
 };
 
+/// The schedule-independent shape of a trace: its comm volume, the
+/// per-slot collective program, and per-rank compute split by collective
+/// segment and iteration label. One walk over the events; a sweep
+/// computes it once per workload.
+struct TraceShape {
+  /// Compute sums of one collective segment, keyed by iteration label
+  /// (-1 = outside any iteration). Kept as a run-length list: bursts of
+  /// one iteration are contiguous, so the list stays tiny.
+  struct SegmentSums {
+    std::vector<std::pair<std::int32_t, Seconds>> by_iteration;
+    void add(std::int32_t iteration, Seconds duration);
+  };
+
+  lint::CommVolume volume;
+  std::size_t slots = 0;
+  /// [rank][segment 0..slots] — segment k precedes collective slot k.
+  std::vector<std::vector<SegmentSums>> segments;
+  /// [rank][iteration] -> segment holding that iteration's begin marker
+  /// (where the scaled replay runs transition stalls).
+  std::vector<std::vector<std::size_t>> iteration_segment;
+
+  Rank n_ranks() const { return static_cast<Rank>(segments.size()); }
+};
+
+TraceShape shape_of(const Trace& trace);
+
+/// What the analyzer needs of the baseline replay: its makespan and its
+/// CPU energy under the cell's power model.
+struct BaselineFacts {
+  Seconds makespan = 0.0;
+  double energy = 0.0;
+};
+
 /// Analyze one scenario statically. `baseline` (the reference-frequency
 /// replay of `trace` under config.replay) is optional: with it the
 /// analyzer seeds assigners from the exact replay compute profile, arms
@@ -107,6 +146,16 @@ struct ScenarioBounds {
 /// per-phase configs (no single schedule to bound).
 ScenarioBounds analyze(const Trace& trace, const PipelineConfig& config,
                        const ReplayResult* baseline = nullptr);
+
+/// The same analysis on inputs a caller prepared once: the trace's
+/// `shape`, the cell's `schedule` (plan_schedule with `seed_compute`) and,
+/// when given, the baseline's facts (then `seed_compute` must be the
+/// baseline replay's compute times). `config` must be valid and not
+/// per-phase.
+ScenarioBounds analyze(const TraceShape& shape, const PipelineConfig& config,
+                       const GearSchedule& schedule,
+                       std::span<const Seconds> seed_compute,
+                       const BaselineFacts* baseline);
 
 /// Indented multi-line rendering of the intervals for the pals_lint
 /// --bounds text surface (every line starts with two spaces and ends with

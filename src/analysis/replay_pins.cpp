@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -207,26 +207,36 @@ Trace random_trace(const PinCase& pc) {
 
 }  // namespace
 
-std::string replay_pins_csv() {
-  std::ostringstream out;
-  out << "case,key,value\n";
+std::vector<ReplayPinCase> replay_pin_cases() {
+  std::vector<ReplayPinCase> cases;
   for (const PinCase& pc : kCases) {
-    const Trace trace = random_trace(pc);
-    ReplayConfig config;
-    config.platform.eager_threshold = pc.eager_threshold;
-    config.platform.buses = pc.buses;
-    config.platform.links_per_node = pc.links_per_node;
-    std::optional<fault::Injector> faults;
+    ReplayPinCase& c = cases.emplace_back();
+    c.name = pc.name;
+    c.seed = pc.seed;
+    c.trace = random_trace(pc);
+    c.config.platform.eager_threshold = pc.eager_threshold;
+    c.config.platform.buses = pc.buses;
+    c.config.platform.links_per_node = pc.links_per_node;
     if (*pc.faults != '\0') {
-      faults.emplace(fault::FaultPlan::parse(pc.faults));
-      config.faults = &*faults;
+      c.faults = std::make_unique<fault::Injector>(
+          fault::FaultPlan::parse(pc.faults));
+      c.config.faults = c.faults.get();
     }
     if (pc.heterogeneous) {
       Rng speeds(pc.seed + 1000);
       for (Rank r = 0; r < pc.ranks; ++r)
-        config.relative_speed.push_back(speeds.uniform(0.5, 2.0));
+        c.config.relative_speed.push_back(speeds.uniform(0.5, 2.0));
     }
-    const ReplayResult result = replay(trace, config);
+  }
+  return cases;
+}
+
+std::string replay_pins_csv() {
+  std::ostringstream out;
+  out << "case,key,value\n";
+  for (const ReplayPinCase& pc : replay_pin_cases()) {
+    const Trace& trace = pc.trace;
+    const ReplayResult result = replay(trace, pc.config);
 
     const auto line = [&](const std::string& key, const std::string& value) {
       out << pc.name << ',' << key << ',' << value << '\n';
@@ -236,7 +246,7 @@ std::string replay_pins_csv() {
     };
     count("trace_events", trace.total_events());
     line("makespan", format_roundtrip(result.makespan));
-    for (Rank r = 0; r < pc.ranks; ++r) {
+    for (Rank r = 0; r < trace.n_ranks(); ++r) {
       std::string totals;
       for (const RankState state :
            {RankState::kCompute, RankState::kSend, RankState::kRecv,

@@ -8,9 +8,30 @@
 // matching or timing inside the replay shows as a reviewable diff.
 #pragma once
 
+#include <memory>
 #include <string>
+#include <vector>
+
+#include "fault/injector.hpp"
+#include "replay/replay.hpp"
+#include "trace/trace.hpp"
 
 namespace pals {
+
+/// One seeded case of replay_pins_csv: its random trace and the replay
+/// configuration it is pinned under. config.faults points into `faults`
+/// (null when the case injects none), so a case may be moved freely.
+struct ReplayPinCase {
+  std::string name;
+  std::uint64_t seed = 0;
+  Trace trace;
+  ReplayConfig config;
+  std::unique_ptr<fault::Injector> faults;
+};
+
+/// The pinned cases, in CSV order. Differential tests replay the same
+/// traces under other configurations and schedules.
+std::vector<ReplayPinCase> replay_pin_cases();
 
 /// `case,key,value` CSV, doubles in round-trip format. The traces cover
 /// blocking and non-blocking point-to-point on both sides of the eager

@@ -578,14 +578,16 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
     });
   }
 
-  // Phase 1: one trace + baseline replay per unique workload. The
-  // baseline depends only on the trace and the platform, so every
-  // scenario of the workload shares it. With the opt-in lint hook
-  // (options.base.lint) each workload trace is statically verified here,
-  // once. Without keep_going a bad workload aborts the sweep with the
-  // full diagnostic report before any scenario runs; with keep_going the
-  // failure is recorded per workload and only that workload's cells are
-  // quarantined — independent workloads still produce results.
+  // Phase 1: one trace, compiled replay program and baseline replay per
+  // unique workload (plus the trace shape when the bounds analyzer runs).
+  // The baseline depends only on the trace and the platform and the
+  // program only on the trace, so every scenario of the workload shares
+  // them. With the opt-in lint hook (options.base.lint) each workload
+  // trace is statically verified here, once. Without keep_going a bad
+  // workload aborts the sweep with the full diagnostic report before any
+  // scenario runs; with keep_going the failure is recorded per workload
+  // and only that workload's cells are quarantined — independent
+  // workloads still produce results.
   std::vector<char> workload_needed(workloads.size(), 0);
   for (std::size_t i = 0; i < scenarios.size(); ++i)
     if (done[i] == 0 && owned[i] != 0)
@@ -595,7 +597,9 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
     baselines_needed += static_cast<std::size_t>(needed);
   reg.counter("sweep.baseline_replays").add(baselines_needed);
   std::vector<const Trace*> traces(workloads.size());
+  std::vector<ReplayProgram> programs(workloads.size());
   std::vector<ReplayResult> baselines(workloads.size());
+  std::vector<bounds::TraceShape> shapes(workloads.size());
   std::vector<fault::GuardOutcome> workload_outcomes(workloads.size());
   std::vector<char> workload_skipped(workloads.size(), 0);
   {
@@ -621,7 +625,10 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
               options.base.replay.platform.eager_threshold;
           lint::enforce_lint(*traces[w], lint_options, workloads[w].display);
         }
-        baselines[w] = replay(*traces[w], baseline_config);
+        programs[w] = ReplayProgram(*traces[w]);
+        baselines[w] = replay(*traces[w], programs[w], baseline_config);
+        if (prune_enabled || oracle_armed)
+          shapes[w] = bounds::shape_of(*traces[w]);
       };
       if (!options.keep_going) {
         body(1);  // fail-fast: lint/replay errors propagate untouched
@@ -712,13 +719,22 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
         return;
       }
       // Static intervals, computed once and reused by the pruner and the
-      // oracle. A throw here is an analyzer bug and aborts the sweep even
-      // under keep_going — silently degrading the soundness contract
-      // would hide exactly the failures the oracle exists to catch.
+      // oracle, from the cell's one plan, which the pipeline then replays.
+      // A throw here is an analyzer bug and aborts the sweep even under
+      // keep_going — silently degrading the soundness contract would hide
+      // exactly the failures the oracle exists to catch. Without the
+      // analyzer the pipeline plans the cell itself.
+      std::optional<CellPlan> plan;
       std::optional<bounds::ScenarioBounds> cell_bounds;
-      if (prune_enabled || oracle_armed)
-        cell_bounds = bounds::analyze(*traces[w], cell_configs[i],
-                                      &baselines[w]);
+      if (prune_enabled || oracle_armed) {
+        cell_configs[i].validate();
+        plan = plan_cell(*traces[w], cell_configs[i], baselines[w]);
+        const bounds::BaselineFacts facts{baselines[w].makespan,
+                                          plan->baseline_energy};
+        cell_bounds = bounds::analyze(shapes[w], cell_configs[i],
+                                      plan->schedule,
+                                      baselines[w].compute_time, &facts);
+      }
       if (prune_enabled && cell_bounds->normalized) {
         // Candidate dominators are completed earlier cells of the same
         // workload: the pruning fan-out runs a workload's cells serially
@@ -768,7 +784,8 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
                 ")");
         }
         const PipelineResult pipeline =
-            run_pipeline(*traces[w], cell_configs[i], baselines[w]);
+            run_pipeline(*traces[w], programs[w], cell_configs[i],
+                         baselines[w], plan ? &*plan : nullptr);
         if (oracle_armed) {
           const std::vector<lint::Diagnostic> violations =
               bounds::check_soundness(*cell_bounds, pipeline.scaled_time,

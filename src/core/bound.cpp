@@ -18,13 +18,43 @@ void EnergyBoundConfig::validate() const {
 
 namespace {
 
-/// Rank energy over a fixed interval of length `total` when computing for
-/// `compute_time` at gear implied by frequency f (linear paper V(f)).
-double rank_energy_at(const PowerModel& power, const VoltageModel& vm,
-                      double f_ghz, Seconds compute_time, Seconds total) {
-  const Gear gear = vm.gear(f_ghz);
-  return compute_time * power.total_power(gear, /*computing=*/true) +
-         (total - compute_time) * power.total_power(gear, /*computing=*/false);
+/// The frequency-only terms of a rank's energy at f: the gear's computing
+/// and idle power (linear paper V(f)) and the β stretch factor.
+struct FrequencyPoint {
+  double f_ghz = 0.0;
+  double stretch = 0.0;  ///< compute time multiplier at f
+  double compute_power = 0.0;
+  double idle_power = 0.0;
+
+  FrequencyPoint(const PowerModel& power, const VoltageModel& vm,
+                 double f, double fref, double beta)
+      : f_ghz(f), stretch(beta * (fref / f - 1.0) + 1.0) {
+    const Gear gear = vm.gear(f);
+    compute_power = power.total_power(gear, /*computing=*/true);
+    idle_power = power.total_power(gear, /*computing=*/false);
+  }
+
+  /// Rank energy over a fixed interval of length `total` when computing
+  /// for `compute_time` at this frequency.
+  double energy(Seconds compute_time, Seconds total) const {
+    return compute_time * compute_power + (total - compute_time) * idle_power;
+  }
+};
+
+constexpr int kGrid = 512;
+
+/// The search grid over [f_lo, fmax]: kGrid + 1 evenly spaced points.
+std::vector<FrequencyPoint> frequency_grid(const PowerModel& power,
+                                           const VoltageModel& vm,
+                                           double f_lo, double fmax,
+                                           double fref, double beta) {
+  std::vector<FrequencyPoint> grid;
+  grid.reserve(kGrid + 1);
+  for (int i = 0; i <= kGrid; ++i)
+    grid.emplace_back(power, vm,
+                      f_lo + (fmax - f_lo) * static_cast<double>(i) / kGrid,
+                      fref, beta);
+  return grid;
 }
 
 }  // namespace
@@ -67,14 +97,36 @@ EnergyBound energy_saving_bound(std::span<const Seconds> computation_time,
   bound.predicted_time = new_total;
   bound.frequency_ghz.reserve(computation_time.size());
 
+  // Every term that depends only on the frequency is evaluated once: at
+  // the reference and range ends, and over the search grid of each lower
+  // end. Every rank that clamps to fmin shares one grid; any other lower
+  // end is rebuilt only when it differs from the previous rank's.
+  const FrequencyPoint at_fref(power, vm, fref, fref, beta);
+  const FrequencyPoint at_fmin(power, vm, config.fmin_ghz, fref, beta);
+  const FrequencyPoint at_fmax(power, vm, config.fmax_ghz, fref, beta);
+  std::vector<FrequencyPoint> fmin_grid;
+  std::vector<FrequencyPoint> other_grid;
+  double other_f_lo = 0.0;
+  const auto grid_from = [&](double f_lo) -> const std::vector<FrequencyPoint>& {
+    if (f_lo == config.fmin_ghz) {
+      if (fmin_grid.empty())
+        fmin_grid = frequency_grid(power, vm, f_lo, config.fmax_ghz, fref, beta);
+      return fmin_grid;
+    }
+    if (other_grid.empty() || f_lo != other_f_lo) {
+      other_grid = frequency_grid(power, vm, f_lo, config.fmax_ghz, fref, beta);
+      other_f_lo = f_lo;
+    }
+    return other_grid;
+  };
+
   double energy = 0.0;
   double baseline_energy = 0.0;
   for (const Seconds t : computation_time) {
-    baseline_energy += rank_energy_at(power, vm, fref, t, total_time);
+    baseline_energy += at_fref.energy(t, total_time);
     if (t == 0.0) {
       bound.frequency_ghz.push_back(config.fmin_ghz);
-      energy +=
-          rank_energy_at(power, vm, config.fmin_ghz, 0.0, new_total);
+      energy += at_fmin.energy(0.0, new_total);
       continue;
     }
     // Lowest admissible frequency: computation must fit the budget
@@ -84,20 +136,14 @@ EnergyBound energy_saving_bound(std::span<const Seconds> computation_time,
         ideal_frequency(t, compute_budget, fref, beta);
     const double f_lo =
         std::clamp(f_required, config.fmin_ghz, config.fmax_ghz);
-    // Grid + local refinement over [f_lo, fmax]: energy is smooth in f.
+    // Grid over [f_lo, fmax]: energy is smooth in f.
     double best_f = config.fmax_ghz;
-    double best_e = rank_energy_at(
-        power, vm, best_f,
-        t * (beta * (fref / best_f - 1.0) + 1.0), new_total);
-    constexpr int kGrid = 512;
-    for (int i = 0; i <= kGrid; ++i) {
-      const double f =
-          f_lo + (config.fmax_ghz - f_lo) * static_cast<double>(i) / kGrid;
-      const Seconds stretched = t * (beta * (fref / f - 1.0) + 1.0);
-      const double e = rank_energy_at(power, vm, f, stretched, new_total);
+    double best_e = at_fmax.energy(t * at_fmax.stretch, new_total);
+    for (const FrequencyPoint& point : grid_from(f_lo)) {
+      const double e = point.energy(t * point.stretch, new_total);
       if (e < best_e) {
         best_e = e;
-        best_f = f;
+        best_f = point.f_ghz;
       }
     }
     bound.frequency_ghz.push_back(best_f);

@@ -53,7 +53,8 @@ struct ControllerPipelineResult {
 ControllerPipelineResult run_controller_pipeline(const Trace& trace,
                                                  const PipelineConfig& config);
 
-/// Same, reusing a precomputed baseline replay (sweep engine fast path).
+/// Same, reusing a precomputed baseline replay, which is not copied into
+/// the result (pipeline.baseline_replay stays empty).
 ControllerPipelineResult run_controller_pipeline(const Trace& trace,
                                                  const PipelineConfig& config,
                                                  const ReplayResult& baseline);

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <variant>
 
 #include "core/controllers.hpp"
 #include "core/pipeline.hpp"
@@ -83,46 +82,38 @@ void GearSchedule::check(Rank n_ranks) const {
   }
 }
 
-Trace GearSchedule::rescale(const Trace& trace, const PowerModel& power) const {
-  check(trace.n_ranks());
-  PALS_CHECK_MSG(key != SegmentKey::kIteration || trace.iteration_count() > 0,
-                 "an iteration schedule requires iteration markers");
-  Trace out(trace.n_ranks());
-  out.set_name(trace.name());
-  std::vector<double> row_factor(rows.size());
-  for (Rank r = 0; r < trace.n_ranks(); ++r) {
-    const auto rank = static_cast<std::size_t>(r);
-    for (std::size_t s = 0; s < rows.size(); ++s)
-      row_factor[s] = power.time_scale(rows[s][rank].frequency_ghz);
-    const double fallback_factor =
-        power.time_scale(fallback.gears[rank].frequency_ghz);
+ReplayScale GearSchedule::replay_scale(const PowerModel& power, Rank n_ranks,
+                                       std::vector<double>& storage) const {
+  check(n_ranks);
+  const auto n = static_cast<std::size_t>(n_ranks);
+  storage.clear();
+  storage.reserve((rows.size() + 1 + stalls.size()) * n);
+  for (const std::vector<Gear>& row : rows)
+    for (const Gear& gear : row)
+      storage.push_back(power.time_scale(gear.frequency_ghz));
+  for (const Gear& gear : fallback.gears)
+    storage.push_back(power.time_scale(gear.frequency_ghz));
+  for (const std::vector<Seconds>& row : stalls)
+    storage.insert(storage.end(), row.begin(), row.end());
 
-    const std::span<const Event> in = trace.events(r);
-    std::vector<Event>& events = out.mutable_events(r);
-    events.reserve(in.size() + stalls.size());
-    std::int32_t iteration = -1;
-    for (const Event& e : in) {
-      events.push_back(e);
-      if (auto* c = std::get_if<ComputeEvent>(&events.back())) {
-        const std::ptrdiff_t row = row_of(c->phase, iteration);
-        c->duration *= row < 0 ? fallback_factor
-                               : row_factor[static_cast<std::size_t>(row)];
-        continue;
-      }
-      const auto* m = std::get_if<MarkerEvent>(&e);
-      if (m == nullptr) continue;
-      if (m->kind == MarkerKind::kIterationEnd) iteration = -1;
-      if (m->kind != MarkerKind::kIterationBegin) continue;
-      iteration = m->id;
-      if (stalls.empty()) continue;
-      PALS_CHECK_MSG(m->id >= 0 && static_cast<std::size_t>(m->id) <
-                                       stalls.size(),
-                     "no stall entry for iteration " << m->id);
-      const Seconds stall = stalls[static_cast<std::size_t>(m->id)][rank];
-      if (stall > 0.0) events.push_back(ComputeEvent{stall, -1});
-    }
+  ReplayScale scale;
+  switch (key) {
+    case SegmentKey::kRun:
+      scale.segment = ReplayScale::Segment::kRun;
+      break;
+    case SegmentKey::kPhase:
+      scale.segment = ReplayScale::Segment::kPhase;
+      break;
+    case SegmentKey::kIteration:
+      scale.segment = ReplayScale::Segment::kIteration;
+      break;
   }
-  return out;
+  const std::span<const double> all(storage);
+  scale.phases = phases;
+  scale.factors = all.first(rows.size() * n);
+  scale.fallback = all.subspan(rows.size() * n, n);
+  scale.stalls = all.subspan((rows.size() + 1) * n);
+  return scale;
 }
 
 double GearSchedule::energy(const PowerModel& power,

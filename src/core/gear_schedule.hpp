@@ -7,9 +7,9 @@
 // rows, a fallback gear per rank for everything no row covers, and the
 // transition stalls and regulator energy an online controller's switches
 // cost. plan_schedule() is the only place gears are chosen; the schedule
-// then rescales the trace (rescale) and prices the replayed timeline
-// (energy, power_series). The pipeline and the bounds analyzer both go
-// through it, so they describe the same run.
+// then stretches the scaled replay (replay_scale) and prices the replayed
+// timeline (energy, power_series). The pipeline and the bounds analyzer
+// both go through it, so they describe the same run.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +19,7 @@
 
 #include "core/algorithms.hpp"
 #include "power/power_model.hpp"
+#include "replay/replay.hpp"
 #include "trace/timeline.hpp"
 #include "trace/trace.hpp"
 
@@ -64,12 +65,16 @@ struct GearSchedule {
   /// fallback when there are no rows).
   double overclocked_fraction(double nominal_fmax_ghz) const;
 
-  /// The trace the scaled run replays, built in one pass: every compute
-  /// burst stretched by the β time model at its gear, and each
-  /// iteration's stall inserted right after its begin marker as an
-  /// unphased burst. Stalls are not stretched: a regulator stall is
-  /// wall-clock time. An iteration schedule needs iteration markers.
-  Trace rescale(const Trace& trace, const PowerModel& power) const;
+  /// The schedule as the scaled replay applies it (replay/replay.hpp):
+  /// the β time-model factor of every row's and the fallback's gear per
+  /// rank, and the stalls, flattened into `storage`, which the returned
+  /// view points into. The replay stretches every compute burst by its
+  /// factor and runs each iteration's stall right after its begin marker
+  /// as an unphased burst. Stalls are not stretched: a regulator stall is
+  /// wall-clock time. An iteration schedule needs iteration markers (the
+  /// replay checks).
+  ReplayScale replay_scale(const PowerModel& power, Rank n_ranks,
+                           std::vector<double>& storage) const;
 
   /// CPU energy of the replayed `timeline` under this schedule, plus the
   /// transition energy.

@@ -60,18 +60,25 @@ void lint_input_trace(const Trace& trace, const PipelineConfig& config) {
                                           : trace.name());
 }
 
+/// The baseline replay, with the program every later replay of the trace
+/// runs from.
 ReplayResult baseline_replay_phase(const Trace& trace,
-                                   const PipelineConfig& config) {
+                                   const PipelineConfig& config,
+                                   ReplayProgram& program) {
   PALS_SPAN("pipeline.baseline_replay",
             config.observe ? &obs::default_registry() : nullptr);
-  return replay(trace, config.replay);
+  program = ReplayProgram(trace);
+  return replay(trace, program, config.replay);
 }
 
-/// The one pipeline behind every schedule shape: baseline, plan, one
-/// rescale, scaled replay, one energy integration. The ctrl.* counters
-/// live here, not in plan_schedule, so bounds::analyze leaves them alone.
-PipelineResult run_schedule(const Trace& trace, const PipelineConfig& config,
-                            const ReplayResult& baseline,
+/// The one pipeline behind every schedule shape: baseline energy, plan
+/// (unless the caller planned), the schedule's factor table, the scaled
+/// replay from the shared program, one energy integration. The ctrl.*
+/// counters live here, not in plan_schedule, so bounds::analyze leaves
+/// them alone.
+PipelineResult run_schedule(const Trace& trace, const ReplayProgram& program,
+                            const PipelineConfig& config,
+                            const ReplayResult& baseline, const CellPlan* plan,
                             bool force_controller) {
   obs::Registry& registry = obs::default_registry();
   registry.counter("pipeline.runs").add(1);
@@ -79,22 +86,25 @@ PipelineResult run_schedule(const Trace& trace, const PipelineConfig& config,
   const PowerModel power(config.power);
 
   PipelineResult result;
-  result.baseline_replay = baseline;
-  result.baseline_time = result.baseline_replay.makespan;
+  result.baseline_time = baseline.makespan;
   {
     PALS_SPAN("pipeline.energy", reg);
-    result.baseline_energy =
-        power.baseline_energy(result.baseline_replay.timeline);
+    result.baseline_energy = plan != nullptr
+                                 ? plan->baseline_energy
+                                 : power.baseline_energy(baseline.timeline);
   }
-  result.computation_time = result.baseline_replay.compute_time;
+  result.computation_time = baseline.compute_time;
   result.load_balance = load_balance(result.computation_time);
   result.parallel_efficiency =
       parallel_efficiency(result.computation_time, result.baseline_time);
 
   {
     PALS_SPAN("pipeline.assignment", reg);
-    result.schedule = plan_schedule(trace, config, result.computation_time,
-                                    force_controller);
+    result.schedule = plan != nullptr
+                          ? plan->schedule
+                          : plan_schedule(trace, config,
+                                          result.computation_time,
+                                          force_controller);
   }
   const GearSchedule& schedule = result.schedule;
   if (schedule.fell_back_static)
@@ -109,14 +119,15 @@ PipelineResult run_schedule(const Trace& trace, const PipelineConfig& config,
   result.overclocked_fraction =
       schedule.overclocked_fraction(config.algorithm.nominal_fmax_ghz);
 
-  Trace scaled;
+  std::vector<double> factors;
+  ReplayScale scale;
   {
     PALS_SPAN("pipeline.rescale", reg);
-    scaled = schedule.rescale(trace, power);
+    scale = schedule.replay_scale(power, trace.n_ranks(), factors);
   }
   {
     PALS_SPAN("pipeline.scaled_replay", reg);
-    result.scaled_replay = replay(scaled, config.replay);
+    result.scaled_replay = replay(trace, program, config.replay, &scale);
   }
   result.scaled_time = result.scaled_replay.makespan;
   {
@@ -127,42 +138,8 @@ PipelineResult run_schedule(const Trace& trace, const PipelineConfig& config,
   return result;
 }
 
-}  // namespace
-
-PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config) {
-  config.validate();
-  if (config.lint) {
-    lint_input_trace(trace, config);
-    PipelineConfig linted = config;
-    linted.lint = false;  // already verified; skip the re-check below
-    return run_pipeline(trace, linted, baseline_replay_phase(trace, linted));
-  }
-  return run_pipeline(trace, config, baseline_replay_phase(trace, config));
-}
-
-PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config,
-                            const ReplayResult& baseline) {
-  config.validate();
-  if (config.lint) lint_input_trace(trace, config);
-  return run_schedule(trace, config, baseline, /*force_controller=*/false);
-}
-
-ControllerPipelineResult run_controller_pipeline(
-    const Trace& trace, const PipelineConfig& config) {
-  config.validate();
-  return run_controller_pipeline(trace, config, replay(trace, config.replay));
-}
-
-ControllerPipelineResult run_controller_pipeline(
-    const Trace& trace, const PipelineConfig& config,
-    const ReplayResult& baseline) {
-  config.validate();
-  PALS_CHECK_MSG(!config.per_phase,
-                 "per-phase assignment and online controllers are mutually "
-                 "exclusive");
-  ControllerPipelineResult result;
-  result.pipeline =
-      run_schedule(trace, config, baseline, /*force_controller=*/true);
+/// What the controller did, read back from the schedule.
+void fill_controller_run(ControllerPipelineResult& result) {
   const GearSchedule& schedule = result.pipeline.schedule;
   ControllerRun& run = result.controller;
   run.fell_back_static = schedule.fell_back_static;
@@ -174,6 +151,79 @@ ControllerPipelineResult run_controller_pipeline(
       for (const Seconds stall : row) run.transition_stall_seconds += stall;
     run.transition_energy = schedule.transition_energy;
   }
+}
+
+void check_controller_config(const PipelineConfig& config) {
+  PALS_CHECK_MSG(!config.per_phase,
+                 "per-phase assignment and online controllers are mutually "
+                 "exclusive");
+}
+
+}  // namespace
+
+CellPlan plan_cell(const Trace& trace, const PipelineConfig& config,
+                   const ReplayResult& baseline) {
+  CellPlan plan;
+  plan.baseline_energy =
+      PowerModel(config.power).baseline_energy(baseline.timeline);
+  plan.schedule = plan_schedule(trace, config, baseline.compute_time);
+  return plan;
+}
+
+PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config) {
+  config.validate();
+  if (config.lint) lint_input_trace(trace, config);
+  ReplayProgram program;
+  ReplayResult baseline = baseline_replay_phase(trace, config, program);
+  PipelineResult result = run_schedule(trace, program, config, baseline,
+                                       nullptr, /*force_controller=*/false);
+  result.baseline_replay = std::move(baseline);
+  return result;
+}
+
+PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config,
+                            const ReplayResult& baseline) {
+  config.validate();
+  if (config.lint) lint_input_trace(trace, config);
+  const ReplayProgram program(trace);
+  return run_schedule(trace, program, config, baseline, nullptr,
+                      /*force_controller=*/false);
+}
+
+PipelineResult run_pipeline(const Trace& trace, const ReplayProgram& program,
+                            const PipelineConfig& config,
+                            const ReplayResult& baseline,
+                            const CellPlan* plan) {
+  config.validate();
+  if (config.lint) lint_input_trace(trace, config);
+  return run_schedule(trace, program, config, baseline, plan,
+                      /*force_controller=*/false);
+}
+
+ControllerPipelineResult run_controller_pipeline(
+    const Trace& trace, const PipelineConfig& config) {
+  config.validate();
+  const ReplayProgram program(trace);
+  ReplayResult baseline = replay(trace, program, config.replay);
+  check_controller_config(config);
+  ControllerPipelineResult result;
+  result.pipeline = run_schedule(trace, program, config, baseline, nullptr,
+                                 /*force_controller=*/true);
+  result.pipeline.baseline_replay = std::move(baseline);
+  fill_controller_run(result);
+  return result;
+}
+
+ControllerPipelineResult run_controller_pipeline(
+    const Trace& trace, const PipelineConfig& config,
+    const ReplayResult& baseline) {
+  config.validate();
+  check_controller_config(config);
+  const ReplayProgram program(trace);
+  ControllerPipelineResult result;
+  result.pipeline = run_schedule(trace, program, config, baseline, nullptr,
+                                 /*force_controller=*/true);
+  fill_controller_run(result);
   return result;
 }
 

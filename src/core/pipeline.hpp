@@ -7,8 +7,10 @@
 //   2. plan the gears (plan_schedule, core/gear_schedule.hpp): one
 //      frequency per rank (MAX or AVG over a gear set), per phase, or per
 //      iteration,
-//   3. rescale every compute burst with the β time model,
-//   4. replay the modified trace for the new execution time,
+//   3. scale every compute burst with the β time model,
+//   4. replay the trace under those factors for the new execution time
+//      (the structure is compiled once, ReplayProgram; the factors apply
+//      inside the replay, so the trace is never copied),
 //   5. integrate CPU energy over both timelines and report normalized
 //      energy, time and EDP.
 #pragma once
@@ -44,7 +46,8 @@ struct PipelineConfig {
   /// mid-replay.
   bool lint = false;
   /// Record per-phase wall-clock spans (pipeline.baseline_replay,
-  /// .assignment, .rescale, .scaled_replay, .energy) into
+  /// .assignment, .rescale — the schedule's factor table —,
+  /// .scaled_replay, .energy) into
   /// obs::default_registry() — the host-profiling view consumed by
   /// pals_profile and the Chrome-trace export. Simulation metrics are
   /// always recorded; this flag only controls the wall-clock spans.
@@ -81,20 +84,44 @@ struct PipelineResult {
   }
 
   /// Full replay outputs, kept for visualization (Figure 1) and deeper
-  /// analysis.
+  /// analysis. baseline_replay is filled only by the forms that replay
+  /// the baseline themselves; a caller that passes its baseline in keeps
+  /// it and gets an empty one here.
   ReplayResult baseline_replay;
   ReplayResult scaled_replay;
 };
+
+/// What a cell computes from its baseline before the scaled replay: the
+/// gear schedule and the baseline's CPU energy. run_sweep plans each cell
+/// once and hands the plan to both the bounds oracle and the pipeline.
+struct CellPlan {
+  GearSchedule schedule;
+  double baseline_energy = 0.0;
+};
+
+/// plan_schedule(trace, config, baseline.compute_time) and the CPU energy
+/// of `baseline` under config.power: exactly what the pipeline computes.
+CellPlan plan_cell(const Trace& trace, const PipelineConfig& config,
+                   const ReplayResult& baseline);
 
 PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config);
 
 /// Same pipeline, but reuse a precomputed baseline replay instead of
 /// re-simulating it. `baseline` must be the result of
-/// replay(trace, config.replay); the sweep engine (analysis/sweep.hpp)
-/// uses this to run the baseline once per workload instead of once per
-/// gear point.
+/// replay(trace, config.replay). It is not copied into the result.
 PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config,
                             const ReplayResult& baseline);
+
+/// The pipeline on a workload prepared once: `program` compiled from
+/// `trace` and `baseline` = replay(trace, program, config.replay), shared
+/// by every cell of the workload (the sweep engine, analysis/sweep.hpp,
+/// and the serve cache) and not copied into the result. `plan`, when
+/// given, must be plan_cell(trace, config, baseline); otherwise the
+/// pipeline plans the cell itself.
+PipelineResult run_pipeline(const Trace& trace, const ReplayProgram& program,
+                            const PipelineConfig& config,
+                            const ReplayResult& baseline,
+                            const CellPlan* plan = nullptr);
 
 /// Equations (4) and (5) of the paper.
 double load_balance(std::span<const Seconds> computation_time);

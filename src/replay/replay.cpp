@@ -1,6 +1,7 @@
 #include "replay/replay.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "lint/lint.hpp"
@@ -11,14 +12,6 @@
 
 namespace pals {
 namespace {
-
-/// Dense ids the compile pass gives a p2p event: its (src, dst, tag)
-/// matching channel and its request slot (rank-local, see OpenRequests;
-/// -1 when blocking). Wait events carry only the slot.
-struct OpRef {
-  std::int32_t channel = -1;
-  std::int32_t slot = -1;
-};
 
 struct PendingSend {
   Seconds post_time = 0.0;
@@ -99,8 +92,8 @@ private:
 
 /// Dense ids for (src, dst, tag) matching channels, handed out 0, 1, 2, ...
 /// in first-seen order from one open-addressing table (linear probing,
-/// load <= 1/2). Only the compile pass looks channels up; the replay loop
-/// indexes by the ids.
+/// load <= 1/2). Only the compile pass (ReplayProgram) looks channels up;
+/// the replay loop indexes by the ids.
 class ChannelIds {
 public:
   /// The id of channel (src, dst, tag); a new channel gets size().
@@ -175,23 +168,39 @@ struct CollectiveState {
 
 class ReplayEngine {
 public:
-  ReplayEngine(const Trace& trace, const ReplayConfig& config)
+  ReplayEngine(const Trace& trace, const ReplayProgram& program,
+               const ReplayConfig& config, const ReplayScale* scale)
       : trace_(trace),
         config_(config),
+        scale_(scale),
         n_(trace.n_ranks()),
         bus_(config.platform.buses),
         timeline_(trace.n_ranks()),
-        ranks_(static_cast<std::size_t>(trace.n_ranks())) {
+        ranks_(static_cast<std::size_t>(trace.n_ranks())),
+        ops_(program.ops()),
+        sends_(static_cast<std::size_t>(program.channels())),
+        recvs_(static_cast<std::size_t>(program.channels())) {
+    if (scale != nullptr)
+      scale_rows_ = scale->factors.size() / static_cast<std::size_t>(n_);
     engine_.set_event_limit(config.max_simulated_events);
     engine_.set_wall_limit(config.max_wall_seconds);
-    for (Rank r = 0; r < n_; ++r) ctx(r).stream = trace.events(r);
     out_links_.reserve(static_cast<std::size_t>(n_));
     in_links_.reserve(static_cast<std::size_t>(n_));
     for (Rank r = 0; r < n_; ++r) {
       out_links_.emplace_back(config.platform.links_per_node);
       in_links_.emplace_back(config.platform.links_per_node);
     }
-    compile();
+    messages_.reserve(program.sends());  // one record per matched send
+    for (Rank r = 0; r < n_; ++r) {
+      RankCtx& c = ctx(r);
+      c.stream = trace.events(r);
+      c.next_op = program.first_op(r);
+      const auto slots = static_cast<std::size_t>(program.slots(r));
+      c.slot_ids.assign(slots, 0);
+      c.slot_state.assign(slots, SlotState::kFree);
+      c.slot_time.assign(slots, 0.0);
+      c.done_position.assign(slots, -1);
+    }
   }
 
   ReplayResult run() {
@@ -263,71 +272,15 @@ private:
     Seconds waitall_latest = 0.0;        ///< max completion while in WaitAll
     std::size_t collective_index = 0;
     std::int32_t current_iteration = -1;
+    /// The iteration whose schedule row covers the next burst: like
+    /// current_iteration, but -1 again after an iteration-end marker.
+    std::int32_t scale_iteration = -1;
     std::uint64_t p2p_posted = 0;  ///< sends posted so far (jitter index)
   };
 
   RankCtx& ctx(Rank r) { return ranks_[static_cast<std::size_t>(r)]; }
 
-  /// One pass over the streams: every (src, dst, tag) gets a dense channel
-  /// id and every open request a rank-local slot, and each p2p and Wait
-  /// event gets its OpRef in stream order, so the replay loop matches and
-  /// completes through plain vector indexing. replay() validated the
-  /// trace, so every Isend/Irecv opens a slot and every Wait closes one.
-  void compile() {
-    std::size_t refs = 0;
-    std::size_t sends = 0;
-    for (const RankCtx& c : ranks_)
-      for (const Event& e : c.stream) {
-        if (takes_op(e)) ++refs;
-        if (std::holds_alternative<SendEvent>(e) ||
-            std::holds_alternative<IsendEvent>(e))
-          ++sends;
-      }
-    ops_.reserve(refs);
-    messages_.reserve(sends);  // one record per matched send
-    ChannelIds channels;
-    for (Rank r = 0; r < n_; ++r) {
-      RankCtx& c = ctx(r);
-      c.next_op = ops_.size();
-      OpenRequests requests;
-      for (const Event& e : c.stream) {
-        if (const auto* s = std::get_if<SendEvent>(&e)) {
-          ops_.push_back(OpRef{channels.id(r, s->peer, s->tag), -1});
-        } else if (const auto* v = std::get_if<RecvEvent>(&e)) {
-          ops_.push_back(OpRef{channels.id(v->peer, r, v->tag), -1});
-        } else if (const auto* is = std::get_if<IsendEvent>(&e)) {
-          ops_.push_back(OpRef{channels.id(r, is->peer, is->tag),
-                               requests.open(is->request)});
-        } else if (const auto* ir = std::get_if<IrecvEvent>(&e)) {
-          ops_.push_back(OpRef{channels.id(ir->peer, r, ir->tag),
-                               requests.open(ir->request)});
-        } else if (const auto* w = std::get_if<WaitEvent>(&e)) {
-          ops_.push_back(OpRef{-1, requests.close(w->request)});
-        } else if (std::holds_alternative<WaitAllEvent>(e)) {
-          requests.close_all();
-        }
-      }
-      const auto slots = static_cast<std::size_t>(requests.slots());
-      c.slot_ids.assign(slots, 0);
-      c.slot_state.assign(slots, SlotState::kFree);
-      c.slot_time.assign(slots, 0.0);
-      c.done_position.assign(slots, -1);
-    }
-    sends_ = ChannelQueues<PendingSend>(
-        static_cast<std::size_t>(channels.size()));
-    recvs_ = ChannelQueues<PendingRecv>(
-        static_cast<std::size_t>(channels.size()));
-  }
-
-  static bool takes_op(const Event& e) {
-    return std::holds_alternative<SendEvent>(e) ||
-           std::holds_alternative<RecvEvent>(e) ||
-           std::holds_alternative<IsendEvent>(e) ||
-           std::holds_alternative<IrecvEvent>(e) ||
-           std::holds_alternative<WaitEvent>(e);
-  }
-
-  const OpRef& next_op(RankCtx& c) { return ops_[c.next_op++]; }
+  const ReplayOpRef& next_op(RankCtx& c) { return ops_[c.next_op++]; }
 
   /// Advance rank `r` until it blocks, finishes, or crosses simulated time.
   void advance(Rank r) {
@@ -353,20 +306,10 @@ private:
   // (c.now updated), false if the rank blocked.
 
   bool handle(Rank r, const ComputeEvent& e) {
-    RankCtx& c = ctx(r);
-    Seconds duration =
-        config_.relative_speed.empty()
-            ? e.duration
-            : e.duration / config_.relative_speed[static_cast<std::size_t>(r)];
-    if (config_.faults != nullptr) {
-      const double factor = config_.faults->compute_factor(r, c.now);
-      if (factor != 1.0) {
-        duration *= factor;
-        ++fault_compute_;
-      }
-    }
-    record(r, c.now, c.now + duration, RankState::kCompute, e.phase);
-    c.now += duration;
+    Seconds duration = e.duration;
+    if (scale_ != nullptr)
+      duration *= burst_factor(r, e.phase, ctx(r).scale_iteration);
+    run_compute(r, duration, e.phase);
     return true;
   }
 
@@ -374,8 +317,67 @@ private:
     // Markers cost nothing but label the rank's subsequent intervals with
     // the iteration index (intervals between iter_end and the next
     // iter_begin stay attributed to the ended iteration).
-    if (e.kind == MarkerKind::kIterationBegin) ctx(r).current_iteration = e.id;
+    RankCtx& c = ctx(r);
+    if (e.kind == MarkerKind::kIterationEnd) c.scale_iteration = -1;
+    if (e.kind != MarkerKind::kIterationBegin) return true;
+    c.current_iteration = e.id;
+    c.scale_iteration = e.id;
+    if (scale_ == nullptr || scale_->stalls.empty()) return true;
+    PALS_CHECK_MSG(e.id >= 0 && static_cast<std::size_t>(e.id) < scale_rows_,
+                   "no stall entry for iteration " << e.id);
+    const Seconds stall =
+        scale_->stalls[static_cast<std::size_t>(e.id) *
+                           static_cast<std::size_t>(n_) +
+                       static_cast<std::size_t>(r)];
+    // A regulator stall is wall-clock time: not stretched by the gear.
+    if (stall > 0.0) run_compute(r, stall, -1);
     return true;
+  }
+
+  /// The schedule's time-scale factor for a burst of rank `r` with this
+  /// phase label inside `iteration` (-1 = none).
+  double burst_factor(Rank r, std::int32_t phase,
+                      std::int32_t iteration) const {
+    const auto rank = static_cast<std::size_t>(r);
+    const auto n = static_cast<std::size_t>(n_);
+    switch (scale_->segment) {
+      case ReplayScale::Segment::kRun:
+        break;
+      case ReplayScale::Segment::kPhase: {
+        if (phase < 0) break;
+        const auto it = std::lower_bound(scale_->phases.begin(),
+                                         scale_->phases.end(), phase);
+        PALS_CHECK_MSG(it != scale_->phases.end() && *it == phase,
+                       "no gear row for phase " << phase);
+        const auto row =
+            static_cast<std::size_t>(it - scale_->phases.begin());
+        return scale_->factors[row * n + rank];
+      }
+      case ReplayScale::Segment::kIteration: {
+        if (iteration < 0) break;
+        const auto row = static_cast<std::size_t>(iteration);
+        PALS_CHECK_MSG(row < scale_rows_,
+                       "no gear row for iteration " << iteration);
+        return scale_->factors[row * n + rank];
+      }
+    }
+    return scale_->fallback[rank];
+  }
+
+  /// Rank `r` computes for `duration` trace seconds.
+  void run_compute(Rank r, Seconds duration, std::int32_t phase) {
+    RankCtx& c = ctx(r);
+    if (!config_.relative_speed.empty())
+      duration /= config_.relative_speed[static_cast<std::size_t>(r)];
+    if (config_.faults != nullptr) {
+      const double factor = config_.faults->compute_factor(r, c.now);
+      if (factor != 1.0) {
+        duration *= factor;
+        ++fault_compute_;
+      }
+    }
+    record(r, c.now, c.now + duration, RankState::kCompute, phase);
+    c.now += duration;
   }
 
   bool handle(Rank r, const SendEvent& e) {
@@ -385,7 +387,7 @@ private:
 
   bool handle(Rank r, const IsendEvent& e) {
     RankCtx& c = ctx(r);
-    const OpRef& op = next_op(c);
+    const ReplayOpRef& op = next_op(c);
     c.slot_ids[static_cast<std::size_t>(op.slot)] = e.request;
     return post_send(r, op, e.peer, e.tag, e.bytes, /*blocking=*/false);
   }
@@ -396,7 +398,7 @@ private:
 
   bool handle(Rank r, const IrecvEvent& e) {
     RankCtx& c = ctx(r);
-    const OpRef& op = next_op(c);
+    const ReplayOpRef& op = next_op(c);
     c.slot_ids[static_cast<std::size_t>(op.slot)] = e.request;
     return post_recv(r, op, e.peer, e.tag, /*blocking=*/false);
   }
@@ -467,7 +469,7 @@ private:
     return false;  // even the last arriver resumes through resume()
   }
 
-  bool post_send(Rank r, const OpRef& op, Rank peer, std::int32_t tag,
+  bool post_send(Rank r, const ReplayOpRef& op, Rank peer, std::int32_t tag,
                  Bytes bytes, bool blocking) {
     RankCtx& c = ctx(r);
     const bool eager = bytes <= config_.platform.eager_threshold;
@@ -537,7 +539,7 @@ private:
     return true;
   }
 
-  bool post_recv(Rank r, const OpRef& op, Rank peer, std::int32_t tag,
+  bool post_recv(Rank r, const ReplayOpRef& op, Rank peer, std::int32_t tag,
                  bool blocking) {
     RankCtx& c = ctx(r);
     const Seconds latency = config_.platform.latency;
@@ -750,6 +752,9 @@ private:
 
   const Trace& trace_;
   ReplayConfig config_;
+  const ReplayScale* scale_;
+  /// Rows of the scale's factor table (0 without a scale).
+  std::size_t scale_rows_ = 0;
   Rank n_;
   SimEngine engine_;
   BusAllocator bus_;
@@ -758,7 +763,7 @@ private:
   Timeline timeline_;
   std::vector<RankCtx> ranks_;
 
-  std::vector<OpRef> ops_;  ///< every rank's p2p/Wait refs, rank by rank
+  const std::vector<ReplayOpRef>& ops_;  ///< the program's refs
   ChannelQueues<PendingSend> sends_;
   ChannelQueues<PendingRecv> recvs_;
   std::vector<CollectiveState> collectives_;
@@ -783,14 +788,129 @@ void ReplayConfig::validate() const {
                  "max_wall_seconds must be >= 0 (0 disables the watchdog)");
 }
 
+ReplayProgram::ReplayProgram(const Trace& trace) {
+  trace.validate();
+  const auto n = static_cast<std::size_t>(trace.n_ranks());
+  events_.reserve(n);
+  std::size_t refs = 0;
+  for (Rank r = 0; r < trace.n_ranks(); ++r) {
+    const std::span<const Event> stream = trace.events(r);
+    events_.push_back(stream.size());
+    for (const Event& e : stream) {
+      if (std::holds_alternative<SendEvent>(e) ||
+          std::holds_alternative<IsendEvent>(e)) {
+        ++sends_;
+        ++refs;
+      } else if (std::holds_alternative<RecvEvent>(e) ||
+                 std::holds_alternative<IrecvEvent>(e) ||
+                 std::holds_alternative<WaitEvent>(e)) {
+        ++refs;
+      }
+    }
+  }
+  // One pass over the streams: every (src, dst, tag) gets a dense channel
+  // id and every open request a rank-local slot, and each p2p and Wait
+  // event gets its ReplayOpRef in stream order, so the replay loop matches
+  // and completes through plain vector indexing. The trace is valid, so
+  // every Isend/Irecv opens a slot and every Wait closes one.
+  ops_.reserve(refs);
+  first_op_.reserve(n);
+  slots_.reserve(n);
+  ChannelIds channels;
+  for (Rank r = 0; r < trace.n_ranks(); ++r) {
+    first_op_.push_back(ops_.size());
+    OpenRequests requests;
+    for (const Event& e : trace.events(r)) {
+      if (const auto* s = std::get_if<SendEvent>(&e)) {
+        ops_.push_back(ReplayOpRef{channels.id(r, s->peer, s->tag), -1});
+      } else if (const auto* v = std::get_if<RecvEvent>(&e)) {
+        ops_.push_back(ReplayOpRef{channels.id(v->peer, r, v->tag), -1});
+      } else if (const auto* is = std::get_if<IsendEvent>(&e)) {
+        ops_.push_back(ReplayOpRef{channels.id(r, is->peer, is->tag),
+                                   requests.open(is->request)});
+      } else if (const auto* ir = std::get_if<IrecvEvent>(&e)) {
+        ops_.push_back(ReplayOpRef{channels.id(ir->peer, r, ir->tag),
+                                   requests.open(ir->request)});
+      } else if (const auto* w = std::get_if<WaitEvent>(&e)) {
+        ops_.push_back(ReplayOpRef{-1, requests.close(w->request)});
+      } else if (std::holds_alternative<WaitAllEvent>(e)) {
+        requests.close_all();
+      }
+    }
+    slots_.push_back(requests.slots());
+  }
+  channels_ = channels.size();
+  iterations_ = trace.iteration_count();
+}
+
+bool ReplayProgram::matches(const Trace& trace) const {
+  if (trace.n_ranks() != n_ranks()) return false;
+  for (Rank r = 0; r < trace.n_ranks(); ++r)
+    if (trace.events(r).size() != events_[static_cast<std::size_t>(r)])
+      return false;
+  return true;
+}
+
+std::size_t ReplayProgram::approx_bytes() const {
+  return (events_.size() + first_op_.size()) * sizeof(std::size_t) +
+         ops_.size() * sizeof(ReplayOpRef) +
+         slots_.size() * sizeof(std::int32_t);
+}
+
+namespace {
+
+/// Throws unless `scale` fits the program's ranks and iterations, every
+/// factor is finite and positive and no stall is negative.
+void check_scale(const ReplayScale& scale, const ReplayProgram& program) {
+  const auto n = static_cast<std::size_t>(program.n_ranks());
+  PALS_CHECK_MSG(scale.fallback.size() == n,
+                 "scale has " << scale.fallback.size()
+                              << " fallback factors for " << n << " ranks");
+  PALS_CHECK_MSG(scale.factors.size() % n == 0,
+                 "scale factor table is not a whole number of rank rows");
+  const std::size_t rows = scale.factors.size() / n;
+  PALS_CHECK_MSG(scale.segment != ReplayScale::Segment::kRun || rows == 0,
+                 "a whole-run scale has no rows");
+  PALS_CHECK_MSG(scale.segment != ReplayScale::Segment::kPhase ||
+                     scale.phases.size() == rows,
+                 "phase label/scale row count mismatch");
+  PALS_CHECK_MSG(scale.segment != ReplayScale::Segment::kIteration ||
+                     program.iterations() > 0,
+                 "an iteration schedule requires iteration markers");
+  const auto check_factor = [](double factor) {
+    PALS_CHECK_MSG(std::isfinite(factor) && factor > 0.0,
+                   "time-scale factor " << factor
+                                        << " is not finite and positive");
+  };
+  for (const double factor : scale.factors) check_factor(factor);
+  for (const double factor : scale.fallback) check_factor(factor);
+  if (scale.stalls.empty()) return;
+  PALS_CHECK_MSG(scale.segment == ReplayScale::Segment::kIteration &&
+                     scale.stalls.size() == scale.factors.size(),
+                 "transition stalls need one row per iteration");
+  for (const Seconds stall : scale.stalls)
+    PALS_CHECK_MSG(stall >= 0.0, "negative transition stall");
+}
+
+}  // namespace
+
 ReplayResult replay(const Trace& trace, const ReplayConfig& config) {
   config.validate();
-  trace.validate();
+  const ReplayProgram program(trace);
+  return replay(trace, program, config);
+}
+
+ReplayResult replay(const Trace& trace, const ReplayProgram& program,
+                    const ReplayConfig& config, const ReplayScale* scale) {
+  config.validate();
+  PALS_CHECK_MSG(program.matches(trace),
+                 "replay program was compiled for a trace of another shape");
   PALS_CHECK_MSG(config.relative_speed.empty() ||
                      config.relative_speed.size() ==
                          static_cast<std::size_t>(trace.n_ranks()),
                  "relative_speed must be empty or one entry per rank");
-  ReplayEngine engine(trace, config);
+  if (scale != nullptr) check_scale(*scale, program);
+  ReplayEngine engine(trace, program, config, scale);
   ReplayResult result = engine.run();
 
   // Self-record into the process-global registry. All values are integer

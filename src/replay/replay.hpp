@@ -4,8 +4,9 @@
 // a PlatformModel and produces the total execution time plus a per-rank
 // state timeline. Semantics:
 //
-//  * Computation bursts take their trace duration (the power pipeline
-//    rescales durations for DVFS before replay).
+//  * Computation bursts take their trace duration, stretched by the DVFS
+//    schedule's time-scale factor when the replay is given one
+//    (ReplayScale; the power pipeline fills it from a GearSchedule).
 //  * Point-to-point messages <= eager_threshold use the eager protocol:
 //    the sender is busy for `latency`, the payload arrives at
 //    bus_start + latency + bytes/bandwidth regardless of the receiver.
@@ -17,13 +18,19 @@
 //    then all leave together after a closed-form cost (network/platform.hpp).
 //  * A configurable number of shared buses serializes concurrent transfers.
 //
-// Engine: the replay validates the trace, then compiles it in one pass —
-// each (src, dst, tag) triple gets a dense channel id, each open request
-// a rank-local slot (OpenRequests, trace/open_requests.hpp), and each
-// send, recv and wait event its ids. Pending sends and receives wait in
-// per-channel FIFOs (MPI non-overtaking order), request state lives in
-// per-slot arrays, and a typed (time, seq, rank) event heap (simcore)
-// wakes one rank at a time, so the hot loop only indexes vectors.
+// Engine: a ReplayProgram is compiled once per trace — the trace is
+// validated, each (src, dst, tag) triple gets a dense channel id, each
+// open request a rank-local slot (OpenRequests, trace/open_requests.hpp),
+// and each send, recv and wait event its ids. Every replay of that trace
+// runs from the program: the baseline and each scaled replay, because a
+// DVFS schedule never changes a trace's structure. A scaled replay reads
+// the unscaled trace and applies the schedule as it reads each burst: the
+// burst's duration times its (segment, rank) factor, and each
+// iteration's transition stall run as an unphased burst right after the
+// iteration-begin marker. Pending sends and receives wait in per-channel
+// FIFOs (MPI non-overtaking order), request state lives in per-slot
+// arrays, and a typed (time, seq, rank) event heap (simcore) wakes one
+// rank at a time, so the hot loop only indexes vectors.
 //
 // Deadlocks (e.g. a recv whose send never happens) are detected and
 // reported with the blocked ranks plus the wait-for cycle diagnosed by
@@ -32,6 +39,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -45,8 +54,9 @@ struct ReplayConfig {
   PlatformModel platform;
   /// Relative CPU speed per rank (Dimemas's CPU-ratio): a compute burst of
   /// duration d on rank r takes d / relative_speed[r]. Empty = homogeneous
-  /// machine (all 1.0). Models heterogeneous clusters; DVFS rescaling uses
-  /// trace transforms instead (the frequency choice is per-application).
+  /// machine (all 1.0). Models heterogeneous clusters; DVFS stretching
+  /// comes from a ReplayScale instead (the frequency choice is
+  /// per-application).
   std::vector<double> relative_speed;
 
   /// Optional fault injector (not owned; must outlive the replay). When
@@ -135,8 +145,93 @@ struct ReplayResult {
   std::size_t fault_jitter_injections = 0;       ///< jittered message posts
 };
 
-/// Simulate `trace` on the platform. The trace must pass validate().
-/// Throws pals::Error on deadlock.
+/// The ids the compile pass gives a p2p or Wait event: its (src, dst, tag)
+/// matching channel (-1 for a Wait) and its rank-local request slot (-1
+/// when blocking).
+struct ReplayOpRef {
+  std::int32_t channel = -1;
+  std::int32_t slot = -1;
+};
+
+/// A validated trace compiled for replay. It holds only structure — no
+/// durations — so one program serves the baseline and every scaled
+/// replay of its trace. The per-rank event counts are a cheap
+/// fingerprint: replay() rejects a trace whose shape differs.
+class ReplayProgram {
+public:
+  ReplayProgram() = default;
+  /// Validate `trace` (Trace::validate, same errors) and compile it.
+  explicit ReplayProgram(const Trace& trace);
+
+  Rank n_ranks() const { return static_cast<Rank>(events_.size()); }
+  /// Iterations on rank 0, as Trace::iteration_count counts them.
+  std::size_t iterations() const { return iterations_; }
+  /// Whether `trace` has the shape this program was compiled from.
+  bool matches(const Trace& trace) const;
+  /// Approximate bytes of the program's tables, at sizeof() cost (the
+  /// object itself not included).
+  std::size_t approx_bytes() const;
+
+  /// Every rank's p2p/Wait refs in stream order, rank by rank.
+  const std::vector<ReplayOpRef>& ops() const { return ops_; }
+  /// Index into ops() of rank r's first ref.
+  std::size_t first_op(Rank r) const {
+    return first_op_[static_cast<std::size_t>(r)];
+  }
+  /// Request slots rank r needs (its peak number of open requests).
+  std::int32_t slots(Rank r) const {
+    return slots_[static_cast<std::size_t>(r)];
+  }
+  /// Number of distinct (src, dst, tag) channels.
+  std::int32_t channels() const { return channels_; }
+  /// Blocking and non-blocking sends of the whole trace.
+  std::size_t sends() const { return sends_; }
+
+private:
+  std::vector<std::size_t> events_;  ///< per-rank event counts
+  std::vector<ReplayOpRef> ops_;
+  std::vector<std::size_t> first_op_;
+  std::vector<std::int32_t> slots_;
+  std::int32_t channels_ = 0;
+  std::size_t sends_ = 0;
+  std::size_t iterations_ = 0;
+};
+
+/// A DVFS schedule as the scaled replay applies it: plain numbers, no
+/// gears (GearSchedule::replay_scale fills it). Non-owning; the spans
+/// must outlive the replay. A compute burst's duration is multiplied by
+/// the factor of its segment and rank before the relative CPU speed and
+/// faults apply; bursts no row covers take the fallback factor.
+struct ReplayScale {
+  enum class Segment {
+    kRun,        ///< every burst takes the fallback factor
+    kPhase,      ///< row s covers bursts labelled phases[s]
+    kIteration,  ///< row i covers bursts inside iteration i
+  };
+  Segment segment = Segment::kRun;
+  /// kPhase: the phase label of each row, ascending.
+  std::span<const std::int32_t> phases;
+  /// factors[row * n_ranks + rank]; empty for kRun.
+  std::span<const double> factors;
+  /// fallback[rank].
+  std::span<const double> fallback;
+  /// stalls[iteration * n_ranks + rank]: wall-clock seconds run as an
+  /// unphased, unscaled burst right after that iteration's begin marker
+  /// (kIteration only; empty when nothing stalls).
+  std::span<const Seconds> stalls;
+};
+
+/// Simulate `trace` on the platform. Validates and compiles the trace
+/// (ReplayProgram), then replays it. Throws pals::Error on an invalid
+/// trace or config and on deadlock.
 ReplayResult replay(const Trace& trace, const ReplayConfig& config);
+
+/// Replay `trace` from its compiled `program`, stretched by `scale` when
+/// given. Throws when the program was compiled from a trace of another
+/// shape, or when a scale factor is not finite and positive or a stall
+/// is negative.
+ReplayResult replay(const Trace& trace, const ReplayProgram& program,
+                    const ReplayConfig& config,
+                    const ReplayScale* scale = nullptr);
 
 }  // namespace pals

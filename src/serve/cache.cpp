@@ -21,6 +21,7 @@ std::size_t approx_entry_bytes(const WarmEntry& entry) {
     bytes += record.arrivals.size() * sizeof(std::pair<Rank, Seconds>);
   bytes += (baseline.compute_time.size() + baseline.communication_time.size()) *
            sizeof(Seconds);
+  bytes += entry.program.approx_bytes();
   return bytes;
 }
 

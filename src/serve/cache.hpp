@@ -35,15 +35,20 @@
 namespace pals {
 namespace serve {
 
-/// One warm entry: the parsed trace and its baseline replay.
+/// One warm entry: the parsed trace, its baseline replay and the replay
+/// program every query of the entry replays from. QueryEngine's entries
+/// (make_warm_entry, serve/query.hpp) drop the baseline's message and
+/// collective logs, which no served row reads.
 struct WarmEntry {
   Trace trace;
   ReplayResult baseline;
+  ReplayProgram program;
   std::size_t bytes = 0;  ///< approximate resident footprint (see below)
 };
 
 /// Approximate resident bytes of an entry: events, timeline intervals,
-/// message/collective records and per-rank vectors at sizeof() cost.
+/// message/collective records, the replay program and per-rank vectors
+/// at sizeof() cost.
 /// Deliberately an estimate — the budget is an ops guardrail, not an
 /// allocator ledger.
 std::size_t approx_entry_bytes(const WarmEntry& entry);

@@ -1,6 +1,7 @@
 #include "serve/query.hpp"
 
 #include <optional>
+#include <utility>
 
 #include "analysis/sweep.hpp"
 #include "fault/guard.hpp"
@@ -8,6 +9,16 @@
 
 namespace pals {
 namespace serve {
+
+WarmEntry make_warm_entry(Trace trace, const ReplayConfig& config) {
+  WarmEntry entry;
+  entry.trace = std::move(trace);
+  entry.program = ReplayProgram(entry.trace);
+  entry.baseline = replay(entry.trace, entry.program, config);
+  entry.baseline.messages = std::vector<MessageRecord>();
+  entry.baseline.collectives = std::vector<CollectiveRecord>();
+  return entry;
+}
 
 ExperimentRow QueryEngine::execute(const Request& request,
                                    double deadline_seconds) {
@@ -69,16 +80,13 @@ ExperimentRow QueryEngine::execute(const Request& request,
     // fault plan. The wall watchdog is armed during a cold build too — a
     // deadline that expires there throws, the cache drops the key, and a
     // later, more patient query rebuilds it.
-    const std::shared_ptr<const WarmEntry> warm = cache_.get(
-        request.baseline_key(workload->key), [&]() {
-          WarmEntry entry;
-          entry.trace = workload->build();
-          entry.baseline = replay(entry.trace, config.replay);
-          return entry;
+    const std::shared_ptr<const WarmEntry> warm =
+        cache_.get(request.baseline_key(workload->key), [&]() {
+          return make_warm_entry(workload->build(), config.replay);
         });
 
     const PipelineResult pipeline =
-        run_pipeline(warm->trace, config, warm->baseline);
+        run_pipeline(warm->trace, warm->program, config, warm->baseline);
 
     return flatten_result(pipeline, workload->display,
                           scenario.variant_label());

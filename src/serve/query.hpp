@@ -18,6 +18,12 @@
 namespace pals {
 namespace serve {
 
+/// The warm entry a query builds on a cache miss: `trace`, its compiled
+/// replay program and its baseline replay under `config`, without the
+/// baseline's message and collective logs (no served row reads them).
+/// Throws what ReplayProgram and replay() throw on a malformed trace.
+WarmEntry make_warm_entry(Trace trace, const ReplayConfig& config);
+
 struct QueryEngineOptions {
   /// Daemon-wide base configuration (defaults + --config overlay); each
   /// query overlays its own cell axes and platform overrides on a copy.

@@ -3,8 +3,8 @@
 // A logical trace abstracts a run of an MPI application into, per rank, a
 // sequence of computation bursts (durations measured at the reference/top
 // CPU frequency) and communication operations. Replay re-times this
-// sequence on a platform model; the power layer rescales burst durations
-// for a chosen DVFS frequency.
+// sequence on a platform model; under a DVFS schedule the replay stretches
+// burst durations for the chosen frequencies.
 #pragma once
 
 #include <cstdint>

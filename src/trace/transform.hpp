@@ -3,8 +3,9 @@
 // The central operation mirrors the paper's tooling: rewrite every compute
 // burst's duration by a per-rank scale factor (derived from the chosen
 // frequency and the beta time model) and leave communication untouched.
-// Per-phase and per-iteration schedules, with their transition stalls, are
-// applied by GearSchedule::rescale (core/gear_schedule.hpp).
+// The power pipeline itself stretches bursts inside the scaled replay
+// (GearSchedule::replay_scale, core/gear_schedule.hpp) instead of copying
+// the trace.
 #pragma once
 
 #include <span>

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
+#include "core/algorithms.hpp"
 #include "core/pipeline.hpp"
+#include "power/gearset.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace pals {
 namespace {
@@ -161,6 +166,92 @@ TEST(EnergyBound, FmaxBelowReferenceRelaxesBudget) {
   EXPECT_GT(b.predicted_time, 5.0);
   EXPECT_NEAR(b.predicted_time, 1.0 + 4.0 * stretch, 1e-9);
   for (const double f : b.frequency_ghz) EXPECT_LE(f, 1.8 + 1e-12);
+}
+
+/// energy_saving_bound as it evaluated every grid point before the
+/// frequency terms were hoisted: the gear and both powers per point.
+EnergyBound loop_energy_saving_bound(std::span<const Seconds> computation_time,
+                                     Seconds total_time,
+                                     double allowed_slowdown,
+                                     const EnergyBoundConfig& config) {
+  const PowerModel power(config.power);
+  const VoltageModel vm = VoltageModel::paper_default();
+  const double fref = config.power.reference.frequency_ghz;
+  const double beta = config.power.beta;
+  const auto rank_energy_at = [&](double f_ghz, Seconds compute_time,
+                                  Seconds total) {
+    const Gear gear = vm.gear(f_ghz);
+    return compute_time * power.total_power(gear, true) +
+           (total - compute_time) * power.total_power(gear, false);
+  };
+  const Seconds t_max =
+      *std::max_element(computation_time.begin(), computation_time.end());
+  const Seconds comm = std::max(0.0, total_time - t_max);
+  const double stretch_at_fmax = beta * (fref / config.fmax_ghz - 1.0) + 1.0;
+  const Seconds compute_budget =
+      std::max((1.0 + allowed_slowdown) * total_time - comm,
+               t_max * stretch_at_fmax);
+  const Seconds new_total = compute_budget + comm;
+  EnergyBound bound;
+  bound.predicted_time = new_total;
+  double energy = 0.0;
+  double baseline_energy = 0.0;
+  for (const Seconds t : computation_time) {
+    baseline_energy += rank_energy_at(fref, t, total_time);
+    if (t == 0.0) {
+      bound.frequency_ghz.push_back(config.fmin_ghz);
+      energy += rank_energy_at(config.fmin_ghz, 0.0, new_total);
+      continue;
+    }
+    const double f_lo =
+        std::clamp(ideal_frequency(t, compute_budget, fref, beta),
+                   config.fmin_ghz, config.fmax_ghz);
+    double best_f = config.fmax_ghz;
+    double best_e = rank_energy_at(
+        best_f, t * (beta * (fref / best_f - 1.0) + 1.0), new_total);
+    constexpr int kGrid = 512;
+    for (int i = 0; i <= kGrid; ++i) {
+      const double f =
+          f_lo + (config.fmax_ghz - f_lo) * static_cast<double>(i) / kGrid;
+      const Seconds stretched = t * (beta * (fref / f - 1.0) + 1.0);
+      const double e = rank_energy_at(f, stretched, new_total);
+      if (e < best_e) {
+        best_e = e;
+        best_f = f;
+      }
+    }
+    bound.frequency_ghz.push_back(best_f);
+    energy += best_e;
+  }
+  bound.normalized_energy = energy / baseline_energy;
+  return bound;
+}
+
+TEST(EnergyBound, HoistedGridMatchesPerPointLoopBitForBit) {
+  Rng rng(20090525);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto ranks = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    std::vector<Seconds> times;
+    for (std::size_t r = 0; r < ranks; ++r)
+      times.push_back(rng.uniform_int(0, 9) == 0 ? 0.0
+                                                 : rng.uniform(0.01, 4.0));
+    times[rng.uniform_int(0, ranks - 1)] = 4.0;  // at least one busy rank
+    EnergyBoundConfig config = default_config();
+    config.power.beta = rng.uniform(0.1, 1.0);
+    config.power.static_fraction = rng.uniform(0.05, 0.6);
+    config.fmin_ghz = rng.uniform(0.4, 1.6);
+    config.fmax_ghz = rng.uniform(config.fmin_ghz, 2.3);
+    const double total = 4.0 + rng.uniform(0.0, 2.0);
+    const double slowdown = rng.uniform_int(0, 2) == 0 ? 0.0
+                                                       : rng.uniform(0.0, 0.5);
+    const EnergyBound hoisted =
+        energy_saving_bound(times, total, slowdown, config);
+    const EnergyBound loop =
+        loop_energy_saving_bound(times, total, slowdown, config);
+    EXPECT_EQ(hoisted.normalized_energy, loop.normalized_energy) << trial;
+    EXPECT_EQ(hoisted.frequency_ghz, loop.frequency_ghz) << trial;
+    EXPECT_EQ(hoisted.predicted_time, loop.predicted_time) << trial;
+  }
 }
 
 }  // namespace

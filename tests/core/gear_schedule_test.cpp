@@ -1,9 +1,11 @@
-// GearSchedule: the one rescale and the one energy integrator behind every
-// schedule shape (whole run, per phase, per iteration). The suite names
-// follow the per-phase / per-iteration transforms and integrators these
-// cases first covered; the behaviours are the same — missing-row and
-// rank-count rejection, stall placement after the iteration-begin marker,
-// the fallback outside keyed segments and the idle-tail charge.
+// GearSchedule: the one scale table and the one energy integrator behind
+// every schedule shape (whole run, per phase, per iteration). The scale
+// cases replay the schedule (replay_scale, applied inside the replay);
+// their suite names follow the per-phase / per-iteration transforms and
+// integrators these cases first covered, and the behaviours are the same
+// — missing-row and rank-count rejection, stall placement after the
+// iteration-begin marker, the fallback outside keyed segments and the
+// idle-tail charge.
 #include "core/gear_schedule.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "core/pipeline.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
+#include "replay/replay.hpp"
 #include "trace/transform.hpp"
 #include "util/error.hpp"
 
@@ -80,28 +83,48 @@ GearSchedule iteration_schedule(std::vector<std::vector<Gear>> rows,
   return s;
 }
 
+/// The pipeline's scaled replay of `t` under `s` on the default platform.
+ReplayResult scaled_replay(const GearSchedule& s, const Trace& t) {
+  std::vector<double> storage;
+  const ReplayScale scale = s.replay_scale(model(), t.n_ranks(), storage);
+  return replay(t, ReplayProgram(t), ReplayConfig{}, &scale);
+}
+
+/// Compute seconds of `rank` inside `iteration` (-1 = outside any).
+Seconds compute_in(const ReplayResult& result, Rank rank,
+                   std::int32_t iteration) {
+  Seconds total = 0.0;
+  for (const StateInterval& iv : result.timeline.intervals(rank))
+    if (iv.state == RankState::kCompute && iv.iteration == iteration)
+      total += iv.end - iv.begin;
+  return total;
+}
+
 TEST(ScaleComputePerPhase, UsesPhaseFactors) {
   // Rank 0: the unphased burst follows the fallback, the phase-1 burst
   // row 1. Rank 1: the phase-0 burst follows row 0.
   const GearSchedule s = phase_schedule({0, 1}, {{kRef, kSlow}, {kMid, kRef}},
                                         {kFast, kRef});
-  const Trace scaled = s.rescale(base_trace(), model());
-  EXPECT_DOUBLE_EQ(scaled.computation_time(0),
-                   1.0 * scale(kFast) + 2.0 * scale(kMid));
-  EXPECT_DOUBLE_EQ(scaled.computation_time(1), 4.0 * scale(kSlow));
+  const ReplayResult scaled = scaled_replay(s, base_trace());
+  EXPECT_NEAR(scaled.compute_time[0], 1.0 * scale(kFast) + 2.0 * scale(kMid),
+              1e-12);
+  EXPECT_NEAR(scaled.compute_time[1], 4.0 * scale(kSlow), 1e-12);
 }
 
 TEST(ScaleComputePerPhase, RejectsMissingPhaseFactor) {
   const GearSchedule s = phase_schedule({0}, {{kRef, kRef}}, {kRef, kRef});
-  EXPECT_THROW(s.rescale(base_trace(), model()), Error);  // no phase 1
+  EXPECT_THROW(scaled_replay(s, base_trace()), Error);  // no phase 1
 }
 
 TEST(ScaleComputePerPhase, RejectsRankCountMismatch) {
-  EXPECT_THROW(phase_schedule({0, 1}, {{kRef}, {kRef}}, {kRef, kRef})
-                   .rescale(base_trace(), model()),
+  EXPECT_THROW(scaled_replay(phase_schedule({0, 1}, {{kRef}, {kRef}},
+                                            {kRef, kRef}),
+                             base_trace()),
                Error);
-  EXPECT_THROW(phase_schedule({0, 1}, {{kRef, kRef}, {kRef, kRef}}, {kRef})
-                   .rescale(base_trace(), model()),
+  EXPECT_THROW(scaled_replay(phase_schedule({0, 1},
+                                            {{kRef, kRef}, {kRef, kRef}},
+                                            {kRef}),
+                             base_trace()),
                Error);
 }
 
@@ -110,74 +133,78 @@ TEST(ScaleComputePerIteration, ScalesOnlyInsideIterations) {
   const Trace t = marked_trace(2);
   const GearSchedule s =
       iteration_schedule({{kMid, kMid}, {kSlow, kSlow}}, {kRef, kRef});
-  const Trace scaled = s.rescale(t, model());
-  EXPECT_DOUBLE_EQ(scaled.computation_time(0),
-                   0.5 + 1.0 * scale(kMid) + 2.0 * scale(kSlow));
-  EXPECT_DOUBLE_EQ(scaled.computation_time(1),
-                   0.5 + 2.0 * scale(kMid) + 4.0 * scale(kSlow));
+  const ReplayResult scaled = scaled_replay(s, t);
+  EXPECT_NEAR(scaled.compute_time[0],
+              0.5 + 1.0 * scale(kMid) + 2.0 * scale(kSlow), 1e-12);
+  EXPECT_NEAR(scaled.compute_time[1],
+              0.5 + 2.0 * scale(kMid) + 4.0 * scale(kSlow), 1e-12);
 }
 
 TEST(ScaleComputePerIteration, PerRankFactorsApply) {
   const Trace t = marked_trace(1);
   const GearSchedule s = iteration_schedule({{kSlow, kFast}}, {kMid, kMid});
-  const Trace scaled = s.rescale(t, model());
+  const ReplayResult scaled = scaled_replay(s, t);
   // The prologue runs at the fallback gear.
-  EXPECT_DOUBLE_EQ(scaled.computation_time(0),
-                   0.5 * scale(kMid) + 1.0 * scale(kSlow));
-  EXPECT_DOUBLE_EQ(scaled.computation_time(1),
-                   0.5 * scale(kMid) + 2.0 * scale(kFast));
+  EXPECT_NEAR(scaled.compute_time[0], 0.5 * scale(kMid) + 1.0 * scale(kSlow),
+              1e-12);
+  EXPECT_NEAR(scaled.compute_time[1], 0.5 * scale(kMid) + 2.0 * scale(kFast),
+              1e-12);
 }
 
 TEST(ScaleComputePerIteration, RejectsUnmarkedTrace) {
-  EXPECT_THROW(
-      iteration_schedule({{kRef, kRef}}, {kRef, kRef}).rescale(base_trace(),
-                                                               model()),
-      Error);
+  EXPECT_THROW(scaled_replay(iteration_schedule({{kRef, kRef}}, {kRef, kRef}),
+                             base_trace()),
+               Error);
 }
 
 TEST(ScaleComputePerIteration, RejectsMissingIterationFactors) {
-  EXPECT_THROW(
-      iteration_schedule({{kRef, kRef}}, {kRef, kRef}).rescale(marked_trace(3),
-                                                               model()),
-      Error);
+  EXPECT_THROW(scaled_replay(iteration_schedule({{kRef, kRef}}, {kRef, kRef}),
+                             marked_trace(3)),
+               Error);
 }
 
 TEST(AddIterationOverhead, InsertsBurstsAfterBeginMarkers) {
   const Trace t = marked_trace(2);
   const GearSchedule s = iteration_schedule(
       {{kSlow, kRef}, {kRef, kRef}}, {kRef, kRef}, {{0.1, 0.0}, {0.0, 0.2}});
-  const Trace out = s.rescale(t, model());
-  // The burst lands inside the right iteration, right after its begin
+  const ReplayResult out = scaled_replay(s, t);
+  // The stall runs inside the right iteration, right after its begin
   // marker, and is not stretched by the iteration's gear.
-  const auto per_iteration = iteration_computation_times(out);
-  EXPECT_DOUBLE_EQ(per_iteration[0][0], 1.0 * scale(kSlow) + 0.1);
-  EXPECT_DOUBLE_EQ(per_iteration[1][1], 4.0 + 0.2);
-  EXPECT_DOUBLE_EQ(out.computation_time(1), t.computation_time(1) + 0.2);
-  const auto* stall = std::get_if<ComputeEvent>(&out.events(0)[2]);
-  ASSERT_NE(stall, nullptr);
-  EXPECT_DOUBLE_EQ(stall->duration, 0.1);
-  EXPECT_EQ(stall->phase, -1);
-  EXPECT_EQ(out.total_events(), t.total_events() + 2);
+  EXPECT_NEAR(compute_in(out, 0, 0), 1.0 * scale(kSlow) + 0.1, 1e-12);
+  EXPECT_NEAR(compute_in(out, 1, 1), 4.0 + 0.2, 1e-12);
+  EXPECT_NEAR(out.compute_time[1], t.computation_time(1) + 0.2, 1e-12);
+  // Rank 0's iteration 0 starts with the stall where the prologue ends.
+  const std::span<const StateInterval> rank0 = out.timeline.intervals(0);
+  ASSERT_GE(rank0.size(), 2u);
+  EXPECT_EQ(rank0[1].iteration, 0);
+  EXPECT_EQ(rank0[1].phase, -1);
+  EXPECT_EQ(rank0[1].begin, 0.5);
 }
 
 TEST(AddIterationOverhead, ZeroOverheadIsIdentity) {
   const Trace t = marked_trace(2);
   const GearSchedule s = iteration_schedule(
       {{kRef, kRef}, {kRef, kRef}}, {kRef, kRef}, {{0.0, 0.0}, {0.0, 0.0}});
-  EXPECT_EQ(s.rescale(t, model()), t);
+  const ReplayResult scaled = scaled_replay(s, t);
+  const ReplayResult plain = replay(t, ReplayConfig{});
+  EXPECT_EQ(scaled.makespan, plain.makespan);
+  EXPECT_TRUE(scaled.timeline == plain.timeline);
+  EXPECT_EQ(scaled.simulated_events, plain.simulated_events);
 }
 
 TEST(AddIterationOverhead, RejectsBadInput) {
-  EXPECT_THROW(iteration_schedule({{kRef, kRef}}, {kRef, kRef}, {{0.0, 0.0}})
-                   .rescale(base_trace(), model()),
+  EXPECT_THROW(scaled_replay(iteration_schedule({{kRef, kRef}}, {kRef, kRef},
+                                                {{0.0, 0.0}}),
+                             base_trace()),
                Error);
   const Trace t = marked_trace(2);
   const std::vector<std::vector<Gear>> rows{{kRef, kRef}, {kRef, kRef}};
   EXPECT_THROW(  // stalls for 1 of 2 iterations
-      iteration_schedule(rows, {kRef, kRef}, {{0.0, 0.0}}).rescale(t, model()),
+      scaled_replay(iteration_schedule(rows, {kRef, kRef}, {{0.0, 0.0}}), t),
       Error);
-  EXPECT_THROW(iteration_schedule(rows, {kRef, kRef}, {{-0.1, 0.0}, {0.0, 0.0}})
-                   .rescale(t, model()),
+  EXPECT_THROW(scaled_replay(iteration_schedule(rows, {kRef, kRef},
+                                                {{-0.1, 0.0}, {0.0, 0.0}}),
+                             t),
                Error);
 }
 
@@ -265,7 +292,10 @@ TEST(GearSchedule, WholeRunMatchesScaleComputeAndTotalEnergyExactly) {
   GearSchedule s;
   s.fallback.gears = {kSlow, kMid};
   const std::vector<double> factors{scale(kSlow), scale(kMid)};
-  EXPECT_EQ(s.rescale(t, model()), scale_compute(t, factors));
+  const ReplayResult scaled = scaled_replay(s, t);
+  const ReplayResult copied = replay(scale_compute(t, factors), ReplayConfig{});
+  EXPECT_EQ(scaled.makespan, copied.makespan);
+  EXPECT_TRUE(scaled.timeline == copied.timeline);
 
   Timeline tl(2);
   tl.append(0, {0.0, 1.25, RankState::kCompute, 2, 0});

@@ -1,7 +1,8 @@
 // serve/cache.hpp: the memory-budgeted warm cache — hit/miss accounting,
 // LRU eviction under a byte budget, the no-poison contract for failing
-// builds, single-build coalescing under concurrency, and survival of
-// handed-out entries across their own eviction.
+// builds, single-build coalescing under concurrency, survival of
+// handed-out entries across their own eviction, and the contents and
+// footprint of the entry a query builds.
 #include "serve/cache.hpp"
 
 #include <atomic>
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/experiments.hpp"
+#include "serve/query.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -159,6 +162,41 @@ TEST(WarmCache, BuildsOfDifferentKeysProceedInParallel) {
 TEST(ApproxEntryBytes, GrowsWithPayload) {
   EXPECT_GT(bytes_of(100), bytes_of(1));
   EXPECT_GE(bytes_of(0), sizeof(WarmEntry));
+}
+
+TEST(ApproxEntryBytes, CountsTheReplayProgram) {
+  WarmEntry entry;
+  entry.trace = resolve_workload("cg:8:0.9:2", 2).build();
+  const std::size_t without = approx_entry_bytes(entry);
+  entry.program = ReplayProgram(entry.trace);
+  EXPECT_GT(entry.program.approx_bytes(), 0u);
+  EXPECT_EQ(approx_entry_bytes(entry), without + entry.program.approx_bytes());
+}
+
+TEST(WarmCache, QueryEntryHoldsTheProgramNotTheLogs) {
+  // The entry a query builds carries the compiled program and drops the
+  // baseline's message and collective logs, so it is smaller than the
+  // full baseline replay it replaces.
+  WarmCache cache(0);
+  QueryEngine engine(QueryEngineOptions{}, cache);
+  Request request;
+  request.workload = "cg:8:0.9:2";
+  const WorkloadRef ref = resolve_workload(request.workload, 2);
+  request.iterations = 2;
+  engine.execute(request, 0.0);
+  const auto entry = cache.get(request.baseline_key(ref.key), []() -> WarmEntry {
+    throw Error("the query should have built the entry");
+  });
+  EXPECT_TRUE(entry->program.matches(entry->trace));
+  EXPECT_TRUE(entry->baseline.messages.empty());
+  EXPECT_TRUE(entry->baseline.collectives.empty());
+  EXPECT_GT(entry->baseline.timeline.n_ranks(), 0);
+
+  WarmEntry full;
+  full.trace = entry->trace;
+  full.baseline = replay(full.trace, ReplayConfig{});
+  ASSERT_FALSE(full.baseline.messages.empty());
+  EXPECT_LT(entry->bytes, approx_entry_bytes(full));
 }
 
 }  // namespace

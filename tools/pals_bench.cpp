@@ -99,7 +99,7 @@ std::vector<bench::Case> build_suite(TraceCache& cache, int jobs) {
   }});
 
   // The full power-analysis pipeline: baseline replay, assignment,
-  // rescale, scaled replay, energy.
+  // scale table, scaled replay, energy.
   cases.push_back({"pipeline.stages", [&cache](bench::Sink&) {
     const Trace& trace = suite_trace(cache, "CG-32");
     const PipelineConfig config = default_pipeline_config(paper_uniform(6));
