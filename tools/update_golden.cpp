@@ -9,12 +9,15 @@
 // atomic_write_file), so an interrupted regeneration leaves the old
 // goldens intact instead of half-written ones.
 //
-//   update_golden [--dir=golden]
+//   update_golden [--dir=golden] [--source=.]
+#include <filesystem>
 #include <iostream>
+#include <unistd.h>
 
 #include "analysis/controller_study.hpp"
 #include "analysis/figures.hpp"
 #include "analysis/golden.hpp"
+#include "analysis/journal_pins.hpp"
 #include "analysis/replay_pins.hpp"
 #include "obs/chrome_trace.hpp"
 #include "replay/replay.hpp"
@@ -33,6 +36,7 @@ int run(int argc, char** argv) {
                  "examples");
   cli.add_option("fixtures", "test fixtures directory (for drift4.palst)",
                  "tests/power/fixtures");
+  cli.add_option("source", "source tree (for configs/)", ".");
   cli.parse(argc, argv);
   const std::string dir = cli.get("dir");
 
@@ -76,6 +80,17 @@ int run(int argc, char** argv) {
   // seeded random traces (compared byte for byte).
   atomic_write_file(dir + "/replay_pins.csv", replay_pins_csv());
   std::cout << "wrote " << dir << "/replay_pins.csv\n";
+
+  // The R records of journaled --jobs=1 sweeps over the shipped grids
+  // (compared byte for byte). The journals go to a private temporary
+  // directory, removed afterwards.
+  const std::filesystem::path work =
+      std::filesystem::temp_directory_path() /
+      ("pals_journal_pins." + std::to_string(::getpid()));
+  const std::string pins = journal_pins_text(cli.get("source"), work.string());
+  std::filesystem::remove_all(work);
+  atomic_write_file(dir + "/journal_pins.txt", pins);
+  std::cout << "wrote " << dir << "/journal_pins.txt\n";
   return 0;
 }
 
