@@ -87,7 +87,7 @@ ReplayScale GearSchedule::replay_scale(const PowerModel& power, Rank n_ranks,
   check(n_ranks);
   const auto n = static_cast<std::size_t>(n_ranks);
   storage.clear();
-  storage.reserve((rows.size() + 1 + stalls.size()) * n);
+  storage.reserve((3 * (rows.size() + 1) + stalls.size()) * n);
   for (const std::vector<Gear>& row : rows)
     for (const Gear& gear : row)
       storage.push_back(power.time_scale(gear.frequency_ghz));
@@ -95,6 +95,14 @@ ReplayScale GearSchedule::replay_scale(const PowerModel& power, Rank n_ranks,
     storage.push_back(power.time_scale(gear.frequency_ghz));
   for (const std::vector<Seconds>& row : stalls)
     storage.insert(storage.end(), row.begin(), row.end());
+  const auto push_power = [&](const std::vector<Gear>& gears) {
+    for (const Gear& gear : gears) {
+      storage.push_back(power.total_power(gear, /*computing=*/false));
+      storage.push_back(power.total_power(gear, /*computing=*/true));
+    }
+  };
+  for (const std::vector<Gear>& row : rows) push_power(row);
+  push_power(fallback.gears);
 
   ReplayScale scale;
   switch (key) {
@@ -112,7 +120,8 @@ ReplayScale GearSchedule::replay_scale(const PowerModel& power, Rank n_ranks,
   scale.phases = phases;
   scale.factors = all.first(rows.size() * n);
   scale.fallback = all.subspan(rows.size() * n, n);
-  scale.stalls = all.subspan((rows.size() + 1) * n);
+  scale.stalls = all.subspan((rows.size() + 1) * n, stalls.size() * n);
+  scale.power = all.subspan((rows.size() + 1 + stalls.size()) * n);
   return scale;
 }
 

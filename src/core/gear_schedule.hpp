@@ -7,9 +7,10 @@
 // rows, a fallback gear per rank for everything no row covers, and the
 // transition stalls and regulator energy an online controller's switches
 // cost. plan_schedule() is the only place gears are chosen; the schedule
-// then stretches the scaled replay (replay_scale) and prices the replayed
-// timeline (energy, power_series). The pipeline and the bounds analyzer
-// both go through it, so they describe the same run.
+// then stretches and prices the scaled replay (replay_scale: time-scale
+// factors and power rates) and prices a replayed timeline (energy,
+// power_series). The pipeline and the bounds analyzer both go through
+// it, so they describe the same run.
 #pragma once
 
 #include <cstddef>
@@ -67,17 +68,22 @@ struct GearSchedule {
 
   /// The schedule as the scaled replay applies it (replay/replay.hpp):
   /// the β time-model factor of every row's and the fallback's gear per
-  /// rank, and the stalls, flattened into `storage`, which the returned
-  /// view points into. The replay stretches every compute burst by its
-  /// factor and runs each iteration's stall right after its begin marker
-  /// as an unphased burst. Stalls are not stretched: a regulator stall is
-  /// wall-clock time. An iteration schedule needs iteration markers (the
-  /// replay checks).
+  /// rank, the stalls, and each of those gears' PowerModel::total_power
+  /// while not computing and while computing, flattened into `storage`,
+  /// which the returned view points into. The replay stretches every
+  /// compute burst by its factor and runs each iteration's stall right
+  /// after its begin marker as an unphased burst. Stalls are not
+  /// stretched: a regulator stall is wall-clock time. From the power
+  /// rates the replay integrates ReplayResult::energy, which plus
+  /// transition_energy is energy() of its timeline. An iteration schedule
+  /// needs iteration markers (the replay checks).
   ReplayScale replay_scale(const PowerModel& power, Rank n_ranks,
                            std::vector<double>& storage) const;
 
   /// CPU energy of the replayed `timeline` under this schedule, plus the
-  /// transition energy.
+  /// transition energy. The pipeline takes the same sum from the scaled
+  /// replay's pass (ReplayResult::energy); this timeline form is its
+  /// reference.
   double energy(const PowerModel& power, const Timeline& timeline) const;
 
   /// PowerModel::power_series under this schedule. Σ series·dt equals

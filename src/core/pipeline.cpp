@@ -72,14 +72,15 @@ ReplayResult baseline_replay_phase(const Trace& trace,
 }
 
 /// The one pipeline behind every schedule shape: baseline energy, plan
-/// (unless the caller planned), the schedule's factor table, the scaled
-/// replay from the shared program, one energy integration. The ctrl.*
+/// (unless the caller planned), the schedule's factor and power tables,
+/// the scaled replay from the shared program, which integrates the scaled
+/// energy in its pass and keeps what `output` asks for. The ctrl.*
 /// counters live here, not in plan_schedule, so bounds::analyze leaves
 /// them alone.
 PipelineResult run_schedule(const Trace& trace, const ReplayProgram& program,
                             const PipelineConfig& config,
                             const ReplayResult& baseline, const CellPlan* plan,
-                            bool force_controller) {
+                            bool force_controller, ReplayOutput output) {
   obs::Registry& registry = obs::default_registry();
   registry.counter("pipeline.runs").add(1);
   obs::Registry* reg = config.observe ? &registry : nullptr;
@@ -127,14 +128,12 @@ PipelineResult run_schedule(const Trace& trace, const ReplayProgram& program,
   }
   {
     PALS_SPAN("pipeline.scaled_replay", reg);
-    result.scaled_replay = replay(trace, program, config.replay, &scale);
+    result.scaled_replay =
+        replay(trace, program, config.replay, &scale, output);
   }
   result.scaled_time = result.scaled_replay.makespan;
-  {
-    PALS_SPAN("pipeline.energy", reg);
-    result.scaled_energy =
-        schedule.energy(power, result.scaled_replay.timeline);
-  }
+  result.scaled_energy =
+      result.scaled_replay.energy + schedule.transition_energy;
   return result;
 }
 
@@ -175,8 +174,9 @@ PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config) {
   if (config.lint) lint_input_trace(trace, config);
   ReplayProgram program;
   ReplayResult baseline = baseline_replay_phase(trace, config, program);
-  PipelineResult result = run_schedule(trace, program, config, baseline,
-                                       nullptr, /*force_controller=*/false);
+  PipelineResult result =
+      run_schedule(trace, program, config, baseline, nullptr,
+                   /*force_controller=*/false, ReplayOutput::kFull);
   result.baseline_replay = std::move(baseline);
   return result;
 }
@@ -187,7 +187,7 @@ PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config,
   if (config.lint) lint_input_trace(trace, config);
   const ReplayProgram program(trace);
   return run_schedule(trace, program, config, baseline, nullptr,
-                      /*force_controller=*/false);
+                      /*force_controller=*/false, ReplayOutput::kFull);
 }
 
 PipelineResult run_pipeline(const Trace& trace, const ReplayProgram& program,
@@ -197,7 +197,7 @@ PipelineResult run_pipeline(const Trace& trace, const ReplayProgram& program,
   config.validate();
   if (config.lint) lint_input_trace(trace, config);
   return run_schedule(trace, program, config, baseline, plan,
-                      /*force_controller=*/false);
+                      /*force_controller=*/false, ReplayOutput::kSummary);
 }
 
 ControllerPipelineResult run_controller_pipeline(
@@ -208,7 +208,8 @@ ControllerPipelineResult run_controller_pipeline(
   check_controller_config(config);
   ControllerPipelineResult result;
   result.pipeline = run_schedule(trace, program, config, baseline, nullptr,
-                                 /*force_controller=*/true);
+                                 /*force_controller=*/true,
+                                 ReplayOutput::kFull);
   result.pipeline.baseline_replay = std::move(baseline);
   fill_controller_run(result);
   return result;
@@ -222,7 +223,8 @@ ControllerPipelineResult run_controller_pipeline(
   const ReplayProgram program(trace);
   ControllerPipelineResult result;
   result.pipeline = run_schedule(trace, program, config, baseline, nullptr,
-                                 /*force_controller=*/true);
+                                 /*force_controller=*/true,
+                                 ReplayOutput::kFull);
   fill_controller_run(result);
   return result;
 }

@@ -11,7 +11,8 @@
 //   4. replay the trace under those factors for the new execution time
 //      (the structure is compiled once, ReplayProgram; the factors apply
 //      inside the replay, so the trace is never copied),
-//   5. integrate CPU energy over both timelines and report normalized
+//   5. integrate CPU energy over the baseline timeline and, inside the
+//      scaled replay's pass, over the scaled run, and report normalized
 //      energy, time and EDP.
 #pragma once
 
@@ -46,8 +47,9 @@ struct PipelineConfig {
   /// mid-replay.
   bool lint = false;
   /// Record per-phase wall-clock spans (pipeline.baseline_replay,
-  /// .assignment, .rescale — the schedule's factor table —,
-  /// .scaled_replay, .energy) into
+  /// .energy — the baseline's, when the cell was not planned —,
+  /// .assignment, .rescale — the schedule's factor and power tables —,
+  /// .scaled_replay, which integrates the scaled energy in its pass) into
   /// obs::default_registry() — the host-profiling view consumed by
   /// pals_profile and the Chrome-trace export. Simulation metrics are
   /// always recorded; this flag only controls the wall-clock spans.
@@ -83,10 +85,13 @@ struct PipelineResult {
     return normalized_energy() * normalized_time();
   }
 
-  /// Full replay outputs, kept for visualization (Figure 1) and deeper
+  /// Replay outputs, kept for visualization (Figure 1) and deeper
   /// analysis. baseline_replay is filled only by the forms that replay
   /// the baseline themselves; a caller that passes its baseline in keeps
-  /// it and gets an empty one here.
+  /// it and gets an empty one here. scaled_replay is a full replay,
+  /// except in the prepared form (program + baseline), which runs a
+  /// summary replay: makespan, per-rank times, energy and counts, but no
+  /// timeline, message log or collective records.
   ReplayResult baseline_replay;
   ReplayResult scaled_replay;
 };
@@ -117,7 +122,9 @@ PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config,
 /// by every cell of the workload (the sweep engine, analysis/sweep.hpp,
 /// and the serve cache) and not copied into the result. `plan`, when
 /// given, must be plan_cell(trace, config, baseline); otherwise the
-/// pipeline plans the cell itself.
+/// pipeline plans the cell itself. The scaled replay is a summary one
+/// (ReplayOutput::kSummary): a cell's row reads only its time and
+/// energy.
 PipelineResult run_pipeline(const Trace& trace, const ReplayProgram& program,
                             const PipelineConfig& config,
                             const ReplayResult& baseline,

@@ -69,10 +69,11 @@ public:
   /// Total CPU energy, rank r running each interval `iv` of its lane at
   /// `gear_of(r, iv)`. A lane shorter than the makespan idles its tail at
   /// communication activity; the tail is asked for as an idle interval
-  /// with no phase and no iteration. This is the one integration loop:
-  /// total_energy, baseline_energy, rank_energy and GearSchedule::energy
-  /// (core/gear_schedule.hpp) all sum per rank, then over ranks in rank
-  /// order.
+  /// with no phase and no iteration. This is the one integration loop
+  /// over a timeline: total_energy, baseline_energy, rank_energy and
+  /// GearSchedule::energy (core/gear_schedule.hpp) all sum per rank, then
+  /// over ranks in rank order — the order in which the replay sums
+  /// ReplayResult::energy in its pass, so both agree bit for bit.
   template <class GearOf>
   double energy(const Timeline& timeline, const GearOf& gear_of) const {
     const Seconds makespan = timeline.makespan();

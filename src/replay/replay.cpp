@@ -158,30 +158,45 @@ enum class SlotState : std::uint8_t {
 /// Why a rank is currently not runnable.
 enum class BlockReason { kNone, kSend, kRecv, kWait, kWaitAll, kCollective };
 
+/// The collective gathering arrivals. Every rank leaves collective k
+/// before any enters k + 1, so there is only ever one.
 struct CollectiveState {
   CollectiveOp op = CollectiveOp::kBarrier;
   Bytes max_bytes = 0;
   Rank root = 0;
-  Seconds completion = 0.0;
   std::vector<std::pair<Rank, Seconds>> arrivals;
+};
+
+/// One rank's lane as the replay streams it: the open merged interval
+/// and the sums over the merged intervals already closed.
+struct Lane {
+  StateInterval open;
+  bool started = false;  ///< an interval of non-zero width was admitted
+  Seconds compute = 0.0;
+  Seconds communication = 0.0;
+  double energy = 0.0;
 };
 
 class ReplayEngine {
 public:
   ReplayEngine(const Trace& trace, const ReplayProgram& program,
-               const ReplayConfig& config, const ReplayScale* scale)
+               const ReplayConfig& config, const ReplayScale* scale,
+               ReplayOutput output)
       : trace_(trace),
         config_(config),
         scale_(scale),
+        full_(output == ReplayOutput::kFull),
         n_(trace.n_ranks()),
         bus_(config.platform.buses),
-        timeline_(trace.n_ranks()),
         ranks_(static_cast<std::size_t>(trace.n_ranks())),
+        lanes_(static_cast<std::size_t>(trace.n_ranks())),
         ops_(program.ops()),
         sends_(static_cast<std::size_t>(program.channels())),
         recvs_(static_cast<std::size_t>(program.channels())) {
-    if (scale != nullptr)
+    if (scale != nullptr) {
       scale_rows_ = scale->factors.size() / static_cast<std::size_t>(n_);
+      integrate_energy_ = !scale->power.empty();
+    }
     engine_.set_event_limit(config.max_simulated_events);
     engine_.set_wall_limit(config.max_wall_seconds);
     out_links_.reserve(static_cast<std::size_t>(n_));
@@ -190,7 +205,10 @@ public:
       out_links_.emplace_back(config.platform.links_per_node);
       in_links_.emplace_back(config.platform.links_per_node);
     }
-    messages_.reserve(program.sends());  // one record per matched send
+    if (full_) {
+      timeline_ = Timeline(n_);
+      messages_.reserve(program.sends());  // one record per matched send
+    }
     for (Rank r = 0; r < n_; ++r) {
       RankCtx& c = ctx(r);
       c.stream = trace.events(r);
@@ -208,26 +226,23 @@ public:
     engine_.run([this](Rank r) { advance(r); });
     check_completion();
 
-    timeline_.pad_to_makespan();
-    timeline_.merge_adjacent();
-    timeline_.validate();
-
     ReplayResult result;
-    result.makespan = timeline_.makespan();
+    result.makespan = close_lanes();
     result.compute_time.reserve(static_cast<std::size_t>(n_));
     result.communication_time.reserve(static_cast<std::size_t>(n_));
-    for (Rank r = 0; r < n_; ++r) {
-      result.compute_time.push_back(timeline_.compute_time(r));
-      // Idle tail counts as communication-state time for power purposes,
-      // but we report it inside communication_time consistently with the
+    for (const Lane& lane : lanes_) {
+      result.compute_time.push_back(lane.compute);
+      // The idle pad counts as communication time, consistently with the
       // paper ("waiting for the other processes").
-      result.communication_time.push_back(timeline_.communication_time(r));
+      result.communication_time.push_back(lane.communication);
+      result.energy += lane.energy;
     }
+    result.messages_matched = messages_matched_;
     result.point_to_point_messages = p2p_messages_;
     result.point_to_point_bytes = p2p_bytes_;
     result.eager_messages = eager_messages_;
     result.rendezvous_messages = rendezvous_messages_;
-    result.collective_operations = collectives_.size();
+    result.collective_operations = collective_operations_;
     result.bus_contention_delay = bus_.contention_delay();
     for (const BusAllocator& link : out_links_)
       result.link_contention_delay += link.contention_delay();
@@ -240,12 +255,7 @@ public:
     result.fault_jitter_injections = fault_jitter_;
     result.timeline = std::move(timeline_);
     result.messages = std::move(messages_);
-    result.collectives.reserve(collectives_.size());
-    for (CollectiveState& state : collectives_) {
-      result.collectives.push_back(CollectiveRecord{
-          state.op, state.max_bytes, state.root, state.completion,
-          std::move(state.arrivals)});
-    }
+    result.collectives = std::move(collectives_);
     return result;
   }
 
@@ -270,7 +280,6 @@ private:
     std::vector<std::int32_t> done_position;   ///< slot -> index in done
     std::size_t open_count = 0;                ///< slots in kOpen
     Seconds waitall_latest = 0.0;        ///< max completion while in WaitAll
-    std::size_t collective_index = 0;
     std::int32_t current_iteration = -1;
     /// The iteration whose schedule row covers the next burst: like
     /// current_iteration, but -1 again after an iteration-end marker.
@@ -334,12 +343,10 @@ private:
     return true;
   }
 
-  /// The schedule's time-scale factor for a burst of rank `r` with this
-  /// phase label inside `iteration` (-1 = none).
-  double burst_factor(Rank r, std::int32_t phase,
-                      std::int32_t iteration) const {
-    const auto rank = static_cast<std::size_t>(r);
-    const auto n = static_cast<std::size_t>(n_);
+  /// The scale's row for a burst or interval with this phase label inside
+  /// `iteration` (-1 = none), or -1 for the fallback. Throws, as
+  /// GearSchedule::row_of does, when no row covers the segment.
+  std::ptrdiff_t scale_row(std::int32_t phase, std::int32_t iteration) const {
     switch (scale_->segment) {
       case ReplayScale::Segment::kRun:
         break;
@@ -349,19 +356,28 @@ private:
                                          scale_->phases.end(), phase);
         PALS_CHECK_MSG(it != scale_->phases.end() && *it == phase,
                        "no gear row for phase " << phase);
-        const auto row =
-            static_cast<std::size_t>(it - scale_->phases.begin());
-        return scale_->factors[row * n + rank];
+        return it - scale_->phases.begin();
       }
       case ReplayScale::Segment::kIteration: {
         if (iteration < 0) break;
-        const auto row = static_cast<std::size_t>(iteration);
-        PALS_CHECK_MSG(row < scale_rows_,
+        PALS_CHECK_MSG(static_cast<std::size_t>(iteration) < scale_rows_,
                        "no gear row for iteration " << iteration);
-        return scale_->factors[row * n + rank];
+        return iteration;
       }
     }
-    return scale_->fallback[rank];
+    return -1;
+  }
+
+  /// The schedule's time-scale factor for a burst of rank `r` with this
+  /// phase label inside `iteration` (-1 = none).
+  double burst_factor(Rank r, std::int32_t phase,
+                      std::int32_t iteration) const {
+    const auto rank = static_cast<std::size_t>(r);
+    const std::ptrdiff_t row = scale_row(phase, iteration);
+    if (row < 0) return scale_->fallback[rank];
+    return scale_->factors[static_cast<std::size_t>(row) *
+                               static_cast<std::size_t>(n_) +
+                           rank];
   }
 
   /// Rank `r` computes for `duration` trace seconds.
@@ -441,20 +457,17 @@ private:
 
   bool handle(Rank r, const CollectiveEvent& e) {
     RankCtx& c = ctx(r);
-    const std::size_t k = c.collective_index;
-    if (k >= collectives_.size()) collectives_.resize(k + 1);
-    CollectiveState& state = collectives_[k];
+    CollectiveState& state = collective_;
     if (state.arrivals.empty()) {
       state.op = e.op;
       state.root = e.root;
-      state.arrivals.reserve(static_cast<std::size_t>(n_));
+      state.max_bytes = 0;
     }
     state.max_bytes = std::max(state.max_bytes, e.bytes);
     state.arrivals.emplace_back(r, c.now);
 
     c.block_reason = BlockReason::kCollective;
     c.block_start = c.now;
-    ++c.collective_index;
 
     if (state.arrivals.size() == static_cast<std::size_t>(n_)) {
       Seconds last_arrival = 0.0;
@@ -463,8 +476,12 @@ private:
       const Seconds done =
           last_arrival +
           collective_cost(config_.platform, state.op, n_, state.max_bytes);
-      state.completion = done;
       for (const auto& [rank, t] : state.arrivals) resume(rank, done);
+      ++collective_operations_;
+      if (full_)
+        collectives_.push_back(CollectiveRecord{
+            state.op, state.max_bytes, state.root, done, state.arrivals});
+      state.arrivals.clear();
     }
     return false;  // even the last arriver resumes through resume()
   }
@@ -489,7 +506,7 @@ private:
       const Seconds transfer = perturbed_transfer(r, peer, c.now, bytes);
       const Seconds start = reserve_transfer(r, peer, c.now, transfer);
       const Seconds arrival = start + latency + jitter + transfer;
-      messages_.push_back(MessageRecord{r, peer, tag, bytes, c.now, arrival});
+      log_message(r, peer, tag, bytes, c.now, arrival);
       if (!recvs_.empty(op.channel)) {
         const PendingRecv rv = recvs_.front(op.channel);
         recvs_.pop(op.channel);
@@ -517,7 +534,7 @@ private:
       const Seconds start =
           reserve_transfer(r, peer, both_posted + latency + jitter, transfer);
       const Seconds end = start + transfer;
-      messages_.push_back(MessageRecord{r, peer, tag, bytes, c.now, end});
+      log_message(r, peer, tag, bytes, c.now, end);
       complete_recv(peer, rv, end);
       if (blocking) {
         record(r, c.now, end, RankState::kSend, -1);
@@ -558,8 +575,7 @@ private:
         const Seconds start = reserve_transfer(
             peer, r, both_posted + latency + sd.jitter, transfer);
         data_ready = start + transfer;
-        messages_.push_back(MessageRecord{peer, r, tag, sd.bytes,
-                                          sd.post_time, data_ready});
+        log_message(peer, r, tag, sd.bytes, sd.post_time, data_ready);
         // Release or complete the sender half of the rendezvous.
         if (sd.blocking) {
           resume(peer, data_ready);
@@ -718,8 +734,75 @@ private:
 
   void record(Rank r, Seconds begin, Seconds end, RankState state,
               std::int32_t phase) {
-    timeline_.append(
-        r, StateInterval{begin, end, state, phase, ctx(r).current_iteration});
+    push(r, StateInterval{begin, end, state, phase, ctx(r).current_iteration});
+  }
+
+  /// Stream one state interval into rank `r`'s lane: Timeline::append's
+  /// checks and snapping, then coalesced into the open interval when it
+  /// has the same state, phase and iteration.
+  void push(Rank r, StateInterval iv) {
+    Lane& lane = lanes_[static_cast<std::size_t>(r)];
+    if (!admit_interval(r, iv, lane.started ? &lane.open.end : nullptr))
+      return;
+    if (!lane.started) {
+      check_lane_start(r, iv.begin);
+      lane.open = iv;
+      lane.started = true;
+      return;
+    }
+    if (iv.state == lane.open.state && iv.phase == lane.open.phase &&
+        iv.iteration == lane.open.iteration) {
+      lane.open.end = iv.end;
+      return;
+    }
+    close(r, lane);
+    lane.open = iv;
+  }
+
+  /// Account the lane's open interval: its time, its energy and, in a
+  /// full replay, its place in the timeline.
+  void close(Rank r, Lane& lane) {
+    const StateInterval& iv = lane.open;
+    const Seconds duration = iv.duration();
+    const bool computing = iv.state == RankState::kCompute;
+    (computing ? lane.compute : lane.communication) += duration;
+    if (integrate_energy_) {
+      const std::ptrdiff_t row = scale_row(iv.phase, iv.iteration);
+      const std::size_t power_row =
+          row < 0 ? scale_rows_ : static_cast<std::size_t>(row);
+      lane.energy +=
+          duration *
+          scale_->power[(power_row * static_cast<std::size_t>(n_) +
+                         static_cast<std::size_t>(r)) *
+                            2 +
+                        (computing ? 1 : 0)];
+    }
+    if (full_) timeline_.append(r, iv);
+  }
+
+  /// Pad every lane with idle to the makespan and close it; returns the
+  /// makespan (the end of the longest lane).
+  Seconds close_lanes() {
+    Seconds makespan = 0.0;
+    for (const Lane& lane : lanes_)
+      if (lane.started) makespan = std::max(makespan, lane.open.end);
+    for (Rank r = 0; r < n_; ++r) {
+      Lane& lane = lanes_[static_cast<std::size_t>(r)];
+      const Seconds end = lane.started ? lane.open.end : 0.0;
+      if (end < makespan)
+        push(r, StateInterval{end, makespan, RankState::kIdle, -1, -1});
+      if (lane.started) close(r, lane);
+    }
+    return makespan;
+  }
+
+  /// Count a matched message; a full replay also logs it.
+  void log_message(Rank src, Rank dst, std::int32_t tag, Bytes bytes,
+                   Seconds send_time, Seconds recv_time) {
+    ++messages_matched_;
+    if (full_)
+      messages_.push_back(
+          MessageRecord{src, dst, tag, bytes, send_time, recv_time});
   }
 
   void check_completion() const {
@@ -755,19 +838,25 @@ private:
   const ReplayScale* scale_;
   /// Rows of the scale's factor table (0 without a scale).
   std::size_t scale_rows_ = 0;
+  bool integrate_energy_ = false;  ///< the scale carries power rates
+  bool full_;  ///< keep the timeline, message log and collective records
   Rank n_;
   SimEngine engine_;
   BusAllocator bus_;
   std::vector<BusAllocator> out_links_;
   std::vector<BusAllocator> in_links_;
-  Timeline timeline_;
   std::vector<RankCtx> ranks_;
+  std::vector<Lane> lanes_;
+  Timeline timeline_;  ///< full replays only
 
   const std::vector<ReplayOpRef>& ops_;  ///< the program's refs
   ChannelQueues<PendingSend> sends_;
   ChannelQueues<PendingRecv> recvs_;
-  std::vector<CollectiveState> collectives_;
+  CollectiveState collective_;
+  std::vector<CollectiveRecord> collectives_;  ///< full replays only
 
+  std::size_t messages_matched_ = 0;
+  std::size_t collective_operations_ = 0;
   std::size_t p2p_messages_ = 0;
   Bytes p2p_bytes_ = 0;
   std::size_t eager_messages_ = 0;
@@ -884,6 +973,13 @@ void check_scale(const ReplayScale& scale, const ReplayProgram& program) {
   };
   for (const double factor : scale.factors) check_factor(factor);
   for (const double factor : scale.fallback) check_factor(factor);
+  PALS_CHECK_MSG(
+      scale.power.empty() || scale.power.size() == (rows + 1) * n * 2,
+      "scale power table has " << scale.power.size() << " rates for "
+                               << rows + 1 << " rows of " << n << " ranks");
+  for (const double power : scale.power)
+    PALS_CHECK_MSG(std::isfinite(power) && power >= 0.0,
+                   "power rate " << power << " is not finite and >= 0");
   if (scale.stalls.empty()) return;
   PALS_CHECK_MSG(scale.segment == ReplayScale::Segment::kIteration &&
                      scale.stalls.size() == scale.factors.size(),
@@ -901,7 +997,8 @@ ReplayResult replay(const Trace& trace, const ReplayConfig& config) {
 }
 
 ReplayResult replay(const Trace& trace, const ReplayProgram& program,
-                    const ReplayConfig& config, const ReplayScale* scale) {
+                    const ReplayConfig& config, const ReplayScale* scale,
+                    ReplayOutput output) {
   config.validate();
   PALS_CHECK_MSG(program.matches(trace),
                  "replay program was compiled for a trace of another shape");
@@ -910,7 +1007,7 @@ ReplayResult replay(const Trace& trace, const ReplayProgram& program,
                          static_cast<std::size_t>(trace.n_ranks()),
                  "relative_speed must be empty or one entry per rank");
   if (scale != nullptr) check_scale(*scale, program);
-  ReplayEngine engine(trace, program, config, scale);
+  ReplayEngine engine(trace, program, config, scale, output);
   ReplayResult result = engine.run();
 
   // Self-record into the process-global registry. All values are integer
@@ -919,7 +1016,7 @@ ReplayResult replay(const Trace& trace, const ReplayProgram& program,
   obs::Registry& reg = obs::default_registry();
   reg.counter("replay.runs").add(1);
   reg.counter("replay.events").add(result.simulated_events);
-  reg.counter("replay.messages_matched").add(result.messages.size());
+  reg.counter("replay.messages_matched").add(result.messages_matched);
   reg.counter("replay.messages_eager").add(result.eager_messages);
   reg.counter("replay.messages_rendezvous").add(result.rendezvous_messages);
   reg.counter("replay.p2p_bytes").add(result.point_to_point_bytes);

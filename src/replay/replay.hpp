@@ -30,7 +30,16 @@
 // iteration-begin marker. Pending sends and receives wait in per-channel
 // FIFOs (MPI non-overtaking order), request state lives in per-slot
 // arrays, and a typed (time, seq, rank) event heap (simcore) wakes one
-// rank at a time, so the hot loop only indexes vectors.
+// rank at a time, so the hot loop only indexes vectors. Each rank's state
+// intervals stream through one in-pass merger: Timeline::append's checks
+// and snapping, touching intervals of one state, phase and iteration
+// coalesced into the open interval, the idle pad to the makespan at the
+// end, and per-rank compute, communication and (given the schedule's
+// power rates) energy sums over the merged intervals. A full replay
+// (ReplayOutput::kFull) also keeps those merged intervals as its
+// Timeline, every matched message and every collective; a summary replay
+// (kSummary), what a sweep cell or served query runs, keeps only the
+// sums and counts.
 //
 // Deadlocks (e.g. a recv whose send never happens) are detected and
 // reported with the blocked ranks plus the wait-for cycle diagnosed by
@@ -108,22 +117,41 @@ struct CollectiveRecord {
   bool operator==(const CollectiveRecord&) const = default;
 };
 
+/// What a replay hands back besides its sums and counts.
+enum class ReplayOutput {
+  kFull,     ///< also the timeline, the message log and the collectives
+  kSummary,  ///< leaves ReplayResult's timeline, messages and collectives
+             ///< empty
+};
+
 struct ReplayResult {
   /// Total simulated execution time (end of the last rank).
   Seconds makespan = 0.0;
-  /// Gap-free per-rank state intervals, padded with idle to `makespan`.
+  /// Gap-free, merged per-rank state intervals, padded with idle to
+  /// `makespan`. Empty after a summary replay.
   Timeline timeline;
 
-  /// Every matched point-to-point message, in match order.
+  /// Every matched point-to-point message, in match order. Empty after a
+  /// summary replay.
   std::vector<MessageRecord> messages;
-  /// Every collective, in program order.
+  /// Every collective, in program order. Empty after a summary replay.
   std::vector<CollectiveRecord> collectives;
 
-  /// Per-rank aggregates (seconds).
+  /// Per-rank aggregates (seconds), summed over the merged intervals in
+  /// lane order.
   std::vector<Seconds> compute_time;
   std::vector<Seconds> communication_time;  ///< everything except compute
 
-  /// Traffic statistics.
+  /// CPU energy of the run under the schedule's power rates
+  /// (ReplayScale::power): each merged interval's duration times its
+  /// rate, summed per rank in lane order, then over ranks in rank order
+  /// — bit-identical to GearSchedule::energy over `timeline` without the
+  /// transition energy. 0 when the replay had no rates.
+  double energy = 0.0;
+
+  /// Traffic statistics. messages_matched counts the matched
+  /// point-to-point messages (messages.size() after a full replay).
+  std::size_t messages_matched = 0;
   std::size_t point_to_point_messages = 0;
   Bytes point_to_point_bytes = 0;
   /// Protocol split of the posted sends (eager + rendezvous =
@@ -201,7 +229,8 @@ private:
 /// gears (GearSchedule::replay_scale fills it). Non-owning; the spans
 /// must outlive the replay. A compute burst's duration is multiplied by
 /// the factor of its segment and rank before the relative CPU speed and
-/// faults apply; bursts no row covers take the fallback factor.
+/// faults apply; bursts no row covers take the fallback factor. With
+/// power rates the replay also integrates the run's CPU energy.
 struct ReplayScale {
   enum class Segment {
     kRun,        ///< every burst takes the fallback factor
@@ -219,6 +248,14 @@ struct ReplayScale {
   /// unphased, unscaled burst right after that iteration's begin marker
   /// (kIteration only; empty when nothing stalls).
   std::span<const Seconds> stalls;
+  /// CPU power (energy-units/s) of every row's gear and then the
+  /// fallback's, per rank, while not computing and while computing:
+  /// power[(row * n_ranks + rank) * 2 + computing], the fallback being
+  /// row factors.size() / n_ranks. A merged interval's row follows its
+  /// phase label and the iteration it is attributed to — the last begin
+  /// marker, which an end marker does not reset — as GearSchedule::gear
+  /// chooses it. Empty: the replay integrates no energy.
+  std::span<const double> power;
 };
 
 /// Simulate `trace` on the platform. Validates and compiles the trace
@@ -227,11 +264,13 @@ struct ReplayScale {
 ReplayResult replay(const Trace& trace, const ReplayConfig& config);
 
 /// Replay `trace` from its compiled `program`, stretched by `scale` when
-/// given. Throws when the program was compiled from a trace of another
-/// shape, or when a scale factor is not finite and positive or a stall
-/// is negative.
+/// given, keeping what `output` asks for. Throws when the program was
+/// compiled from a trace of another shape, or when a scale factor is not
+/// finite and positive, a stall or power rate is negative or the power
+/// table does not fit the rows.
 ReplayResult replay(const Trace& trace, const ReplayProgram& program,
                     const ReplayConfig& config,
-                    const ReplayScale* scale = nullptr);
+                    const ReplayScale* scale = nullptr,
+                    ReplayOutput output = ReplayOutput::kFull);
 
 }  // namespace pals

@@ -54,25 +54,36 @@ std::span<const StateInterval> Timeline::intervals(Rank rank) const {
   return lanes_[static_cast<std::size_t>(rank)];
 }
 
-void Timeline::append(Rank rank, StateInterval interval) {
-  PALS_CHECK_MSG(rank >= 0 && rank < n_ranks(),
-                 "rank " << rank << " out of range");
+bool admit_interval(Rank rank, StateInterval& interval,
+                    const Seconds* lane_end) {
   PALS_CHECK_MSG(std::isfinite(interval.begin) && std::isfinite(interval.end),
                  "rank " << rank << ": non-finite interval ["
                          << interval.begin << ", " << interval.end << ")");
   PALS_CHECK_MSG(interval.end >= interval.begin,
                  "interval ends (" << interval.end << ") before it begins ("
                                    << interval.begin << ")");
-  auto& lane = lanes_[static_cast<std::size_t>(rank)];
-  if (!lane.empty()) {
-    PALS_CHECK_MSG(std::abs(interval.begin - lane.back().end) <= kTimeEps,
+  if (lane_end != nullptr) {
+    PALS_CHECK_MSG(std::abs(interval.begin - *lane_end) <= kTimeEps,
                    "rank " << rank << ": interval starts at " << interval.begin
-                           << " but lane ends at " << lane.back().end);
-    interval.begin = lane.back().end;  // remove rounding drift
+                           << " but lane ends at " << *lane_end);
+    interval.begin = *lane_end;  // remove rounding drift
     if (interval.end < interval.begin) interval.end = interval.begin;
   }
-  if (interval.duration() == 0.0) return;  // zero-width intervals carry nothing
-  lane.push_back(interval);
+  return interval.duration() != 0.0;
+}
+
+void check_lane_start(Rank rank, Seconds begin) {
+  PALS_CHECK_MSG(begin >= -kTimeEps,
+                 "rank " << rank << ": timeline starts before 0");
+}
+
+void Timeline::append(Rank rank, StateInterval interval) {
+  PALS_CHECK_MSG(rank >= 0 && rank < n_ranks(),
+                 "rank " << rank << " out of range");
+  auto& lane = lanes_[static_cast<std::size_t>(rank)];
+  if (admit_interval(rank, interval,
+                     lane.empty() ? nullptr : &lane.back().end))
+    lane.push_back(interval);
 }
 
 Seconds Timeline::makespan() const {
@@ -132,33 +143,6 @@ std::int32_t Timeline::max_iteration() const {
   return max_iter;
 }
 
-void Timeline::merge_adjacent() {
-  for (auto& lane : lanes_) {
-    std::vector<StateInterval> merged;
-    merged.reserve(lane.size());
-    for (const StateInterval& iv : lane) {
-      if (!merged.empty() && merged.back().state == iv.state &&
-          merged.back().phase == iv.phase &&
-          merged.back().iteration == iv.iteration) {
-        merged.back().end = iv.end;
-      } else {
-        merged.push_back(iv);
-      }
-    }
-    lane = std::move(merged);
-  }
-}
-
-void Timeline::pad_to_makespan() {
-  const Seconds end = makespan();
-  for (Rank r = 0; r < n_ranks(); ++r) {
-    auto& lane = lanes_[static_cast<std::size_t>(r)];
-    const Seconds lane_end = lane.empty() ? 0.0 : lane.back().end;
-    if (lane_end < end)
-      append(r, StateInterval{lane_end, end, RankState::kIdle, -1});
-  }
-}
-
 void Timeline::validate() const {
   for (Rank r = 0; r < n_ranks(); ++r) {
     Seconds cursor = 0.0;
@@ -169,8 +153,7 @@ void Timeline::validate() const {
       PALS_CHECK_MSG(iv.end >= iv.begin,
                      "rank " << r << ": negative-length interval");
       if (first) {
-        PALS_CHECK_MSG(iv.begin >= -kTimeEps,
-                       "rank " << r << ": timeline starts before 0");
+        check_lane_start(r, iv.begin);
         first = false;
       } else {
         PALS_CHECK_MSG(std::abs(iv.begin - cursor) <= kTimeEps,

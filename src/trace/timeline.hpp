@@ -78,12 +78,6 @@ public:
   /// Largest iteration label present anywhere, or -1 if unmarked.
   std::int32_t max_iteration() const;
 
-  /// Coalesce touching intervals with identical state+phase+iteration.
-  void merge_adjacent();
-
-  /// Pad every lane with kIdle so all lanes end at makespan().
-  void pad_to_makespan();
-
   /// Throws pals::Error if any lane has gaps, overlaps or negative spans.
   void validate() const;
 
@@ -92,6 +86,19 @@ public:
 private:
   std::vector<std::vector<StateInterval>> lanes_;
 };
+
+/// Timeline::append's rule for an interval of `rank`'s lane, shared with
+/// the replay's in-pass merger. `lane_end` is where the lane ends, null
+/// while it is empty. Throws unless the interval is finite, does not end
+/// before it begins and starts where the lane ends (within rounding);
+/// then snaps its start onto the lane end and returns false when it has
+/// no width left (zero-width intervals carry nothing).
+bool admit_interval(Rank rank, StateInterval& interval,
+                    const Seconds* lane_end);
+
+/// Timeline::validate's check on the first interval of `rank`'s lane:
+/// throws when it starts before 0 (beyond rounding).
+void check_lane_start(Rank rank, Seconds begin);
 
 /// Text serialization (.palsv): "rank begin end state [phase]" per line.
 void write_timeline(const Timeline& timeline, std::ostream& out);

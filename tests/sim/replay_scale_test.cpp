@@ -18,6 +18,7 @@
 #include "core/gear_schedule.hpp"
 #include "fault/fault_plan.hpp"
 #include "power/gearset.hpp"
+#include "random_schedules.hpp"
 #include "replay/replay.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -94,53 +95,6 @@ void expect_identical(const ReplayResult& a, const ReplayResult& b,
   EXPECT_EQ(a.fault_jitter_injections, b.fault_jitter_injections);
 }
 
-const PowerModel& model() {
-  static const PowerModel power{PowerModelConfig{}};
-  return power;
-}
-
-std::vector<Gear> random_gears(Rng& rng, Rank n) {
-  const GearSet gears = paper_uniform(6);
-  std::vector<Gear> out;
-  for (Rank r = 0; r < n; ++r)
-    out.push_back(gears.gears()[static_cast<std::size_t>(
-        rng.uniform_int(0, gears.size() - 1))]);
-  return out;
-}
-
-/// Whole-run, per-phase and per-iteration (with stalls) schedules.
-std::vector<GearSchedule> schedules_for(const Trace& trace,
-                                        std::uint64_t seed) {
-  Rng rng(seed);
-  const Rank n = trace.n_ranks();
-  std::vector<GearSchedule> out;
-
-  GearSchedule run;
-  run.fallback.gears = random_gears(rng, n);
-  out.push_back(run);
-
-  GearSchedule phase;
-  phase.key = SegmentKey::kPhase;
-  phase.phases = trace.phases();
-  for (std::size_t s = 0; s < phase.phases.size(); ++s)
-    phase.rows.push_back(random_gears(rng, n));
-  phase.fallback.gears = random_gears(rng, n);
-  out.push_back(phase);
-
-  GearSchedule controller;
-  controller.key = SegmentKey::kIteration;
-  for (std::size_t i = 0; i < trace.iteration_count(); ++i) {
-    controller.rows.push_back(random_gears(rng, n));
-    std::vector<Seconds>& stalls = controller.stalls.emplace_back();
-    for (Rank r = 0; r < n; ++r)
-      stalls.push_back(rng.uniform_int(0, 2) == 0 ? 0.0
-                                                  : rng.uniform(0.0, 5e-4));
-  }
-  controller.fallback.gears = controller.rows.front();
-  out.push_back(controller);
-  return out;
-}
-
 TEST(ReplayScaleDifferential, MatchesReplayOfRescaledTrace) {
   const fault::Injector faults(fault::FaultPlan::parse(
       "seed=7; msg_delay_jitter:rank=all,max=1e-4; "
@@ -211,12 +165,14 @@ TEST(ReplayProgramChecks, RejectsBadFactorsAndStalls) {
   const ReplayProgram program(t);
   const std::vector<double> fallback{1.0, 1.0};
   const auto run_with = [&](std::vector<double> factors,
-                            std::vector<double> stalls) {
+                            std::vector<double> stalls,
+                            std::vector<double> power = {}) {
     ReplayScale scale;
     scale.segment = ReplayScale::Segment::kIteration;
     scale.factors = factors;
     scale.fallback = fallback;
     scale.stalls = stalls;
+    scale.power = power;
     return replay(t, program, ReplayConfig{}, &scale);
   };
   EXPECT_NO_THROW(run_with({1.5, 2.0}, {0.0, 0.25}));
@@ -225,6 +181,16 @@ TEST(ReplayProgramChecks, RejectsBadFactorsAndStalls) {
     EXPECT_THROW(run_with({bad, 1.0}, {}), Error) << bad;
   EXPECT_THROW(run_with({1.0, 1.0}, {0.0, -0.1}), Error);
   EXPECT_THROW(run_with({1.0, 1.0}, {0.0}), Error);  // half a stall row
+  // Power rates: (1 row + fallback) x 2 ranks x {idle, computing}.
+  const std::vector<double> power(8, 1.0);
+  EXPECT_NO_THROW(run_with({1.0, 1.0}, {}, power));
+  EXPECT_THROW(run_with({1.0, 1.0}, {}, {1.0, 1.0, 1.0, 1.0}), Error);
+  for (const double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> rates = power;
+    rates[5] = bad;
+    EXPECT_THROW(run_with({1.0, 1.0}, {}, rates), Error) << bad;
+  }
 }
 
 }  // namespace

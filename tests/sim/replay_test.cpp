@@ -601,5 +601,51 @@ TEST(Replay, EventLimitAndWatchdogKeepTheirErrorTexts) {
   }
 }
 
+// The replay merges and pads each rank's lane as it streams it; these
+// cases pin that behaviour on the replayed timeline and on the sums of a
+// summary replay, which keeps no timeline.
+
+ReplayResult summary_replay(const Trace& t) {
+  return replay(t, ReplayProgram(t), unit_config(), nullptr,
+                ReplayOutput::kSummary);
+}
+
+TEST(ReplayLanes, PadsIdleToMakespan) {
+  Trace t(2);
+  TraceBuilder(t, 0).compute(1.0, 0).compute(1.0, 1);
+  TraceBuilder(t, 1).compute(2.5);
+  const ReplayResult r = replay(t, unit_config());
+  EXPECT_DOUBLE_EQ(r.timeline.state_time(0, RankState::kIdle), 0.5);
+  EXPECT_DOUBLE_EQ(r.timeline.state_time(1, RankState::kIdle), 0.0);
+  EXPECT_EQ(r.timeline.intervals(0).back().end, r.makespan);
+  EXPECT_NO_THROW(r.timeline.validate());
+  const ReplayResult summary = summary_replay(t);
+  EXPECT_EQ(summary.makespan, 2.5);
+  EXPECT_EQ(summary.communication_time, (std::vector<Seconds>{0.5, 0.0}));
+  EXPECT_EQ(summary.compute_time, r.compute_time);
+}
+
+TEST(ReplayLanes, MergesTouchingSameStateIntervals) {
+  Trace t(1);
+  TraceBuilder(t, 0).compute(1.0, 0).compute(1.0, 0).compute(1.0, 1);
+  const ReplayResult r = replay(t, unit_config());
+  ASSERT_EQ(r.timeline.intervals(0).size(), 2u);  // different phase
+  EXPECT_DOUBLE_EQ(r.timeline.intervals(0)[0].end, 2.0);
+  EXPECT_EQ(summary_replay(t).compute_time, r.compute_time);
+}
+
+TEST(ReplayLanes, KeepsIterationBoundaries) {
+  Trace t(1);
+  TraceBuilder(t, 0)
+      .marker(MarkerKind::kIterationBegin, 0)
+      .compute(1.0)
+      .marker(MarkerKind::kIterationEnd, 0)
+      .marker(MarkerKind::kIterationBegin, 1)
+      .compute(1.0);  // same state and phase
+  const ReplayResult r = replay(t, unit_config());
+  ASSERT_EQ(r.timeline.intervals(0).size(), 2u);  // different iteration
+  EXPECT_EQ(r.timeline.intervals(0)[1].iteration, 1);
+}
+
 }  // namespace
 }  // namespace pals

@@ -77,31 +77,13 @@ TEST(Timeline, ComputeTimesVector) {
   EXPECT_DOUBLE_EQ(times[1], 2.5);
 }
 
-TEST(Timeline, PadToMakespanFillsIdle) {
-  Timeline tl = small_timeline();
-  tl.pad_to_makespan();
-  EXPECT_DOUBLE_EQ(tl.state_time(0, RankState::kIdle), 0.5);
-  EXPECT_DOUBLE_EQ(tl.state_time(1, RankState::kIdle), 0.0);
-  tl.validate();
-}
-
-TEST(Timeline, MergeAdjacentCoalescesSameState) {
-  Timeline tl(1);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, 0});
-  tl.append(0, {1.0, 2.0, RankState::kCompute, 0});
-  tl.append(0, {2.0, 3.0, RankState::kCompute, 1});  // different phase
-  tl.merge_adjacent();
-  ASSERT_EQ(tl.intervals(0).size(), 2u);
-  EXPECT_DOUBLE_EQ(tl.intervals(0)[0].end, 2.0);
-}
-
 TEST(Timeline, ValidateAcceptsWellFormed) {
   EXPECT_NO_THROW(small_timeline().validate());
 }
 
 TEST(Timeline, IoRoundTrip) {
   Timeline tl = small_timeline();
-  tl.pad_to_makespan();
+  tl.append(0, {2.0, 2.5, RankState::kIdle, -1});
   std::stringstream buffer;
   write_timeline(tl, buffer);
   const Timeline restored = read_timeline(buffer);
@@ -131,14 +113,6 @@ TEST(Timeline, IterationLabelledQueries) {
 
 TEST(Timeline, MaxIterationOfUnmarkedIsMinusOne) {
   EXPECT_EQ(small_timeline().max_iteration(), -1);
-}
-
-TEST(Timeline, MergeKeepsIterationBoundaries) {
-  Timeline tl(1);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, -1, 0});
-  tl.append(0, {1.0, 2.0, RankState::kCompute, -1, 1});  // same state
-  tl.merge_adjacent();
-  ASSERT_EQ(tl.intervals(0).size(), 2u);  // different iteration: no merge
 }
 
 TEST(Timeline, IoRoundTripsIterationLabels) {
