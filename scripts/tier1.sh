@@ -32,16 +32,6 @@ for trace in examples/traces/*.palst; do
   "${BUILD_DIR}/tools/pals_lint" --strict --quiet "${trace}"
 done
 
-echo "== tier 1: paper report (pals_reproduce) =="
-# Every table and figure at default settings must reproduce the committed
-# report byte for byte, so a change that moves a published number fails
-# here instead of surfacing as a silent diff in results/.
-REPORT_DIR="${BUILD_DIR}/Testing/tier1-reproduce"
-mkdir -p "${REPORT_DIR}"
-"${BUILD_DIR}/tools/pals_reproduce" --output="${REPORT_DIR}/REPORT.md" \
-    > /dev/null
-cmp results/REPORT.md "${REPORT_DIR}/REPORT.md"
-
 echo "== tier 1: clang-tidy over src/lint + src/analysis =="
 # The static-analysis subsystem itself gets the static-analysis pass;
 # restricted to the two directories so the leg stays fast. Degrades to a

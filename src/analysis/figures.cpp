@@ -36,8 +36,7 @@ namespace {
 /// one baseline per workload, the bounds soundness oracle on every cell.
 std::vector<ExperimentRow> sweep_rows(
     TraceCache& cache, int iterations, const std::vector<Scenario>& variants,
-    const std::vector<BenchmarkInstance>& instances = paper_benchmarks(),
-    int jobs = 1) {
+    const std::vector<BenchmarkInstance>& instances = paper_benchmarks()) {
   std::vector<Scenario> scenarios;
   for (const BenchmarkInstance& inst : instances) {
     for (Scenario scenario : variants) {
@@ -46,7 +45,6 @@ std::vector<ExperimentRow> sweep_rows(
     }
   }
   SweepOptions options;
-  options.jobs = jobs;
   options.iterations = iterations;
   options.trace_cache = &cache;
   return run_sweep(scenarios, options).rows;
@@ -54,13 +52,12 @@ std::vector<ExperimentRow> sweep_rows(
 
 }  // namespace
 
-std::vector<ExperimentRow> figure2_rows(TraceCache& cache, int iterations,
-                                        int jobs) {
+std::vector<ExperimentRow> figure2_rows(TraceCache& cache, int iterations) {
   std::vector<Scenario> variants = {{"", "continuous-unlimited"},
                                     {"", "continuous-limited"}};
   for (int gears = 2; gears <= 15; ++gears)
     variants.push_back({"", "uniform-" + std::to_string(gears)});
-  return sweep_rows(cache, iterations, variants, figure2_benchmarks(), jobs);
+  return sweep_rows(cache, iterations, variants, figure2_benchmarks());
 }
 
 std::vector<ExperimentRow> figure3_rows(TraceCache& cache, int iterations) {
@@ -121,13 +118,11 @@ std::vector<ExperimentRow> figure9_rows(TraceCache& cache, int iterations) {
       {{"", "avg-discrete", Algorithm::kAvg, 0.5, "uniform-6+2.6GHz"}});
 }
 
-std::vector<ExperimentRow> figure10_rows(TraceCache& cache, int iterations,
-                                         int jobs) {
+std::vector<ExperimentRow> figure10_rows(TraceCache& cache, int iterations) {
   return sweep_rows(
       cache, iterations,
       {{"", "uniform-6", Algorithm::kMax, 0.5, "MAX uniform-6"},
-       {"", "avg-discrete", Algorithm::kAvg, 0.5, "AVG uniform-6+2.6GHz"}},
-      paper_benchmarks(), jobs);
+       {"", "avg-discrete", Algorithm::kAvg, 0.5, "AVG uniform-6+2.6GHz"}});
 }
 
 std::string rows_to_markdown(const std::vector<ExperimentRow>& rows) {

@@ -1,13 +1,12 @@
 // The paper's figures as library functions.
 //
-// Each function runs one figure's scenario list through the sweep engine
-// (analysis/sweep.hpp: one baseline per workload, the bounds soundness
-// oracle on every cell) and returns the rows the paper plots. `cache` is
-// keyed by instance and iteration count, so the functions may share one;
-// `iterations` is the per-trace count; `jobs` (Figs. 2 and 10) is the
-// worker count (1 = serial, 0 = hardware concurrency), identical results
-// for every value. The bench binaries are thin wrappers around these;
-// tools/pals_reproduce chains them all into one report.
+// Each function runs one figure's scenario list through the serial sweep
+// engine (analysis/sweep.hpp: one baseline per workload, the bounds
+// soundness oracle on every cell) and returns the rows the paper plots.
+// `cache` is keyed by instance and iteration count, so the functions may
+// share one; `iterations` is the per-trace count. tools/pals_reproduce
+// chains them all into REPORT.md and writes each figure's rows as the
+// CSV under results/.
 #pragma once
 
 #include <string>
@@ -23,8 +22,7 @@ std::vector<ExperimentRow> table3_rows(TraceCache& cache, int iterations = 10);
 
 /// Figure 2: energy/EDP vs gear-set size (continuous sets + uniform
 /// 2..15) over the paper's five-instance subset.
-std::vector<ExperimentRow> figure2_rows(TraceCache& cache, int iterations = 10,
-                                        int jobs = 1);
+std::vector<ExperimentRow> figure2_rows(TraceCache& cache, int iterations = 10);
 
 /// Figure 3: energy vs load balance for unlimited/2-gear/6-gear sets,
 /// sorted by load balance.
@@ -49,8 +47,7 @@ std::vector<ExperimentRow> figure8_rows(TraceCache& cache, int iterations = 10);
 std::vector<ExperimentRow> figure9_rows(TraceCache& cache, int iterations = 10);
 
 /// Figure 10: MAX vs AVG side by side.
-std::vector<ExperimentRow> figure10_rows(TraceCache& cache,
-                                         int iterations = 10, int jobs = 1);
+std::vector<ExperimentRow> figure10_rows(TraceCache& cache, int iterations = 10);
 
 /// Render rows as a GitHub-flavoured Markdown table.
 std::string rows_to_markdown(const std::vector<ExperimentRow>& rows);

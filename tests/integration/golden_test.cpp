@@ -1,6 +1,6 @@
-// Golden-result regression tests: fresh figure sweeps must match the
-// results pinned under golden/ (regenerate intentionally with
-// tools/update_golden after model changes).
+// The row-CSV golden harness: save/load round trip and tolerance-based
+// drift reports. The paper's figures themselves are pinned byte for byte
+// under results/ (tests/smoke_results.cmake).
 #include "analysis/golden.hpp"
 
 #include <gtest/gtest.h>
@@ -8,25 +8,11 @@
 #include <cstdio>
 #include <fstream>
 
-#include "analysis/figures.hpp"
 #include "scratch_dir.hpp"
 #include "util/error.hpp"
 
-#ifndef PALS_SOURCE_DIR
-#define PALS_SOURCE_DIR "."
-#endif
-
 namespace pals {
 namespace {
-
-std::string golden(const char* file) {
-  return std::string(PALS_SOURCE_DIR) + "/golden/" + file;
-}
-
-TraceCache& cache() {
-  static TraceCache instance;
-  return instance;
-}
 
 TEST(GoldenCsv, SaveLoadRoundTrip) {
   std::vector<ExperimentRow> rows(2);
@@ -82,41 +68,6 @@ TEST(GoldenCsv, LoadRejectsBadInput) {
   EXPECT_THROW(load_rows_csv(path), Error);
   std::remove(path.c_str());
   EXPECT_THROW(load_rows_csv("/no/such/file.csv"), Error);
-}
-
-TEST(GoldenResults, Table3MatchesPinnedResults) {
-  const auto expected = load_rows_csv(golden("table3.csv"));
-  const auto actual = table3_rows(cache());
-  const auto diffs = compare_rows(expected, actual, 0.002);
-  EXPECT_TRUE(diffs.empty()) << describe_differences(diffs);
-}
-
-TEST(GoldenResults, Figure6MatchesPinnedResults) {
-  const auto expected = load_rows_csv(golden("fig6.csv"));
-  const auto actual = figure6_rows(cache());
-  const auto diffs = compare_rows(expected, actual, 0.002);
-  EXPECT_TRUE(diffs.empty()) << describe_differences(diffs);
-}
-
-TEST(GoldenResults, Figure8MatchesPinnedResults) {
-  const auto expected = load_rows_csv(golden("fig8.csv"));
-  const auto actual = figure8_rows(cache());
-  const auto diffs = compare_rows(expected, actual, 0.002);
-  EXPECT_TRUE(diffs.empty()) << describe_differences(diffs);
-}
-
-TEST(GoldenResults, Figure9MatchesPinnedResults) {
-  const auto expected = load_rows_csv(golden("fig9.csv"));
-  const auto actual = figure9_rows(cache());
-  const auto diffs = compare_rows(expected, actual, 0.002);
-  EXPECT_TRUE(diffs.empty()) << describe_differences(diffs);
-}
-
-TEST(GoldenResults, Figure10MatchesPinnedResults) {
-  const auto expected = load_rows_csv(golden("fig10.csv"));
-  const auto actual = figure10_rows(cache());
-  const auto diffs = compare_rows(expected, actual, 0.002);
-  EXPECT_TRUE(diffs.empty()) << describe_differences(diffs);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
-// update_golden — regenerate the pinned experiment results under golden/.
+// update_golden — regenerate the pinned results under golden/.
 //
 // Run after an *intentional* model or workload change, review the diff,
-// and commit; the integration tests (integration/golden_test.cpp) fail
-// when fresh runs drift from these files unexpectedly.
+// and commit; the tests that read golden/ fail when fresh runs drift from
+// these files unexpectedly. The paper's figures are pinned byte for byte
+// under results/ instead (pals_reproduce; tests/smoke_results.cmake).
 //
-// Every golden is replaced atomically (save_rows_csv and
-// ChromeTraceWriter::write_file go through util/fsio.hpp's
-// atomic_write_file), so an interrupted regeneration leaves the old
-// goldens intact instead of half-written ones.
+// Every golden is replaced atomically (util/fsio.hpp's atomic_write_file),
+// so an interrupted regeneration leaves the old goldens intact instead of
+// half-written ones. Its inputs (examples/traces/ring.palst,
+// tests/power/fixtures/drift4.palst, configs/) are read from --source.
 //
 //   update_golden [--dir=golden] [--source=.]
 #include <filesystem>
@@ -15,8 +16,6 @@
 #include <unistd.h>
 
 #include "analysis/controller_study.hpp"
-#include "analysis/figures.hpp"
-#include "analysis/golden.hpp"
 #include "analysis/journal_pins.hpp"
 #include "analysis/replay_pins.hpp"
 #include "obs/chrome_trace.hpp"
@@ -32,30 +31,16 @@ namespace {
 int run(int argc, char** argv) {
   CliParser cli;
   cli.add_option("dir", "output directory", "golden");
-  cli.add_option("examples", "examples directory (for ring.palst)",
-                 "examples");
-  cli.add_option("fixtures", "test fixtures directory (for drift4.palst)",
-                 "tests/power/fixtures");
-  cli.add_option("source", "source tree (for configs/)", ".");
+  cli.add_option("source", "source tree (examples/, tests/, configs/)",
+                 ".");
   cli.parse(argc, argv);
   const std::string dir = cli.get("dir");
-
-  TraceCache cache;
-  save_rows_csv(table3_rows(cache), dir + "/table3.csv");
-  std::cout << "wrote " << dir << "/table3.csv\n";
-  save_rows_csv(figure6_rows(cache), dir + "/fig6.csv");
-  std::cout << "wrote " << dir << "/fig6.csv\n";
-  save_rows_csv(figure8_rows(cache), dir + "/fig8.csv");
-  std::cout << "wrote " << dir << "/fig8.csv\n";
-  save_rows_csv(figure9_rows(cache), dir + "/fig9.csv");
-  std::cout << "wrote " << dir << "/fig9.csv\n";
-  save_rows_csv(figure10_rows(cache), dir + "/fig10.csv");
-  std::cout << "wrote " << dir << "/fig10.csv\n";
+  const std::string source = cli.get("source");
 
   // Simulated Chrome-trace timeline of the ring example: all inputs are
   // exact decimals, so the replay (and hence the JSON) is byte-stable.
   const Trace ring =
-      read_trace_auto(cli.get("examples") + "/traces/ring.palst");
+      read_trace_auto(source + "/examples/traces/ring.palst");
   const ReplayResult replayed = replay(ring, ReplayConfig{});
   obs::ChromeTraceWriter writer;
   append_simulated_replay(writer, replayed);
@@ -66,7 +51,7 @@ int run(int argc, char** argv) {
   // hotspot fixture: pure doubles in, round-trip formatting out, so the
   // CSV is byte-stable and schedule changes show as reviewable diffs.
   const Trace drift =
-      read_trace_auto(cli.get("fixtures") + "/drift4.palst");
+      read_trace_auto(source + "/tests/power/fixtures/drift4.palst");
   atomic_write_file(dir + "/controller_schedules.csv",
                     controller_schedules_csv(drift));
   std::cout << "wrote " << dir << "/controller_schedules.csv\n";
@@ -87,7 +72,7 @@ int run(int argc, char** argv) {
   const std::filesystem::path work =
       std::filesystem::temp_directory_path() /
       ("pals_journal_pins." + std::to_string(::getpid()));
-  const std::string pins = journal_pins_text(cli.get("source"), work.string());
+  const std::string pins = journal_pins_text(source, work.string());
   std::filesystem::remove_all(work);
   atomic_write_file(dir + "/journal_pins.txt", pins);
   std::cout << "wrote " << dir << "/journal_pins.txt\n";
