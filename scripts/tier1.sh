@@ -6,12 +6,14 @@
 # reports long before they corrupt a CSV.
 #
 # Usage: scripts/tier1.sh [build-dir] [asan-build-dir] [tsan-build-dir]
+#                         [unused-functions-build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${1:-build}
 ASAN_DIR=${2:-build-asan}
 TSAN_DIR=${3:-build-tsan}
+UNUSED_DIR=${4:-build-unused}
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 echo "== tier 1: build + full test suite (${BUILD_DIR}) =="
@@ -43,6 +45,13 @@ if command -v clang-tidy >/dev/null 2>&1; then
 else
   echo "clang-tidy not installed; skipping the leg"
 fi
+
+echo "== tier 1: library functions no shipped binary keeps (report) =="
+# A count, not a gate: it needs a second build (-O0, one section per
+# function, --gc-sections). A function missing from
+# scripts/unused_functions.allow is reported, and the run goes on.
+scripts/unused_functions.sh "${UNUSED_DIR}" ||
+  echo "unused-function report: see the list above (not a gate)"
 
 echo "== tier 1: observability artifacts (pals_profile) =="
 OBS_DIR="${BUILD_DIR}/Testing/tier1-obs"

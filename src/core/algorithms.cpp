@@ -203,14 +203,4 @@ FrequencyAssignment assign_frequencies_energy_optimal(
   return out;
 }
 
-std::vector<Seconds> slack_times(std::span<const Seconds> computation_time) {
-  PALS_CHECK_MSG(!computation_time.empty(), "no ranks");
-  const Seconds t_max =
-      *std::max_element(computation_time.begin(), computation_time.end());
-  std::vector<Seconds> slack;
-  slack.reserve(computation_time.size());
-  for (const Seconds t : computation_time) slack.push_back(t_max - t);
-  return slack;
-}
-
 }  // namespace pals

@@ -103,9 +103,4 @@ FrequencyAssignment assign_frequencies(
     std::span<const Seconds> computation_time, const AlgorithmConfig& config,
     const PowerModelConfig& power);
 
-/// Per-rank slack: max(computation_time) − computation_time[k]. The time a
-/// rank would wait for the most loaded rank in a fully synchronized
-/// iteration.
-std::vector<Seconds> slack_times(std::span<const Seconds> computation_time);
-
 }  // namespace pals

@@ -125,16 +125,6 @@ ReplayScale GearSchedule::replay_scale(const PowerModel& power, Rank n_ranks,
   return scale;
 }
 
-double GearSchedule::energy(const PowerModel& power,
-                            const Timeline& timeline) const {
-  check(timeline.n_ranks());
-  return power.energy(timeline,
-                      [this](Rank r, const StateInterval& iv) -> const Gear& {
-                        return gear(r, iv.phase, iv.iteration);
-                      }) +
-         transition_energy;
-}
-
 std::vector<double> GearSchedule::power_series(const PowerModel& power,
                                                const Timeline& timeline,
                                                Seconds dt) const {

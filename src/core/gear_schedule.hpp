@@ -8,8 +8,8 @@
 // transition stalls and regulator energy an online controller's switches
 // cost. plan_schedule() is the only place gears are chosen; the schedule
 // then stretches and prices the scaled replay (replay_scale: time-scale
-// factors and power rates) and prices a replayed timeline (energy,
-// power_series). The pipeline and the bounds analyzer both go through
+// factors and power rates) and prices a replayed timeline
+// (power_series). The pipeline and the bounds analyzer both go through
 // it, so they describe the same run.
 #pragma once
 
@@ -74,20 +74,15 @@ struct GearSchedule {
   /// compute burst by its factor and runs each iteration's stall right
   /// after its begin marker as an unphased burst. Stalls are not
   /// stretched: a regulator stall is wall-clock time. From the power
-  /// rates the replay integrates ReplayResult::energy, which plus
-  /// transition_energy is energy() of its timeline. An iteration schedule
-  /// needs iteration markers (the replay checks).
+  /// rates the replay integrates ReplayResult::energy in its pass; the
+  /// pipeline adds transition_energy. An iteration schedule needs
+  /// iteration markers (the replay checks).
   ReplayScale replay_scale(const PowerModel& power, Rank n_ranks,
                            std::vector<double>& storage) const;
 
-  /// CPU energy of the replayed `timeline` under this schedule, plus the
-  /// transition energy. The pipeline takes the same sum from the scaled
-  /// replay's pass (ReplayResult::energy); this timeline form is its
-  /// reference.
-  double energy(const PowerModel& power, const Timeline& timeline) const;
-
   /// PowerModel::power_series under this schedule. Σ series·dt equals
-  /// energy() minus the transition energy, which has no time of its own.
+  /// the scaled replay's ReplayResult::energy; the transition energy has
+  /// no time of its own.
   std::vector<double> power_series(const PowerModel& power,
                                    const Timeline& timeline,
                                    Seconds dt) const;

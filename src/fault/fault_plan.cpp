@@ -212,14 +212,6 @@ std::string FaultSpec::describe() const {
   return out;
 }
 
-bool FaultPlan::perturbs_simulation() const {
-  for (const FaultSpec& s : specs)
-    if (s.kind != FaultKind::kScenarioFlaky &&
-        s.kind != FaultKind::kScenarioCrash)
-      return true;
-  return false;
-}
-
 bool FaultPlan::perturbs_scenarios() const {
   for (const FaultSpec& s : specs)
     if (s.kind == FaultKind::kScenarioFlaky ||

@@ -82,8 +82,6 @@ struct FaultPlan {
   std::vector<FaultSpec> specs;
 
   bool empty() const { return specs.empty(); }
-  /// Any spec that perturbs the simulated machine (non-scenario kinds)?
-  bool perturbs_simulation() const;
   /// Any host-side scenario_* spec?
   bool perturbs_scenarios() const;
 

@@ -32,9 +32,6 @@ class Injector {
 
   const FaultPlan& plan() const { return plan_; }
 
-  /// Any simulated-machine perturbation at all? (Replay skips the fault
-  /// path entirely when false.)
-  bool perturbs_replay() const { return plan_.perturbs_simulation(); }
   bool has_stuck_gears() const { return has_stuck_gears_; }
 
   /// Duration multiplier (>= 1) for a compute burst of `rank` beginning

@@ -4,21 +4,15 @@
 
 namespace pals {
 
-VirtualMpi::VirtualMpi(Trace& trace, Rank rank, double flops_per_second)
-    : trace_(&trace), rank_(rank), flops_per_second_(flops_per_second) {
+VirtualMpi::VirtualMpi(Trace& trace, Rank rank)
+    : trace_(&trace), rank_(rank) {
   PALS_CHECK_MSG(rank >= 0 && rank < trace.n_ranks(),
                  "rank " << rank << " out of range");
-  PALS_CHECK_MSG(flops_per_second > 0.0, "flops rate must be positive");
 }
 
 void VirtualMpi::compute(Seconds duration, std::int32_t phase) {
   PALS_CHECK_MSG(duration >= 0.0, "negative compute duration");
   trace_->append(rank_, ComputeEvent{duration, phase});
-}
-
-void VirtualMpi::compute_flops(double flops, std::int32_t phase) {
-  PALS_CHECK_MSG(flops >= 0.0, "negative flop count");
-  compute(flops / flops_per_second_, phase);
 }
 
 void VirtualMpi::send(Rank peer, std::int32_t tag, Bytes bytes) {
@@ -48,41 +42,16 @@ void VirtualMpi::wait(VRequest request) {
 
 void VirtualMpi::waitall() { trace_->append(rank_, WaitAllEvent{}); }
 
-void VirtualMpi::barrier() {
-  trace_->append(rank_, CollectiveEvent{CollectiveOp::kBarrier, 0, 0});
-}
-
-void VirtualMpi::bcast(Bytes bytes, Rank root) {
-  trace_->append(rank_, CollectiveEvent{CollectiveOp::kBcast, bytes, root});
-}
-
-void VirtualMpi::reduce(Bytes bytes, Rank root) {
-  trace_->append(rank_, CollectiveEvent{CollectiveOp::kReduce, bytes, root});
-}
-
 void VirtualMpi::allreduce(Bytes bytes) {
   trace_->append(rank_, CollectiveEvent{CollectiveOp::kAllreduce, bytes, 0});
-}
-
-void VirtualMpi::gather(Bytes bytes, Rank root) {
-  trace_->append(rank_, CollectiveEvent{CollectiveOp::kGather, bytes, root});
 }
 
 void VirtualMpi::allgather(Bytes bytes) {
   trace_->append(rank_, CollectiveEvent{CollectiveOp::kAllgather, bytes, 0});
 }
 
-void VirtualMpi::scatter(Bytes bytes, Rank root) {
-  trace_->append(rank_, CollectiveEvent{CollectiveOp::kScatter, bytes, root});
-}
-
 void VirtualMpi::alltoall(Bytes bytes) {
   trace_->append(rank_, CollectiveEvent{CollectiveOp::kAlltoall, bytes, 0});
-}
-
-void VirtualMpi::reduce_scatter(Bytes bytes) {
-  trace_->append(rank_,
-                 CollectiveEvent{CollectiveOp::kReduceScatter, bytes, 0});
 }
 
 void VirtualMpi::iteration_begin(std::int32_t id) {
@@ -108,7 +77,7 @@ Trace run_spmd(Rank n_ranks, const RankProgram& program,
   Trace trace(n_ranks);
   trace.set_name(options.name);
   for (Rank r = 0; r < n_ranks; ++r) {
-    VirtualMpi mpi(trace, r, options.flops_per_second);
+    VirtualMpi mpi(trace, r);
     program(mpi);
   }
   trace.validate();

@@ -21,11 +21,13 @@ struct VRequest {
   bool valid() const { return id >= 0; }
 };
 
-/// Per-rank tracing context; mirrors the MPI subset the replay simulator
-/// understands. All byte counts are payload sizes.
+/// Per-rank tracing context: the part of the MPI subset the replay
+/// simulator understands that the workloads use. A trace can hold every
+/// collective of CollectiveOp; this API records the three the workloads
+/// call. All byte counts are payload sizes.
 class VirtualMpi {
 public:
-  VirtualMpi(Trace& trace, Rank rank, double flops_per_second);
+  VirtualMpi(Trace& trace, Rank rank);
 
   Rank rank() const { return rank_; }
   Rank size() const { return trace_->n_ranks(); }
@@ -33,9 +35,6 @@ public:
   /// Record a computation burst of `duration` seconds (reference-frequency
   /// time). `phase` labels the computation phase (-1 = unphased).
   void compute(Seconds duration, std::int32_t phase = -1);
-  /// Computation expressed in floating-point operations; converted to
-  /// seconds via the machine's flops rate.
-  void compute_flops(double flops, std::int32_t phase = -1);
 
   void send(Rank peer, std::int32_t tag, Bytes bytes);
   void recv(Rank peer, std::int32_t tag, Bytes bytes);
@@ -44,27 +43,18 @@ public:
   void wait(VRequest request);
   void waitall();
 
-  void barrier();
-  void bcast(Bytes bytes, Rank root = 0);
-  void reduce(Bytes bytes, Rank root = 0);
   void allreduce(Bytes bytes);
-  void gather(Bytes bytes, Rank root = 0);
   void allgather(Bytes bytes);
-  void scatter(Bytes bytes, Rank root = 0);
   void alltoall(Bytes bytes);
-  void reduce_scatter(Bytes bytes);
 
   void iteration_begin(std::int32_t id);
   void iteration_end(std::int32_t id);
   void phase_begin(std::int32_t id);
   void phase_end(std::int32_t id);
 
-  double flops_per_second() const { return flops_per_second_; }
-
 private:
   Trace* trace_;
   Rank rank_;
-  double flops_per_second_;
   RequestId next_request_ = 0;
 };
 
@@ -73,8 +63,6 @@ using RankProgram = std::function<void(VirtualMpi&)>;
 
 struct SpmdOptions {
   std::string name;
-  /// Simulated per-rank compute speed at the reference frequency.
-  double flops_per_second = 4.6e9;
 };
 
 /// Run `program` once per rank (deterministically, rank 0 first) and

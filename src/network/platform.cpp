@@ -34,14 +34,6 @@ std::string to_string(CollectiveAlgo algo) {
   throw Error("invalid CollectiveAlgo enum value");
 }
 
-CollectiveAlgo parse_collective_algo(const std::string& name) {
-  if (name == "default") return CollectiveAlgo::kDefault;
-  if (name == "tree") return CollectiveAlgo::kTree;
-  if (name == "ring") return CollectiveAlgo::kRing;
-  if (name == "pairwise") return CollectiveAlgo::kPairwise;
-  throw Error("unknown collective algorithm: " + name);
-}
-
 Seconds collective_cost(const PlatformModel& platform, CollectiveOp op,
                         Rank n_ranks, Bytes bytes) {
   PALS_CHECK_MSG(n_ranks > 0, "collective over zero ranks");

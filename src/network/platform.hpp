@@ -26,7 +26,6 @@ enum class CollectiveAlgo {
 };
 
 std::string to_string(CollectiveAlgo algo);
-CollectiveAlgo parse_collective_algo(const std::string& name);
 
 /// Machine description used by the replay simulator. Defaults approximate
 /// the paper's Myrinet cluster (O(10 us) latency, ~250 MB/s links).

@@ -58,14 +58,6 @@ double PowerModel::time_scale(double f_ghz, double beta) const {
   return beta * (config_.reference.frequency_ghz / f_ghz - 1.0) + 1.0;
 }
 
-double PowerModel::rank_energy(const Timeline& timeline, Rank rank,
-                               const Gear& gear) const {
-  return lane_energy(timeline, rank, timeline.makespan(),
-                     [&gear](Rank, const StateInterval&) -> const Gear& {
-                       return gear;
-                     });
-}
-
 namespace {
 
 /// gear_of for a whole-run gear per rank.

@@ -70,24 +70,29 @@ public:
   /// `gear_of(r, iv)`. A lane shorter than the makespan idles its tail at
   /// communication activity; the tail is asked for as an idle interval
   /// with no phase and no iteration. This is the one integration loop
-  /// over a timeline: total_energy, baseline_energy, rank_energy and
-  /// GearSchedule::energy (core/gear_schedule.hpp) all sum per rank, then
+  /// over a timeline: total_energy and baseline_energy sum per rank, then
   /// over ranks in rank order — the order in which the replay sums
   /// ReplayResult::energy in its pass, so both agree bit for bit.
   template <class GearOf>
   double energy(const Timeline& timeline, const GearOf& gear_of) const {
     const Seconds makespan = timeline.makespan();
     double energy = 0.0;
-    for (Rank r = 0; r < timeline.n_ranks(); ++r)
-      energy += lane_energy(timeline, r, makespan, gear_of);
+    for (Rank r = 0; r < timeline.n_ranks(); ++r) {
+      double lane = 0.0;
+      StateInterval tail;
+      for (const StateInterval& iv : timeline.intervals(r)) {
+        lane += iv.duration() *
+                total_power(gear_of(r, iv), iv.state == RankState::kCompute);
+        tail.begin = iv.end;
+      }
+      tail.end = makespan;
+      if (tail.duration() > 0.0)
+        lane += tail.duration() *
+                total_power(gear_of(r, tail), /*computing=*/false);
+      energy += lane;
+    }
     return energy;
   }
-
-  /// Energy of rank `rank` over its timeline lane, with the rank's CPU
-  /// pinned at `gear` for the entire execution (the paper assigns one
-  /// frequency per process).
-  double rank_energy(const Timeline& timeline, Rank rank,
-                     const Gear& gear) const;
 
   /// Total CPU energy with per-rank gears (`gears.size()` == rank count).
   double total_energy(const Timeline& timeline,
@@ -149,24 +154,6 @@ private:
   double activity_compute_ = 1.0;  ///< A·C lumped, normalized
   double activity_comm_ = 1.0;
   double alpha_ = 0.0;  ///< static-power coefficient
-
-  /// energy() of one lane, its idle tail reaching `makespan`.
-  template <class GearOf>
-  double lane_energy(const Timeline& timeline, Rank rank, Seconds makespan,
-                     const GearOf& gear_of) const {
-    double energy = 0.0;
-    StateInterval tail;
-    for (const StateInterval& iv : timeline.intervals(rank)) {
-      energy += iv.duration() *
-                total_power(gear_of(rank, iv), iv.state == RankState::kCompute);
-      tail.begin = iv.end;
-    }
-    tail.end = makespan;
-    if (tail.duration() > 0.0)
-      energy += tail.duration() *
-                total_power(gear_of(rank, tail), /*computing=*/false);
-    return energy;
-  }
 };
 
 }  // namespace pals

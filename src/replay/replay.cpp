@@ -280,10 +280,10 @@ private:
     std::vector<std::int32_t> done_position;   ///< slot -> index in done
     std::size_t open_count = 0;                ///< slots in kOpen
     Seconds waitall_latest = 0.0;        ///< max completion while in WaitAll
+    /// The iteration the rank is inside: it labels the rank's intervals
+    /// and picks the schedule row that stretches and prices its bursts.
+    /// -1 before the first begin marker and after each end marker.
     std::int32_t current_iteration = -1;
-    /// The iteration whose schedule row covers the next burst: like
-    /// current_iteration, but -1 again after an iteration-end marker.
-    std::int32_t scale_iteration = -1;
     std::uint64_t p2p_posted = 0;  ///< sends posted so far (jitter index)
   };
 
@@ -317,20 +317,20 @@ private:
   bool handle(Rank r, const ComputeEvent& e) {
     Seconds duration = e.duration;
     if (scale_ != nullptr)
-      duration *= burst_factor(r, e.phase, ctx(r).scale_iteration);
+      duration *= burst_factor(r, e.phase, ctx(r).current_iteration);
     run_compute(r, duration, e.phase);
     return true;
   }
 
   bool handle(Rank r, const MarkerEvent& e) {
     // Markers cost nothing but label the rank's subsequent intervals with
-    // the iteration index (intervals between iter_end and the next
-    // iter_begin stay attributed to the ended iteration).
+    // the iteration index. Intervals between iter_end and the next
+    // iter_begin belong to no iteration (-1), so a burst there is both
+    // stretched and priced at the fallback gears.
     RankCtx& c = ctx(r);
-    if (e.kind == MarkerKind::kIterationEnd) c.scale_iteration = -1;
+    if (e.kind == MarkerKind::kIterationEnd) c.current_iteration = -1;
     if (e.kind != MarkerKind::kIterationBegin) return true;
     c.current_iteration = e.id;
-    c.scale_iteration = e.id;
     if (scale_ == nullptr || scale_->stalls.empty()) return true;
     PALS_CHECK_MSG(e.id >= 0 && static_cast<std::size_t>(e.id) < scale_rows_,
                    "no stall entry for iteration " << e.id);

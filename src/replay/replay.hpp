@@ -252,9 +252,9 @@ struct ReplayScale {
   /// fallback's, per rank, while not computing and while computing:
   /// power[(row * n_ranks + rank) * 2 + computing], the fallback being
   /// row factors.size() / n_ranks. A merged interval's row follows its
-  /// phase label and the iteration it is attributed to — the last begin
-  /// marker, which an end marker does not reset — as GearSchedule::gear
-  /// chooses it. Empty: the replay integrates no energy.
+  /// phase label and iteration label (-1 outside every iteration), as
+  /// GearSchedule::gear chooses it, so each burst is priced at the row
+  /// that stretched it. Empty: the replay integrates no energy.
   std::span<const double> power;
 };
 

@@ -33,16 +33,6 @@ std::string string_member(const JsonValue& value, const std::string& key,
 
 }  // namespace
 
-std::string to_string(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kQuery: return "query";
-    case RequestKind::kPing: return "ping";
-    case RequestKind::kStats: return "stats";
-    case RequestKind::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
 std::string to_string(ErrorCode code) {
   switch (code) {
     case ErrorCode::kBadRequest: return "bad-request";

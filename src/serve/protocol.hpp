@@ -42,8 +42,6 @@ enum class RequestKind {
   kShutdown,  ///< begin a cooperative drain (same as SIGTERM)
 };
 
-std::string to_string(RequestKind kind);
-
 /// Structured error taxonomy of the wire protocol (docs/serve.md).
 enum class ErrorCode {
   kBadRequest,        ///< malformed or invalid request line

@@ -46,9 +46,4 @@ std::string to_string(const Event& event) {
   return s.os.str();
 }
 
-bool is_communication(const Event& event) {
-  return !std::holds_alternative<ComputeEvent>(event) &&
-         !std::holds_alternative<MarkerEvent>(event);
-}
-
 }  // namespace pals

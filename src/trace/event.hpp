@@ -99,7 +99,4 @@ using Event = std::variant<ComputeEvent, SendEvent, RecvEvent, IsendEvent,
 /// One-line textual rendering (also the trace file record format).
 std::string to_string(const Event& event);
 
-/// True for events that participate in communication matching.
-bool is_communication(const Event& event);
-
 }  // namespace pals

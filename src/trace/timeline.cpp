@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <ostream>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace pals {
 namespace {
@@ -27,20 +25,6 @@ std::string to_string(RankState state) {
     case RankState::kIdle: return "idle";
   }
   throw Error("invalid RankState enum value");
-}
-
-RankState parse_rank_state(const std::string& name) {
-  if (name == "compute") return RankState::kCompute;
-  if (name == "send") return RankState::kSend;
-  if (name == "recv") return RankState::kRecv;
-  if (name == "wait") return RankState::kWait;
-  if (name == "collective") return RankState::kCollective;
-  if (name == "idle") return RankState::kIdle;
-  throw Error("unknown rank state: " + name);
-}
-
-bool is_communication_state(RankState state) {
-  return state != RankState::kCompute;
 }
 
 Timeline::Timeline(Rank n_ranks) {
@@ -100,70 +84,6 @@ Seconds Timeline::state_time(Rank rank, RankState state) const {
   return total;
 }
 
-Seconds Timeline::compute_time(Rank rank) const {
-  return state_time(rank, RankState::kCompute);
-}
-
-Seconds Timeline::communication_time(Rank rank) const {
-  Seconds total = 0.0;
-  for (const StateInterval& iv : intervals(rank))
-    if (iv.state != RankState::kCompute) total += iv.duration();
-  return total;
-}
-
-Seconds Timeline::compute_time(Rank rank, std::int32_t phase) const {
-  Seconds total = 0.0;
-  for (const StateInterval& iv : intervals(rank))
-    if (iv.state == RankState::kCompute && iv.phase == phase)
-      total += iv.duration();
-  return total;
-}
-
-std::vector<Seconds> Timeline::compute_times() const {
-  std::vector<Seconds> out;
-  out.reserve(lanes_.size());
-  for (Rank r = 0; r < n_ranks(); ++r) out.push_back(compute_time(r));
-  return out;
-}
-
-Seconds Timeline::iteration_compute_time(Rank rank,
-                                         std::int32_t iteration) const {
-  Seconds total = 0.0;
-  for (const StateInterval& iv : intervals(rank))
-    if (iv.state == RankState::kCompute && iv.iteration == iteration)
-      total += iv.duration();
-  return total;
-}
-
-std::int32_t Timeline::max_iteration() const {
-  std::int32_t max_iter = -1;
-  for (const auto& lane : lanes_)
-    for (const StateInterval& iv : lane)
-      max_iter = std::max(max_iter, iv.iteration);
-  return max_iter;
-}
-
-void Timeline::validate() const {
-  for (Rank r = 0; r < n_ranks(); ++r) {
-    Seconds cursor = 0.0;
-    bool first = true;
-    for (const StateInterval& iv : intervals(r)) {
-      PALS_CHECK_MSG(std::isfinite(iv.begin) && std::isfinite(iv.end),
-                     "rank " << r << ": non-finite interval bound");
-      PALS_CHECK_MSG(iv.end >= iv.begin,
-                     "rank " << r << ": negative-length interval");
-      if (first) {
-        check_lane_start(r, iv.begin);
-        first = false;
-      } else {
-        PALS_CHECK_MSG(std::abs(iv.begin - cursor) <= kTimeEps,
-                       "rank " << r << ": gap or overlap at t=" << iv.begin);
-      }
-      cursor = iv.end;
-    }
-  }
-}
-
 void write_timeline(const Timeline& timeline, std::ostream& out) {
   out << "# pals-timeline v1\n";
   out << "ranks " << timeline.n_ranks() << '\n';
@@ -179,50 +99,6 @@ void write_timeline(const Timeline& timeline, std::ostream& out) {
       out << '\n';
     }
   }
-}
-
-Timeline read_timeline(std::istream& in) {
-  std::string line;
-  Timeline timeline;
-  bool magic_seen = false;
-  bool ranks_seen = false;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string_view trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    if (!magic_seen) {
-      PALS_CHECK_MSG(trimmed == "# pals-timeline v1",
-                     "timeline line " << line_no << ": bad magic");
-      magic_seen = true;
-      continue;
-    }
-    if (trimmed.front() == '#') continue;
-    const auto tok = split_ws(trimmed);
-    if (tok[0] == "ranks") {
-      PALS_CHECK_MSG(tok.size() == 2, "timeline line " << line_no
-                                                       << ": bad ranks line");
-      timeline = Timeline(static_cast<Rank>(parse_int(tok[1])));
-      ranks_seen = true;
-      continue;
-    }
-    PALS_CHECK_MSG(ranks_seen, "timeline line " << line_no
-                                                << ": record before ranks");
-    PALS_CHECK_MSG(tok.size() >= 4 && tok.size() <= 6,
-                   "timeline line " << line_no << ": expected 4-6 fields");
-    StateInterval iv;
-    const Rank rank = static_cast<Rank>(parse_int(tok[0]));
-    iv.begin = parse_double(tok[1]);
-    iv.end = parse_double(tok[2]);
-    iv.state = parse_rank_state(tok[3]);
-    if (tok.size() >= 5) iv.phase = static_cast<std::int32_t>(parse_int(tok[4]));
-    if (tok.size() == 6)
-      iv.iteration = static_cast<std::int32_t>(parse_int(tok[5]));
-    timeline.append(rank, iv);
-  }
-  PALS_CHECK_MSG(magic_seen && ranks_seen, "timeline parse: truncated input");
-  timeline.validate();
-  return timeline;
 }
 
 }  // namespace pals

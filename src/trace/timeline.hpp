@@ -28,11 +28,6 @@ enum class RankState {
 };
 
 std::string to_string(RankState state);
-RankState parse_rank_state(const std::string& name);
-
-/// True for the states whose time counts as "communication" in the paper's
-/// activity-factor model (everything that is not computation).
-bool is_communication_state(RankState state);
 
 struct StateInterval {
   Seconds begin = 0.0;
@@ -65,21 +60,6 @@ public:
   Seconds makespan() const;
 
   Seconds state_time(Rank rank, RankState state) const;
-  Seconds compute_time(Rank rank) const;
-  /// All non-compute, non-idle time (the paper's "waiting in MPI").
-  Seconds communication_time(Rank rank) const;
-  /// Compute time restricted to one phase label.
-  Seconds compute_time(Rank rank, std::int32_t phase) const;
-
-  std::vector<Seconds> compute_times() const;
-
-  /// Compute time of `rank` within iteration `iteration`.
-  Seconds iteration_compute_time(Rank rank, std::int32_t iteration) const;
-  /// Largest iteration label present anywhere, or -1 if unmarked.
-  std::int32_t max_iteration() const;
-
-  /// Throws pals::Error if any lane has gaps, overlaps or negative spans.
-  void validate() const;
 
   bool operator==(const Timeline&) const = default;
 
@@ -96,12 +76,12 @@ private:
 bool admit_interval(Rank rank, StateInterval& interval,
                     const Seconds* lane_end);
 
-/// Timeline::validate's check on the first interval of `rank`'s lane:
-/// throws when it starts before 0 (beyond rounding).
+/// Checks the first interval of `rank`'s lane: throws when it starts
+/// before 0 (beyond rounding).
 void check_lane_start(Rank rank, Seconds begin);
 
-/// Text serialization (.palsv): "rank begin end state [phase]" per line.
+/// Text serialization (.palsv): "rank begin end state [phase [iteration]]"
+/// per line.
 void write_timeline(const Timeline& timeline, std::ostream& out);
-Timeline read_timeline(std::istream& in);
 
 }  // namespace pals

@@ -20,12 +20,6 @@ Trace scale_compute(const Trace& trace, std::span<const double> factor) {
   return out;
 }
 
-Trace scale_compute_uniform(const Trace& trace, double factor) {
-  const std::vector<double> factors(static_cast<std::size_t>(trace.n_ranks()),
-                                    factor);
-  return scale_compute(trace, factors);
-}
-
 std::vector<std::vector<Seconds>> iteration_computation_times(
     const Trace& trace) {
   const std::size_t iterations = trace.iteration_count();

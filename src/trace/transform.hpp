@@ -19,10 +19,6 @@ namespace pals {
 /// positive and `factor.size()` must equal the rank count.
 Trace scale_compute(const Trace& trace, std::span<const double> factor);
 
-/// Uniform scale on every rank (used for whole-application slowdown
-/// baselines).
-Trace scale_compute_uniform(const Trace& trace, double factor);
-
 /// Per-rank computation time of each iteration: result[i][r]. Requires
 /// iteration markers; bursts outside iterations are ignored.
 std::vector<std::vector<Seconds>> iteration_computation_times(

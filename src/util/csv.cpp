@@ -146,10 +146,4 @@ void TextTable::print(std::ostream& out) const {
   for (const auto& row : rows_) emit(row);
 }
 
-std::string TextTable::to_string() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
-}
-
 }  // namespace pals

@@ -44,7 +44,6 @@ public:
   void add_row(std::vector<std::string> row);
   /// Render with two-space column gaps; numeric-looking cells right-aligned.
   void print(std::ostream& out) const;
-  std::string to_string() const;
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -1,8 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-#include <numbers>
-
 #include "util/error.hpp"
 
 namespace pals {
@@ -61,43 +58,5 @@ std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   } while (draw >= limit);
   return lo + draw % bound;
 }
-
-double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box–Muller; u1 in (0, 1] to keep log finite.
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return r * std::cos(theta);
-}
-
-double Rng::normal(double mean, double stddev) {
-  PALS_CHECK_MSG(stddev >= 0.0, "normal() requires stddev >= 0");
-  return mean + stddev * normal();
-}
-
-double Rng::exponential(double rate) {
-  PALS_CHECK_MSG(rate > 0.0, "exponential() requires rate > 0");
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
-double Rng::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
-}
-
-Rng Rng::fork() { return Rng(next()); }
 
 }  // namespace pals

@@ -30,21 +30,9 @@ public:
   double uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] (inclusive), unbiased via rejection.
   std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi);
-  /// Standard normal via Box–Muller (deterministic, cached second value).
-  double normal();
-  double normal(double mean, double stddev);
-  /// Exponential with the given rate (lambda).
-  double exponential(double rate);
-  /// Log-normal: exp(normal(mu, sigma)).
-  double lognormal(double mu, double sigma);
-
-  /// Fork a statistically independent stream (e.g. one per MPI rank).
-  Rng fork();
 
 private:
   std::uint64_t s_[4];
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
 };
 
 }  // namespace pals

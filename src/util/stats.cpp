@@ -22,20 +22,10 @@ StatsSummary summarize(std::span<const double> values) {
 }
 
 double mean(std::span<const double> values) { return summarize(values).mean; }
-double sum(std::span<const double> values) { return summarize(values).sum; }
 
 double min_value(std::span<const double> values) {
   PALS_CHECK_MSG(!values.empty(), "min_value of empty sample");
   return *std::min_element(values.begin(), values.end());
-}
-
-double max_value(std::span<const double> values) {
-  PALS_CHECK_MSG(!values.empty(), "max_value of empty sample");
-  return *std::max_element(values.begin(), values.end());
-}
-
-double stddev(std::span<const double> values) {
-  return summarize(values).stddev;
 }
 
 double coefficient_of_variation(std::span<const double> values) {
@@ -54,22 +44,6 @@ double percentile(std::span<const double> values, double p) {
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double gini(std::span<const double> values) {
-  PALS_CHECK_MSG(!values.empty(), "gini of empty sample");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0.0;
-  double weighted = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    PALS_CHECK_MSG(sorted[i] >= 0.0, "gini requires non-negative values");
-    total += sorted[i];
-    weighted += static_cast<double>(i + 1) * sorted[i];
-  }
-  PALS_CHECK_MSG(total > 0.0, "gini requires a positive sum");
-  const auto n = static_cast<double>(sorted.size());
-  return (2.0 * weighted) / (n * total) - (n + 1.0) / n;
 }
 
 void OnlineStats::add(double x) {

@@ -21,22 +21,13 @@ struct StatsSummary {
 StatsSummary summarize(std::span<const double> values);
 
 double mean(std::span<const double> values);
-double sum(std::span<const double> values);
 double min_value(std::span<const double> values);
-double max_value(std::span<const double> values);
-
-/// Population standard deviation (divide by N).
-double stddev(std::span<const double> values);
 
 /// Coefficient of variation: stddev/mean; 0 if mean is 0.
 double coefficient_of_variation(std::span<const double> values);
 
 /// Linear-interpolated percentile, p in [0, 100]. Throws on empty input.
 double percentile(std::span<const double> values, double p);
-
-/// Gini coefficient of a non-negative sample (inequality of per-rank load),
-/// in [0, 1). Throws if any value is negative or the sum is 0.
-double gini(std::span<const double> values);
 
 /// Welford streaming mean/variance accumulator.
 class OnlineStats {

@@ -30,22 +30,6 @@ std::vector<double> shape_uniform_noise(Rank n, double spread, Rng& rng) {
   return w;
 }
 
-std::vector<double> shape_linear(Rank n, double min_ratio) {
-  check_n(n);
-  PALS_CHECK_MSG(min_ratio > 0.0 && min_ratio <= 1.0,
-                 "min_ratio must lie in (0, 1]");
-  std::vector<double> w(static_cast<std::size_t>(n));
-  if (n == 1) {
-    w[0] = 1.0;
-    return w;
-  }
-  for (Rank k = 0; k < n; ++k) {
-    const double t = static_cast<double>(k) / static_cast<double>(n - 1);
-    w[static_cast<std::size_t>(k)] = min_ratio + (1.0 - min_ratio) * t;
-  }
-  return w;
-}
-
 std::vector<double> shape_geometric(Rank n, double ratio) {
   check_n(n);
   PALS_CHECK_MSG(ratio > 0.0 && ratio < 1.0, "ratio must lie in (0, 1)");
@@ -85,17 +69,6 @@ std::vector<double> shape_zones(Rank n, Rank heavy_count, double light_ratio,
     w[k] = base * (1.0 - rng.uniform(0.0, jitter));
   }
   normalize_max_to_one(w);
-  return w;
-}
-
-std::vector<double> shape_single_hot(Rank n, double base_ratio, double jitter,
-                                     Rng& rng) {
-  check_n(n);
-  PALS_CHECK_MSG(base_ratio > 0.0 && base_ratio < 1.0,
-                 "base_ratio must lie in (0, 1)");
-  std::vector<double> w(static_cast<std::size_t>(n));
-  for (double& x : w) x = base_ratio * (1.0 - rng.uniform(0.0, jitter));
-  w[static_cast<std::size_t>(n) / 2] = 1.0;  // hot rank in the middle
   return w;
 }
 

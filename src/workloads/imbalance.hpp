@@ -23,9 +23,6 @@ namespace pals {
 /// Nearly balanced: 1 − U(0, spread) per rank (one rank pinned at 1).
 std::vector<double> shape_uniform_noise(Rank n, double spread, Rng& rng);
 
-/// Linear ramp from `min_ratio` (rank 0) to 1 (last rank).
-std::vector<double> shape_linear(Rank n, double min_ratio);
-
 /// Geometric decay: rank k gets ratio^k, re-sorted so the heavy ranks are
 /// interleaved (avoids a pathological all-heavy-first layout).
 std::vector<double> shape_geometric(Rank n, double ratio);
@@ -34,10 +31,6 @@ std::vector<double> shape_geometric(Rank n, double ratio);
 /// `light_ratio` (with multiplicative jitter).
 std::vector<double> shape_zones(Rank n, Rank heavy_count, double light_ratio,
                                 double jitter, Rng& rng);
-
-/// One hot rank at 1, the rest near `base_ratio`.
-std::vector<double> shape_single_hot(Rank n, double base_ratio, double jitter,
-                                     Rng& rng);
 
 /// Exponent-warp `weights` (each in (0,1], max = 1) so that
 /// mean(w^gamma) == target_lb. Monotone in gamma, solved by bisection.

@@ -336,15 +336,6 @@ TEST(EnergyOptimal, PlainAssignRejectsTheEnumValue) {
   EXPECT_THROW(assign_frequencies(times, eopt_uniform6()), Error);
 }
 
-TEST(SlackTimes, MatchesDefinition) {
-  const std::vector<Seconds> times{1.0, 3.0, 4.0};
-  const auto slack = slack_times(times);
-  ASSERT_EQ(slack.size(), 3u);
-  EXPECT_DOUBLE_EQ(slack[0], 3.0);
-  EXPECT_DOUBLE_EQ(slack[1], 1.0);
-  EXPECT_DOUBLE_EQ(slack[2], 0.0);
-}
-
 TEST(AlgorithmNames, ToString) {
   EXPECT_EQ(to_string(Algorithm::kMax), "MAX");
   EXPECT_EQ(to_string(Algorithm::kAvg), "AVG");

@@ -19,6 +19,7 @@
 #include "fault/injector.hpp"
 #include "replay/replay.hpp"
 #include "trace/transform.hpp"
+#include "reference.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -215,7 +216,7 @@ TEST(Energy, ScheduledEnergyUsesPerIterationGears) {
   const GearSchedule s = iteration_schedule({{kRef}, {kSlow}}, {kRef});
   const double expected = 1.0 * model().total_power(kRef, true) +
                           1.0 * model().total_power(kSlow, true);
-  EXPECT_NEAR(s.energy(model(), tl), expected, 1e-12);
+  EXPECT_NEAR(schedule_energy(s, model(), tl), expected, 1e-12);
 }
 
 TEST(Energy, ScheduledEnergyFallsBackOutsideIterations) {
@@ -225,7 +226,7 @@ TEST(Energy, ScheduledEnergyFallsBackOutsideIterations) {
   const GearSchedule s = iteration_schedule({{kSlow}}, {kRef});
   const double expected = 1.0 * model().total_power(kRef, true) +
                           1.0 * model().total_power(kSlow, true);
-  EXPECT_NEAR(s.energy(model(), tl), expected, 1e-12);
+  EXPECT_NEAR(schedule_energy(s, model(), tl), expected, 1e-12);
 }
 
 TEST(Energy, ScheduledEnergyChargesIdleTailAtFallback) {
@@ -237,23 +238,26 @@ TEST(Energy, ScheduledEnergyChargesIdleTailAtFallback) {
   const double expected = 1.0 * model().total_power(kRef, true) +
                           2.0 * model().total_power(kSlow, false) +  // tail
                           3.0 * model().total_power(kRef, true) + 0.25;
-  EXPECT_NEAR(s.energy(model(), tl), expected, 1e-12);
+  EXPECT_NEAR(schedule_energy(s, model(), tl), expected, 1e-12);
 }
 
 TEST(Energy, ScheduledEnergyValidatesShapes) {
   Timeline tl(2);
   tl.append(0, {0.0, 1.0, RankState::kCompute, -1, 0});
   tl.append(1, {0.0, 1.0, RankState::kCompute, -1, 0});
-  EXPECT_THROW(iteration_schedule({{kRef}}, {kRef, kRef}).energy(model(), tl),
+  EXPECT_THROW(schedule_energy(iteration_schedule({{kRef}}, {kRef, kRef}),
+                               model(), tl),
                Error);
-  EXPECT_THROW(iteration_schedule({{kRef, kRef}}, {kRef}).energy(model(), tl),
+  EXPECT_THROW(schedule_energy(iteration_schedule({{kRef, kRef}}, {kRef}),
+                               model(), tl),
                Error);
   // An interval of an iteration the schedule has no row for.
   Timeline late(2);
   late.append(0, {0.0, 1.0, RankState::kCompute, -1, 3});
   late.append(1, {0.0, 1.0, RankState::kCompute, -1, 0});
   EXPECT_THROW(
-      iteration_schedule({{kRef, kRef}}, {kRef, kRef}).energy(model(), late),
+      schedule_energy(iteration_schedule({{kRef, kRef}}, {kRef, kRef}),
+                      model(), late),
       Error);
 }
 
@@ -266,14 +270,15 @@ TEST(Energy, PhaseEnergyChargesPerPhaseGears) {
   const double expected = 1.0 * model().total_power(kSlow, true) +
                           1.0 * model().total_power(kRef, false) +
                           1.0 * model().total_power(kMid, true);
-  EXPECT_NEAR(s.energy(model(), tl), expected, 1e-12);
+  EXPECT_NEAR(schedule_energy(s, model(), tl), expected, 1e-12);
 }
 
 TEST(Energy, PhaseEnergyRejectsUnknownPhaseLabel) {
   Timeline tl(1);
   tl.append(0, {0.0, 1.0, RankState::kCompute, 7, -1});
-  EXPECT_THROW(phase_schedule({0}, {{kRef}}, {kRef}).energy(model(), tl),
-               Error);
+  EXPECT_THROW(
+      schedule_energy(phase_schedule({0}, {{kRef}}, {kRef}), model(), tl),
+      Error);
 }
 
 TEST(Energy, PhaseEnergyMatchesTotalEnergyForUniformGears) {
@@ -283,7 +288,8 @@ TEST(Energy, PhaseEnergyMatchesTotalEnergyForUniformGears) {
   tl.append(0, {1.0, 1.5, RankState::kWait, -1, -1});
   tl.append(1, {0.0, 1.5, RankState::kCompute, 0, -1});
   const std::vector<Gear> gears{kMid, kFast};
-  EXPECT_EQ(phase_schedule({0}, {gears}, gears).energy(model(), tl),
+  EXPECT_EQ(schedule_energy(phase_schedule({0}, {gears}, gears), model(),
+                            tl),
             model().total_energy(tl, gears));
 }
 
@@ -301,7 +307,8 @@ TEST(GearSchedule, WholeRunMatchesScaleComputeAndTotalEnergyExactly) {
   tl.append(0, {0.0, 1.25, RankState::kCompute, 2, 0});
   tl.append(0, {1.25, 2.0, RankState::kRecv, -1, 0});
   tl.append(1, {0.0, 1.75, RankState::kCompute, -1, 1});
-  EXPECT_EQ(s.energy(model(), tl), model().total_energy(tl, s.fallback.gears));
+  EXPECT_EQ(schedule_energy(s, model(), tl),
+            model().total_energy(tl, s.fallback.gears));
 }
 
 TEST(GearSchedule, PowerSeriesFollowsTheScheduleGears) {
@@ -315,8 +322,8 @@ TEST(GearSchedule, PowerSeriesFollowsTheScheduleGears) {
   EXPECT_NEAR(series[0], model().total_power(kRef, true), 1e-12);
   EXPECT_NEAR(series[1], model().total_power(kSlow, true), 1e-12);
   EXPECT_NEAR(series[2], model().total_power(kMid, false), 1e-12);
-  EXPECT_NEAR(series[0] + series[1] + series[2], s.energy(model(), tl),
-              1e-12);
+  EXPECT_NEAR(series[0] + series[1] + series[2],
+              schedule_energy(s, model(), tl), 1e-12);
 }
 
 TEST(GearSchedule, OverclockedFractionCountsAnyRowOrTheFallback) {

@@ -32,7 +32,6 @@ TEST(FaultPlanParse, FullGrammarWithUnitSuffixes) {
   EXPECT_EQ(plan.specs[2].gear, StuckGear::kMin);
   EXPECT_EQ(plan.specs[3].rank, -1);  // rank=all
   EXPECT_DOUBLE_EQ(plan.specs[3].max_jitter, 1e-4);
-  EXPECT_TRUE(plan.perturbs_simulation());
   EXPECT_FALSE(plan.perturbs_scenarios());
 }
 
@@ -48,7 +47,6 @@ TEST(FaultPlanParse, NewlinesAndCommentsAreEntrySeparators) {
   EXPECT_EQ(plan.specs[0].index, 2);
   EXPECT_EQ(plan.specs[0].failures, 3);
   EXPECT_EQ(plan.specs[1].kind, FaultKind::kScenarioCrash);
-  EXPECT_FALSE(plan.perturbs_simulation());
   EXPECT_TRUE(plan.perturbs_scenarios());
 }
 

@@ -5,6 +5,7 @@
 
 #include "analysis/experiments.hpp"
 #include "core/system_energy.hpp"
+#include "reference.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/registry.hpp"
 
@@ -56,8 +57,8 @@ TEST_P(Consistency, EnergyDecomposesAcrossRanks) {
   const PowerModel pm(default_pipeline_config(paper_uniform(6)).power);
   double per_rank_sum = 0.0;
   for (Rank rank = 0; rank < trace().n_ranks(); ++rank) {
-    per_rank_sum += pm.rank_energy(
-        r.scaled_replay.timeline, rank,
+    per_rank_sum += rank_energy(
+        pm, r.scaled_replay.timeline, rank,
         r.assignment.gears[static_cast<std::size_t>(rank)]);
   }
   EXPECT_NEAR(per_rank_sum, r.scaled_energy, 1e-6 * r.scaled_energy);

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "reference.hpp"
 #include "replay/replay.hpp"
 #include "simcore/engine.hpp"
 #include "trace/trace.hpp"
@@ -61,7 +62,7 @@ TEST(ReplayStress, LargeRandomRingCompletes) {
   EXPECT_EQ(r.point_to_point_messages,
             static_cast<std::size_t>(kRanks) * kIterations);
   EXPECT_EQ(r.collective_operations, static_cast<std::size_t>(kIterations));
-  EXPECT_NO_THROW(r.timeline.validate());
+  EXPECT_NO_THROW(validate_timeline(r.timeline));
   EXPECT_EQ(r.messages.size(), r.point_to_point_messages);
 }
 
@@ -80,7 +81,7 @@ TEST(ReplayStress, ContendedLinksAndBusesStillComplete) {
   config.platform.links_per_node = 1;
   const ReplayResult r = replay(t, config);
   EXPECT_GT(r.link_contention_delay, 0.0);
-  EXPECT_NO_THROW(r.timeline.validate());
+  EXPECT_NO_THROW(validate_timeline(r.timeline));
 }
 
 }  // namespace

@@ -80,15 +80,6 @@ TEST(CollectiveCost, ScaleMultiplies) {
   EXPECT_DOUBLE_EQ(collective_cost(p, CollectiveOp::kBarrier, 8, 0), 7.5);
 }
 
-TEST(CollectiveAlgo, NamesRoundTrip) {
-  for (const CollectiveAlgo algo :
-       {CollectiveAlgo::kDefault, CollectiveAlgo::kTree,
-        CollectiveAlgo::kRing, CollectiveAlgo::kPairwise}) {
-    EXPECT_EQ(parse_collective_algo(to_string(algo)), algo);
-  }
-  EXPECT_THROW(parse_collective_algo("magic"), Error);
-}
-
 TEST(CollectiveAlgo, OverrideChangesCost) {
   PlatformModel p = unit_platform();
   const Seconds tree_default =

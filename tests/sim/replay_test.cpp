@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 
@@ -367,7 +368,7 @@ TEST(Replay, TimelineIsPaddedAndValid) {
   TraceBuilder(t, 0).compute(1.0);
   TraceBuilder(t, 1).compute(4.0);
   const ReplayResult r = replay(t, unit_config());
-  EXPECT_NO_THROW(r.timeline.validate());
+  EXPECT_NO_THROW(validate_timeline(r.timeline));
   // Rank 0 padded with idle up to the makespan.
   const auto lane = r.timeline.intervals(0);
   ASSERT_FALSE(lane.empty());
@@ -379,8 +380,12 @@ TEST(Replay, ComputePhaseLabelsLandInTimeline) {
   Trace t(1);
   TraceBuilder(t, 0).compute(1.0, 0).compute(2.0, 1);
   const ReplayResult r = replay(t, unit_config());
-  EXPECT_DOUBLE_EQ(r.timeline.compute_time(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(r.timeline.compute_time(0, 1), 2.0);
+  const auto lane = r.timeline.intervals(0);
+  ASSERT_EQ(lane.size(), 2u);
+  EXPECT_EQ(lane[0].phase, 0);
+  EXPECT_DOUBLE_EQ(lane[0].duration(), 1.0);
+  EXPECT_EQ(lane[1].phase, 1);
+  EXPECT_DOUBLE_EQ(lane[1].duration(), 2.0);
 }
 
 TEST(Replay, TrafficStatisticsAreCounted) {
@@ -492,7 +497,7 @@ TEST(Replay, ManyOutstandingRequestsResolve) {
   }
   const ReplayResult r = replay(t, unit_config());
   EXPECT_EQ(r.point_to_point_messages, 32u);
-  EXPECT_NO_THROW(r.timeline.validate());
+  EXPECT_NO_THROW(validate_timeline(r.timeline));
 }
 
 TEST(Replay, InvalidTraceRejectedUpFront) {
@@ -536,11 +541,15 @@ TEST(Replay, IterationLabelsLandInTimeline) {
       .compute(2.0)
       .marker(MarkerKind::kIterationEnd, 1);
   const ReplayResult r = replay(t, unit_config());
-  EXPECT_DOUBLE_EQ(r.timeline.iteration_compute_time(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(r.timeline.iteration_compute_time(0, 1), 2.0);
-  EXPECT_EQ(r.timeline.max_iteration(), 1);
+  const auto lane = r.timeline.intervals(0);
+  ASSERT_EQ(lane.size(), 3u);
   // Prologue compute is unlabelled.
-  EXPECT_DOUBLE_EQ(r.timeline.iteration_compute_time(0, -1), 0.5);
+  EXPECT_EQ(lane[0].iteration, -1);
+  EXPECT_DOUBLE_EQ(lane[0].duration(), 0.5);
+  EXPECT_EQ(lane[1].iteration, 0);
+  EXPECT_DOUBLE_EQ(lane[1].duration(), 1.0);
+  EXPECT_EQ(lane[2].iteration, 1);
+  EXPECT_DOUBLE_EQ(lane[2].duration(), 2.0);
 }
 
 TEST(Replay, BlockedIntervalKeepsBlockStartIteration) {
@@ -618,7 +627,7 @@ TEST(ReplayLanes, PadsIdleToMakespan) {
   EXPECT_DOUBLE_EQ(r.timeline.state_time(0, RankState::kIdle), 0.5);
   EXPECT_DOUBLE_EQ(r.timeline.state_time(1, RankState::kIdle), 0.0);
   EXPECT_EQ(r.timeline.intervals(0).back().end, r.makespan);
-  EXPECT_NO_THROW(r.timeline.validate());
+  EXPECT_NO_THROW(validate_timeline(r.timeline));
   const ReplayResult summary = summary_replay(t);
   EXPECT_EQ(summary.makespan, 2.5);
   EXPECT_EQ(summary.communication_time, (std::vector<Seconds>{0.5, 0.0}));

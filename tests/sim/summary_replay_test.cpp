@@ -4,18 +4,21 @@
 // bit on the seeded random traces of golden/replay_pins.csv under
 // whole-run, per-phase and controller-with-stalls schedules, with and
 // without jitter/slow-node faults, on homogeneous and heterogeneous
-// machines, and the in-pass energy against GearSchedule::energy over the
-// full timeline. The prepared pipeline, which runs the summary replay, is
-// compared with run_pipeline(trace, config) on every field a result row
-// reads. Two hand-built traces with closed-form answers pin the idle pad
-// and the iteration boundaries, which the full and summary replays share
-// and so cannot check against each other — the differential style of
-// simulator verification (Mohammed et al., arXiv:1910.06844).
+// machines, and the in-pass energy against schedule_energy
+// (tests/reference.hpp) over the full timeline. The prepared pipeline,
+// which runs the summary replay, is compared with run_pipeline(trace,
+// config) on every field a result row reads. Three hand-built traces with
+// closed-form answers pin the idle pad, the iteration boundaries and the
+// pricing of bursts outside every iteration, which the full and summary
+// replays share and so cannot check against each other — the
+// differential style of simulator verification (Mohammed et al.,
+// arXiv:1910.06844).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -27,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "power/gearset.hpp"
 #include "random_schedules.hpp"
+#include "reference.hpp"
 #include "replay/replay.hpp"
 #include "util/rng.hpp"
 
@@ -93,7 +97,7 @@ void expect_same_sums(const ReplayResult& summary, const ReplayResult& full) {
 void expect_merged_and_padded(const ReplayResult& full,
                               std::size_t iterations) {
   const Timeline& tl = full.timeline;
-  EXPECT_NO_THROW(tl.validate());
+  EXPECT_NO_THROW(validate_timeline(tl));
   for (Rank r = 0; r < tl.n_ranks(); ++r) {
     const auto lane = tl.intervals(r);
     ASSERT_FALSE(lane.empty()) << "rank " << r;
@@ -151,7 +155,7 @@ TEST(SummaryReplayDifferential, MatchesFullReplay) {
           expect_same_sums(summary, full);
           EXPECT_EQ(summary_counts, full_counts);
           EXPECT_EQ(summary.energy + schedule.transition_energy,
-                    schedule.energy(model(), full.timeline));
+                    schedule_energy(schedule, model(), full.timeline));
           expect_merged_and_padded(full, pin.trace.iteration_count());
         }
       }
@@ -281,6 +285,56 @@ TEST(SummaryReplayDifferential, ChargesEachIterationItsOwnGear) {
   }
   EXPECT_NEAR(summary.energy, expected, 1e-12 * expected);
   EXPECT_EQ(summary.energy, full.energy);
+}
+
+TEST(SummaryReplayDifferential, PricesBurstsOutsideIterationsAtTheFallback) {
+  // One rank, iteration rows fast/slow/fast and a fallback gear no row
+  // uses. The bursts after iteration 1's end and after the last end run
+  // at the fallback gear's speed, so they must be charged its power too,
+  // not that of the iteration that just ended.
+  Trace t(1);
+  TraceBuilder b(t, 0);
+  for (int i = 0; i < 3; ++i) {
+    b.marker(MarkerKind::kIterationBegin, i)
+        .compute(1.0)
+        .marker(MarkerKind::kIterationEnd, i);
+    if (i >= 1) b.compute(1.0);
+  }
+  const GearSet gear_set = paper_uniform(6);
+  const Gear& fast = gear_set.gears().back();
+  const Gear& slow = gear_set.gears().front();
+  const Gear& fallback = gear_set.gears()[2];
+  GearSchedule schedule;
+  schedule.key = SegmentKey::kIteration;
+  schedule.rows = {{fast}, {slow}, {fast}};
+  schedule.fallback.gears = {fallback};
+  std::vector<double> storage;
+  const ReplayScale scale = schedule.replay_scale(model(), 1, storage);
+  const ReplayProgram program(t);
+  const ReplayResult full = replay(t, program, ReplayConfig{}, &scale);
+  const ReplayResult summary =
+      replay(t, program, ReplayConfig{}, &scale, ReplayOutput::kSummary);
+
+  const auto burst = [](const Gear& gear) {
+    const double seconds = model().time_scale(gear.frequency_ghz);
+    return std::pair{seconds, seconds * model().total_power(gear, true)};
+  };
+  Seconds makespan = 0.0;
+  double expected = 0.0;
+  for (const Gear* gear : {&fast, &slow, &fallback, &fast, &fallback}) {
+    makespan += burst(*gear).first;
+    expected += burst(*gear).second;
+  }
+  for (const ReplayResult* result : {&full, &summary}) {
+    EXPECT_NEAR(result->makespan, makespan, 1e-12 * makespan);
+    EXPECT_NEAR(result->energy, expected, 1e-12 * expected);
+  }
+  EXPECT_EQ(summary.energy, full.energy);
+  EXPECT_EQ(schedule_energy(schedule, model(), full.timeline), full.energy);
+  // The two outside bursts carry no iteration label.
+  const auto lane = full.timeline.intervals(0);
+  ASSERT_EQ(lane.size(), 5u);
+  for (const std::size_t k : {2u, 4u}) EXPECT_EQ(lane[k].iteration, -1);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 # End-to-end smoke of the serve daemon through its real binaries
 # (docs/serve.md): start pals_serve in the background, wait on its
 # ready file, drive pals_query's ping / request-battery / chaos modes,
-# validate the wire transcript structurally, require the --grid
+# compare the battery transcript with GOLDEN (elapsed_ms masked),
+# validate the request battery structurally, require the --grid
 # transcript to be byte-identical to `pals_sweep --jobs=1`, then SIGTERM
 # the daemon and require a clean drain (exit 0).
 #
@@ -29,6 +30,16 @@ done
 ${PALS_QUERY} --socket=$sock --ping
 ${PALS_QUERY} --socket=$sock --requests=${REQUESTS} \
     > ${WORK_DIR}/smoke_serve_battery.txt
+# The battery's answers are deterministic: pin the transcript, host-time
+# fields (elapsed_ms) masked as scripts/tier1.sh masks them.
+sed -E 's/(elapsed_ms[=:]\"?)[0-9.eE+-]+/\\1MASKED/g' \
+    ${WORK_DIR}/smoke_serve_battery.txt \
+    > ${WORK_DIR}/smoke_serve_battery.masked.txt
+cmp ${GOLDEN} ${WORK_DIR}/smoke_serve_battery.masked.txt || {
+  echo 'served battery differs from ${GOLDEN}; to regenerate, run the' \
+       'battery against a fresh pals_serve and mask it with the sed above' >&2
+  exit 1
+}
 ${PALS_QUERY} --socket=$sock --chaos=8
 ${PALS_QUERY} --socket=$sock --ping   # still healthy after the chaos leg
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "reference.hpp"
 #include "util/error.hpp"
 
 namespace pals {
@@ -57,28 +58,13 @@ TEST(Timeline, MakespanIsLongestLane) {
 
 TEST(Timeline, StateTimeAggregates) {
   const Timeline tl = small_timeline();
-  EXPECT_DOUBLE_EQ(tl.compute_time(0), 1.5);
+  EXPECT_DOUBLE_EQ(tl.state_time(0, RankState::kCompute), 1.5);
   EXPECT_DOUBLE_EQ(tl.state_time(0, RankState::kRecv), 0.5);
-  EXPECT_DOUBLE_EQ(tl.communication_time(0), 0.5);
-  EXPECT_DOUBLE_EQ(tl.compute_time(1), 2.5);
-}
-
-TEST(Timeline, PhaseScopedComputeTime) {
-  const Timeline tl = small_timeline();
-  EXPECT_DOUBLE_EQ(tl.compute_time(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(tl.compute_time(0, 1), 0.5);
-  EXPECT_DOUBLE_EQ(tl.compute_time(0, 9), 0.0);
-}
-
-TEST(Timeline, ComputeTimesVector) {
-  const auto times = small_timeline().compute_times();
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_DOUBLE_EQ(times[0], 1.5);
-  EXPECT_DOUBLE_EQ(times[1], 2.5);
+  EXPECT_DOUBLE_EQ(tl.state_time(1, RankState::kCompute), 2.5);
 }
 
 TEST(Timeline, ValidateAcceptsWellFormed) {
-  EXPECT_NO_THROW(small_timeline().validate());
+  EXPECT_NO_THROW(validate_timeline(small_timeline()));
 }
 
 TEST(Timeline, IoRoundTrip) {
@@ -100,21 +86,6 @@ TEST(Timeline, IoRejectsTruncated) {
   EXPECT_THROW(read_timeline(in), Error);
 }
 
-TEST(Timeline, IterationLabelledQueries) {
-  Timeline tl(1);
-  tl.append(0, {0.0, 1.0, RankState::kCompute, -1, 0});
-  tl.append(0, {1.0, 1.5, RankState::kWait, -1, 0});
-  tl.append(0, {1.5, 3.5, RankState::kCompute, -1, 1});
-  EXPECT_DOUBLE_EQ(tl.iteration_compute_time(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(tl.iteration_compute_time(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(tl.iteration_compute_time(0, 5), 0.0);
-  EXPECT_EQ(tl.max_iteration(), 1);
-}
-
-TEST(Timeline, MaxIterationOfUnmarkedIsMinusOne) {
-  EXPECT_EQ(small_timeline().max_iteration(), -1);
-}
-
 TEST(Timeline, IoRoundTripsIterationLabels) {
   Timeline tl(1);
   tl.append(0, {0.0, 1.0, RankState::kCompute, 2, 3});
@@ -133,12 +104,6 @@ TEST(RankStateNames, RoundTrip) {
     EXPECT_EQ(parse_rank_state(to_string(s)), s);
   }
   EXPECT_THROW(parse_rank_state("busy"), Error);
-}
-
-TEST(RankStateNames, CommunicationClassification) {
-  EXPECT_FALSE(is_communication_state(RankState::kCompute));
-  EXPECT_TRUE(is_communication_state(RankState::kSend));
-  EXPECT_TRUE(is_communication_state(RankState::kIdle));
 }
 
 }  // namespace

@@ -173,14 +173,6 @@ TEST(EventToString, RendersAllKinds) {
             "marker iter_begin 3");
 }
 
-TEST(EventClassification, CommunicationDetection) {
-  EXPECT_FALSE(is_communication(Event{ComputeEvent{}}));
-  EXPECT_FALSE(is_communication(Event{MarkerEvent{}}));
-  EXPECT_TRUE(is_communication(Event{SendEvent{}}));
-  EXPECT_TRUE(is_communication(Event{WaitAllEvent{}}));
-  EXPECT_TRUE(is_communication(Event{CollectiveEvent{}}));
-}
-
 TEST(CollectiveNames, RoundTrip) {
   for (CollectiveOp op :
        {CollectiveOp::kBarrier, CollectiveOp::kBcast, CollectiveOp::kReduce,

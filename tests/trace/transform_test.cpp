@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "reference.hpp"
 #include "util/error.hpp"
 
 namespace pals {

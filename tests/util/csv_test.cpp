@@ -76,7 +76,9 @@ TEST(TextTable, AlignsColumnsAndRightAlignsNumbers) {
   TextTable table({"name", "value"});
   table.add_row({"alpha", "1.5"});
   table.add_row({"b", "100.25"});
-  const std::string out = table.to_string();
+  std::ostringstream os;
+  table.print(os);
+  const std::string out = os.str();
   // Header, rule, two rows.
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("------"), std::string::npos);
@@ -105,7 +107,9 @@ TEST(TextTable, CountsRows) {
 TEST(TextTable, PercentCellsAreNumeric) {
   TextTable table({"v"});
   table.add_row({"35.21%"});
-  const std::string out = table.to_string();
+  std::ostringstream os;
+  table.print(os);
+  const std::string out = os.str();
   EXPECT_NE(out.find("35.21%"), std::string::npos);
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace pals {
 namespace {
@@ -59,49 +58,6 @@ TEST(Rng, UniformIntCoversInclusiveRange) {
 TEST(Rng, UniformIntSinglePoint) {
   Rng rng(5);
   EXPECT_EQ(rng.uniform_int(42, 42), 42u);
-}
-
-TEST(Rng, NormalMomentsAreSane) {
-  Rng rng(13);
-  OnlineStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.normal());
-  EXPECT_NEAR(stats.mean(), 0.0, 0.03);
-  EXPECT_NEAR(stats.stddev(), 1.0, 0.03);
-}
-
-TEST(Rng, NormalWithParamsShiftsAndScales) {
-  Rng rng(17);
-  OnlineStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 10.0, 0.1);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
-}
-
-TEST(Rng, ExponentialMeanIsInverseRate) {
-  Rng rng(19);
-  OnlineStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.exponential(4.0));
-  EXPECT_NEAR(stats.mean(), 0.25, 0.01);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveRate) {
-  Rng rng(1);
-  EXPECT_THROW(rng.exponential(0.0), Error);
-  EXPECT_THROW(rng.exponential(-1.0), Error);
-}
-
-TEST(Rng, LognormalIsPositive) {
-  Rng rng(23);
-  for (int i = 0; i < 1000; ++i) EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
-}
-
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng parent(31);
-  Rng child = parent.fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    if (parent.next() == child.next()) ++same;
-  EXPECT_LT(same, 2);
 }
 
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {

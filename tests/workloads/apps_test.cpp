@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
+#include <variant>
 
 #include "core/pipeline.hpp"
 #include "replay/replay.hpp"
+#include "trace/io.hpp"
 #include "trace/transform.hpp"
 #include "util/error.hpp"
 #include "workloads/registry.hpp"
@@ -262,6 +266,50 @@ TEST(Registry, Figure2SubsetHasFiveApps) {
 TEST(Registry, FactoryLookup) {
   EXPECT_NO_THROW(workload_factory("pepc"));
   EXPECT_THROW(workload_factory("doom"), Error);
+}
+
+/// Once a rank's first iteration begins, none of its events may lie
+/// between an iteration-end marker and the next begin marker, or after
+/// its last end marker. The scaled replay stretches and prices such a
+/// burst at the fallback gears, so a shipped trace that placed compute
+/// there would change every iteration-schedule result.
+void expect_events_inside_iterations(const Trace& trace,
+                                     const std::string& label) {
+  for (Rank r = 0; r < trace.n_ranks(); ++r) {
+    bool outside = false;  // after an end marker, before the next begin
+    const auto events = trace.events(r);
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      const auto* marker = std::get_if<MarkerEvent>(&events[k]);
+      if (marker != nullptr && marker->kind == MarkerKind::kIterationBegin)
+        outside = false;
+      else if (marker != nullptr && marker->kind == MarkerKind::kIterationEnd)
+        outside = true;
+      else
+        EXPECT_FALSE(outside) << label << " rank " << r << " event " << k
+                              << " (" << to_string(events[k])
+                              << ") lies outside every iteration";
+    }
+  }
+}
+
+TEST(IterationMarkers, NoShippedTracePlacesEventsBetweenIterations) {
+  for (const char* family : {"cg", "mg", "is", "bt-mz", "specfem3d", "wrf",
+                             "pepc", "amr-drift", "lu", "ft"}) {
+    const Trace trace = workload_factory(family)(small_config(8, 0.8));
+    ASSERT_GT(trace.iteration_count(), 0u) << family;
+    expect_events_inside_iterations(trace, family);
+  }
+  for (const BenchmarkInstance& inst : paper_benchmarks(2))
+    expect_events_inside_iterations(inst.make(), inst.name);
+  std::size_t examples = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(PALS_SOURCE_DIR) / "examples" / "traces")) {
+    if (entry.path().extension() != ".palst") continue;
+    expect_events_inside_iterations(read_trace_file(entry.path().string()),
+                                    entry.path().filename().string());
+    ++examples;
+  }
+  EXPECT_GT(examples, 0u);
 }
 
 }  // namespace

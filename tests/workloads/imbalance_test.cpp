@@ -4,11 +4,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace pals {
 namespace {
+
+/// Weights rising linearly from `min_ratio` (rank 0) to 1 (last rank).
+std::vector<double> ramp(std::size_t n, double min_ratio) {
+  std::vector<double> w(n);
+  for (std::size_t k = 0; k < n; ++k)
+    w[k] = min_ratio + (1.0 - min_ratio) * static_cast<double>(k) /
+                           static_cast<double>(n - 1);
+  return w;
+}
 
 TEST(Shapes, UniformNoiseWithinBoundsAndPinned) {
   Rng rng(1);
@@ -19,19 +29,6 @@ TEST(Shapes, UniformNoiseWithinBoundsAndPinned) {
     EXPECT_GT(x, 0.69);
     EXPECT_LE(x, 1.0);
   }
-}
-
-TEST(Shapes, LinearRampEndpoints) {
-  const auto w = shape_linear(5, 0.2);
-  EXPECT_DOUBLE_EQ(w.front(), 0.2);
-  EXPECT_DOUBLE_EQ(w.back(), 1.0);
-  EXPECT_TRUE(std::is_sorted(w.begin(), w.end()));
-}
-
-TEST(Shapes, LinearSingleRankIsOne) {
-  const auto w = shape_linear(1, 0.2);
-  ASSERT_EQ(w.size(), 1u);
-  EXPECT_DOUBLE_EQ(w[0], 1.0);
 }
 
 TEST(Shapes, GeometricContainsFullDecayRange) {
@@ -63,24 +60,13 @@ TEST(Shapes, ZonesHaveTwoLevels) {
   EXPECT_EQ(heavy, 2);
 }
 
-TEST(Shapes, SingleHotHasOneMaximum) {
-  Rng rng(3);
-  const auto w = shape_single_hot(16, 0.4, 0.05, rng);
-  int at_one = 0;
-  for (double x : w)
-    if (x == 1.0) ++at_one;
-  EXPECT_EQ(at_one, 1);
-}
-
 TEST(Shapes, RejectBadParameters) {
   Rng rng(1);
   EXPECT_THROW(shape_uniform_noise(0, 0.1, rng), Error);
   EXPECT_THROW(shape_uniform_noise(4, 1.0, rng), Error);
-  EXPECT_THROW(shape_linear(4, 0.0), Error);
   EXPECT_THROW(shape_geometric(4, 1.0), Error);
   EXPECT_THROW(shape_zones(4, 0, 0.5, 0.0, rng), Error);
   EXPECT_THROW(shape_zones(4, 5, 0.5, 0.0, rng), Error);
-  EXPECT_THROW(shape_single_hot(4, 1.5, 0.0, rng), Error);
 }
 
 class CalibrationTest : public ::testing::TestWithParam<double> {};
@@ -89,7 +75,7 @@ TEST_P(CalibrationTest, HitsTargetExactly) {
   Rng rng(7);
   const double target = GetParam();
   for (const auto& shape :
-       {shape_uniform_noise(64, 0.4, rng), shape_linear(64, 0.1),
+       {shape_uniform_noise(64, 0.4, rng), ramp(64, 0.1),
         shape_geometric(64, 0.9)}) {
     const auto calibrated = calibrate_to_lb(shape, target);
     EXPECT_NEAR(weights_load_balance(calibrated), target, 1e-6);
@@ -104,19 +90,19 @@ INSTANTIATE_TEST_SUITE_P(Targets, CalibrationTest,
                                            0.90, 0.94, 0.978));
 
 TEST(Calibration, PreservesRankOrdering) {
-  const auto shape = shape_linear(32, 0.3);
+  const auto shape = ramp(32, 0.3);
   const auto calibrated = calibrate_to_lb(shape, 0.5);
   EXPECT_TRUE(std::is_sorted(calibrated.begin(), calibrated.end()));
 }
 
 TEST(Calibration, TargetOneIsAllOnes) {
-  const auto calibrated = calibrate_to_lb(shape_linear(8, 0.5), 1.0);
+  const auto calibrated = calibrate_to_lb(ramp(8, 0.5), 1.0);
   for (double x : calibrated) EXPECT_NEAR(x, 1.0, 1e-4);
 }
 
 TEST(Calibration, RejectsUnreachableTarget) {
   // A 4-rank linear shape cannot go below LB = 1/4 (single max survivor).
-  const auto shape = shape_linear(4, 0.9);
+  const auto shape = ramp(4, 0.9);
   EXPECT_THROW(calibrate_to_lb(shape, 0.2), Error);
 }
 

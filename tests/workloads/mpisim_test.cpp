@@ -17,14 +17,6 @@ TEST(VirtualMpi, RecordsComputeAndRanks) {
   EXPECT_DOUBLE_EQ(t.computation_time(3), 2.0);
 }
 
-TEST(VirtualMpi, ComputeFlopsUsesMachineRate) {
-  SpmdOptions options;
-  options.flops_per_second = 2e9;
-  const Trace t = run_spmd(
-      1, [](VirtualMpi& mpi) { mpi.compute_flops(4e9); }, options);
-  EXPECT_DOUBLE_EQ(t.computation_time(0), 2.0);
-}
-
 TEST(VirtualMpi, SizeVisibleToPrograms) {
   const Trace t = run_spmd(8, [](VirtualMpi& mpi) {
     EXPECT_EQ(mpi.size(), 8);
@@ -52,18 +44,17 @@ TEST(VirtualMpi, RequestIdsAutoAssignAndReplayCleanly) {
 
 TEST(VirtualMpi, CollectivesRecordOpAndBytes) {
   const Trace t = run_spmd(2, [](VirtualMpi& mpi) {
-    mpi.barrier();
     mpi.allreduce(64);
-    mpi.bcast(128, 1);
+    mpi.allgather(128);
     mpi.alltoall(256);
   });
   const auto events = t.events(0);
-  ASSERT_EQ(events.size(), 4u);
-  const auto* bcast = std::get_if<CollectiveEvent>(&events[2]);
-  ASSERT_NE(bcast, nullptr);
-  EXPECT_EQ(bcast->op, CollectiveOp::kBcast);
-  EXPECT_EQ(bcast->bytes, 128u);
-  EXPECT_EQ(bcast->root, 1);
+  ASSERT_EQ(events.size(), 3u);
+  const auto* allgather = std::get_if<CollectiveEvent>(&events[1]);
+  ASSERT_NE(allgather, nullptr);
+  EXPECT_EQ(allgather->op, CollectiveOp::kAllgather);
+  EXPECT_EQ(allgather->bytes, 128u);
+  EXPECT_EQ(allgather->root, 0);
 }
 
 TEST(VirtualMpi, MarkersAndPhases) {

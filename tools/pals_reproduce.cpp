@@ -4,7 +4,7 @@
 // … fig10_max_vs_avg.csv, table3_characteristics.csv,
 // fig3_energy_vs_lb.svg and fig1_timeline.txt).
 //
-//   pals_reproduce [--output=REPORT.md] [--iterations=10]
+//   pals_reproduce [--output=REPORT.md] [--iterations=10] [--help]
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -63,7 +63,7 @@ std::string figure1_timeline(TraceCache& cache) {
     double compute = 0.0;
     double total = 0.0;
     for (Rank r = 0; r < tl.n_ranks(); ++r) {
-      compute += tl.compute_time(r);
+      compute += tl.state_time(r, RankState::kCompute);
       total += tl.makespan();
     }
     return compute / total;
@@ -97,7 +97,12 @@ int run(int argc, char** argv) {
   CliParser cli;
   cli.add_option("output", "report file", "REPORT.md");
   cli.add_option("iterations", "iterations per generated trace", "10");
+  cli.add_flag("help", "show usage");
   cli.parse(argc, argv);
+  if (cli.get_flag("help")) {
+    std::cout << cli.usage("pals_reproduce");
+    return 0;
+  }
 
   std::ostringstream out;
 
