@@ -1,6 +1,6 @@
-// The result records journaled sweeps make durable, pinned byte for byte
-// by golden/journal_pins.txt (regenerate intentionally with
-// tools/update_golden and review the diff).
+// The result, error and pruned records journaled sweeps make durable,
+// pinned byte for byte by golden/journal_pins.txt (regenerate
+// intentionally with tools/update_golden and review the diff).
 #include "analysis/journal_pins.hpp"
 
 #include <gtest/gtest.h>
