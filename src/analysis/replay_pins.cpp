@@ -19,6 +19,20 @@
 namespace pals {
 namespace {
 
+/// How an iteration ends, and what lies outside the iterations.
+enum class Shape {
+  kCollectiveEnds,  ///< every iteration ends in a collective
+  /// Every iteration ends in a round of blocking exchanges pairing all
+  /// ranks, so the ranks leave it at different times.
+  kP2pEnds,
+  /// p2p ends, and one rank computes a long burst before the last
+  /// exchange: its partner waits, every other rank finishes early.
+  kEarlyFinish,
+  /// Collective ends, then a compute burst on every rank before the next
+  /// iteration begins (and after the last one ends).
+  kBetweenIterations,
+};
+
 struct PinCase {
   const char* name;
   std::uint64_t seed;
@@ -31,19 +45,26 @@ struct PinCase {
   int links_per_node;
   const char* faults;  ///< fault plan, "" for none
   bool heterogeneous;  ///< random relative CPU speeds
+  Shape shape;
 };
 
+constexpr Shape kCollective = Shape::kCollectiveEnds;
 constexpr PinCase kCases[] = {
-    {"p2p-8", 1, 8, 4, 4, 24, 32768, 0, 0, "", false},
-    {"many-tags-4", 2, 4, 3, 64, 48, 32768, 0, 0, "", false},
-    {"contended-16", 3, 16, 3, 6, 48, 32768, 2, 1, "", false},
-    {"one-bus-6", 4, 6, 3, 3, 18, 4096, 1, 0, "", false},
+    {"p2p-8", 1, 8, 4, 4, 24, 32768, 0, 0, "", false, kCollective},
+    {"many-tags-4", 2, 4, 3, 64, 48, 32768, 0, 0, "", false, kCollective},
+    {"contended-16", 3, 16, 3, 6, 48, 32768, 2, 1, "", false, kCollective},
+    {"one-bus-6", 4, 6, 3, 3, 18, 4096, 1, 0, "", false, kCollective},
     {"faults-12", 5, 12, 4, 5, 36, 32768, 0, 2,
      "seed=11; msg_delay_jitter:rank=all,max=1e-4; "
      "link_degrade:rank=3,t=0.0005,factor=3; "
      "node_slowdown:rank=1,t=0.0,factor=2",
-     false},
-    {"hetero-rendezvous-5", 6, 5, 3, 3, 20, 256, 0, 0, "", true},
+     false, kCollective},
+    {"hetero-rendezvous-5", 6, 5, 3, 3, 20, 256, 0, 0, "", true, kCollective},
+    {"p2p-ends-8", 7, 8, 4, 4, 24, 4096, 0, 0, "", false, Shape::kP2pEnds},
+    {"early-finish-6", 8, 6, 3, 3, 18, 32768, 0, 1, "", false,
+     Shape::kEarlyFinish},
+    {"between-iterations-6", 9, 6, 3, 3, 18, 32768, 0, 0, "", false,
+     Shape::kBetweenIterations},
 };
 
 std::size_t pick(Rng& rng, std::size_t n) {
@@ -115,9 +136,11 @@ private:
 ///     eager Isends are sometimes waited on at once (they complete
 ///     locally), the rest by a random mix of Waits and a final Waitall;
 ///  3. zero to two rounds of blocking exchanges over random pairings;
-///  4. one collective (random op, root and per-rank bytes).
-/// Every post of phase 2 precedes every blocking wait, and collectives
-/// separate iterations, so no rank can wait on a peer that is blocked.
+///  4. one collective (random op, root and per-rank bytes), or, by the
+///     case's Shape, one more exchange round over all ranks.
+/// Every post of phase 2 precedes every blocking wait, and a round's
+/// pairs are disjoint and keep each channel FIFO, so no rank can wait on
+/// a peer that is blocked.
 Trace random_trace(const PinCase& pc) {
   Rng rng(pc.seed);
   const Rank n = pc.ranks;
@@ -138,13 +161,36 @@ Trace random_trace(const PinCase& pc) {
            1;
   };
 
+  const auto compute_burst = [&](Rank r) {
+    const Seconds burst =
+        rng.uniform_int(0, 9) == 0 ? 0.0 : rng.uniform(0.0, 2e-3);
+    b[static_cast<std::size_t>(r)].compute(
+        burst, static_cast<std::int32_t>(rng.uniform_int(0, 1)));
+  };
+  // Blocking exchanges over a random pairing of the ranks.
+  const auto exchange_round = [&] {
+    std::vector<Rank> order(rank_count);
+    for (Rank r = 0; r < n; ++r) order[static_cast<std::size_t>(r)] = r;
+    shuffle(rng, order);
+    for (std::size_t k = 0; k + 1 < order.size(); k += 2) {
+      const Rank first = order[k];
+      const Rank second = order[k + 1];
+      const std::int32_t tag = random_tag();
+      const Bytes there = payload(rng, pc.eager_threshold);
+      const Bytes back = payload(rng, pc.eager_threshold);
+      b[static_cast<std::size_t>(first)]
+          .send(second, tag, there)
+          .recv(second, tag, back);
+      b[static_cast<std::size_t>(second)]
+          .recv(first, tag, there)
+          .send(first, tag, back);
+    }
+  };
+
   for (int it = 0; it < pc.iterations; ++it) {
     for (Rank r = 0; r < n; ++r) {
-      TraceBuilder& rb = b[static_cast<std::size_t>(r)];
-      rb.marker(MarkerKind::kIterationBegin, it);
-      const Seconds burst =
-          rng.uniform_int(0, 9) == 0 ? 0.0 : rng.uniform(0.0, 2e-3);
-      rb.compute(burst, static_cast<std::int32_t>(rng.uniform_int(0, 1)));
+      b[static_cast<std::size_t>(r)].marker(MarkerKind::kIterationBegin, it);
+      compute_burst(r);
     }
 
     for (int m = 0; m < pc.messages; ++m) {
@@ -176,31 +222,24 @@ Trace random_trace(const PinCase& pc) {
     }
 
     const auto rounds = rng.uniform_int(0, 2);
-    for (std::uint64_t round = 0; round < rounds; ++round) {
-      std::vector<Rank> order(rank_count);
-      for (Rank r = 0; r < n; ++r) order[static_cast<std::size_t>(r)] = r;
-      shuffle(rng, order);
-      for (std::size_t k = 0; k + 1 < order.size(); k += 2) {
-        const Rank first = order[k];
-        const Rank second = order[k + 1];
-        const std::int32_t tag = random_tag();
-        const Bytes there = payload(rng, pc.eager_threshold);
-        const Bytes back = payload(rng, pc.eager_threshold);
-        b[static_cast<std::size_t>(first)]
-            .send(second, tag, there)
-            .recv(second, tag, back);
-        b[static_cast<std::size_t>(second)]
-            .recv(first, tag, there)
-            .send(first, tag, back);
-      }
-    }
+    for (std::uint64_t round = 0; round < rounds; ++round) exchange_round();
 
+    if (pc.shape == Shape::kP2pEnds || pc.shape == Shape::kEarlyFinish) {
+      if (pc.shape == Shape::kEarlyFinish && it + 1 == pc.iterations)
+        b[pick(rng, rank_count)].compute(rng.uniform(2e-2, 4e-2), 0);
+      exchange_round();
+      for (Rank r = 0; r < n; ++r)
+        b[static_cast<std::size_t>(r)].marker(MarkerKind::kIterationEnd, it);
+      continue;
+    }
     const CollectiveOp op = kOps[pick(rng, std::size(kOps))];
     const auto root = static_cast<Rank>(pick(rng, rank_count));
     for (Rank r = 0; r < n; ++r)
       b[static_cast<std::size_t>(r)]
           .collective(op, rng.uniform_int(0, 1 << 18), root)
           .marker(MarkerKind::kIterationEnd, it);
+    if (pc.shape == Shape::kBetweenIterations)
+      for (Rank r = 0; r < n; ++r) compute_burst(r);
   }
   return trace;
 }

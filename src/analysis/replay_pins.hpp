@@ -38,7 +38,9 @@ std::vector<ReplayPinCase> replay_pin_cases();
 /// threshold; sparse, negative and reused request ids; Wait and Waitall
 /// over mixed completions; many tags per rank pair; every collective;
 /// bus and link contention; fault jitter, link degradation and node
-/// slowdown; heterogeneous CPU speeds.
+/// slowdown; heterogeneous CPU speeds; iterations that end in
+/// point-to-point exchanges, ranks that finish long before the makespan
+/// and compute between iterations.
 std::string replay_pins_csv();
 
 }  // namespace pals
