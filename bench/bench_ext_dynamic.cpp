@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "core/controller_pipeline.hpp"
+#include "core/pipeline.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "workloads/apps.hpp"
@@ -23,15 +23,15 @@ void compare(const std::string& name, const Trace& trace, TextTable& table) {
   PipelineConfig config = default_pipeline_config(paper_uniform(6));
   const PipelineResult static_result = run_pipeline(trace, config);
   config.controller.kind = ControllerKind::kJitter;
-  const ControllerPipelineResult dynamic =
-      run_controller_pipeline(trace, config, static_result.baseline_replay);
+  const PipelineResult dynamic =
+      run_pipeline(trace, config, static_result.baseline_replay);
 
   table.add_row({name, format_percent(static_result.load_balance),
                  format_percent(static_result.normalized_energy()),
                  format_percent(static_result.normalized_time()),
-                 format_percent(dynamic.pipeline.normalized_energy()),
-                 format_percent(dynamic.pipeline.normalized_time()),
-                 std::to_string(dynamic.controller.switches)});
+                 format_percent(dynamic.normalized_energy()),
+                 format_percent(dynamic.normalized_time()),
+                 std::to_string(dynamic.schedule.switches)});
 }
 
 int run() {
@@ -87,8 +87,7 @@ int run() {
   const ReplayResult baseline = replay(drift_trace, config.replay);
   for (const double penalty_us : {0.0, 50.0, 500.0, 5000.0}) {
     config.controller.transition_latency = penalty_us * 1e-6;
-    const PipelineResult r =
-        run_controller_pipeline(drift_trace, config, baseline).pipeline;
+    const PipelineResult r = run_pipeline(drift_trace, config, baseline);
     penalty_table.add_row({format_fixed(penalty_us, 0) + " us",
                            format_percent(r.normalized_energy()),
                            format_percent(r.normalized_time()),

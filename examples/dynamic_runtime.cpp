@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "analysis/experiments.hpp"
-#include "core/controller_pipeline.hpp"
+#include "core/pipeline.hpp"
 #include "util/strings.hpp"
 #include "workloads/apps.hpp"
 
@@ -26,8 +26,8 @@ int run() {
   const PipelineResult static_result = run_pipeline(trace, config);
 
   config.controller.kind = ControllerKind::kJitter;
-  const ControllerPipelineResult dynamic =
-      run_controller_pipeline(trace, config, static_result.baseline_replay);
+  const PipelineResult dynamic =
+      run_pipeline(trace, config, static_result.baseline_replay);
 
   std::cout << "workload " << trace.name() << ": per-iteration LB 50%, "
             << "whole-run LB "
@@ -36,9 +36,9 @@ int run() {
             << format_percent(static_result.normalized_energy()) << ", time "
             << format_percent(static_result.normalized_time()) << '\n'
             << "dynamic      energy "
-            << format_percent(dynamic.pipeline.normalized_energy())
-            << ", time " << format_percent(dynamic.pipeline.normalized_time())
-            << " (" << dynamic.controller.switches << " gear shifts)\n\n";
+            << format_percent(dynamic.normalized_energy()) << ", time "
+            << format_percent(dynamic.normalized_time()) << " ("
+            << dynamic.schedule.switches << " gear shifts)\n\n";
 
   // Show the runtime chasing the hot spot: the gear of three sample ranks
   // over the first iterations.
@@ -47,8 +47,7 @@ int run() {
     std::cout << "  iter " << it << ":";
     for (const std::size_t r : {0u, 8u, 16u})
       std::cout << ' '
-                << format_fixed(
-                       dynamic.controller.schedule[it][r].frequency_ghz, 1);
+                << format_fixed(dynamic.schedule.rows[it][r].frequency_ghz, 1);
     std::cout << '\n';
   }
   std::cout << "\nThe static algorithm sees balanced totals and keeps every "

@@ -7,8 +7,9 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "core/controller_pipeline.hpp"
 #include "core/controllers.hpp"
+#include "core/gear_schedule.hpp"
+#include "core/pipeline.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "power/controller.hpp"
@@ -22,11 +23,15 @@ namespace pals {
 std::string controller_schedules_csv(const Trace& trace) {
   std::vector<std::pair<std::string, std::vector<std::vector<Gear>>>>
       schedules;
+  // Only the rows are pinned, so each controller (kStatic's adapter
+  // included) is planned from one baseline and not replayed.
+  PipelineConfig config = default_pipeline_config(paper_uniform(6));
+  const ReplayResult baseline = replay(trace, config.replay);
   for (const std::string& name : controller_names()) {
-    PipelineConfig config = default_pipeline_config(paper_uniform(6));
     config.controller.kind = controller_by_name(name);
-    ControllerPipelineResult result = run_controller_pipeline(trace, config);
-    schedules.emplace_back(name, std::move(result.controller.schedule));
+    GearSchedule schedule = plan_schedule(trace, config, baseline.compute_time,
+                                          /*force_controller=*/true);
+    schedules.emplace_back(name, std::move(schedule.rows));
   }
   return schedules_to_csv(schedules);
 }
@@ -60,14 +65,16 @@ struct Pins {
     for (std::size_t i = 0; i < rows.size(); ++i)
       gears("gears.iteration." + std::to_string(i), rows[i]);
   }
-  void controller_run(const ControllerPipelineResult& run) {
-    count("fell_back_static", run.controller.fell_back_static ? 1 : 0);
-    count("iterations", run.controller.iterations);
-    count("switches", run.controller.switches);
-    metric("normalized_energy", run.pipeline.normalized_energy());
-    metric("normalized_time", run.pipeline.normalized_time());
-    gears("gears.assignment", run.pipeline.assignment.gears);
-    rows(run.controller.schedule);
+  /// A controller run: its schedule's rows are per iteration, or empty
+  /// when it fell back to the whole-run assignment.
+  void controller_run(const PipelineResult& run) {
+    count("fell_back_static", run.schedule.fell_back_static ? 1 : 0);
+    count("iterations", run.schedule.rows.size());
+    count("switches", run.schedule.switches);
+    metric("normalized_energy", run.normalized_energy());
+    metric("normalized_time", run.normalized_time());
+    gears("gears.assignment", run.assignment.gears);
+    rows(run.schedule.rows);
   }
 };
 
@@ -96,12 +103,12 @@ std::string schedule_pins_csv(const Trace& drift) {
   jitter.controller.kind = ControllerKind::kJitter;
   for (const Seconds latency : {0.0, 50e-6}) {
     jitter.controller.transition_latency = latency;
-    const ControllerPipelineResult run = run_controller_pipeline(amr, jitter);
+    const PipelineResult run = run_pipeline(amr, jitter);
     pins.name = latency == 0.0 ? "jitter-drift-free" : "jitter-drift-50us";
-    pins.count("switches", run.controller.switches);
-    pins.metric("normalized_energy", run.pipeline.normalized_energy());
-    pins.metric("normalized_time", run.pipeline.normalized_time());
-    pins.rows(run.controller.schedule);
+    pins.count("switches", run.schedule.switches);
+    pins.metric("normalized_energy", run.normalized_energy());
+    pins.metric("normalized_time", run.normalized_time());
+    pins.rows(run.schedule.rows);
   }
 
   const std::optional<BenchmarkInstance> pepc = benchmark_by_name("PEPC-128");
@@ -122,8 +129,7 @@ std::string schedule_pins_csv(const Trace& drift) {
   PipelineConfig slack = default_pipeline_config(paper_uniform(6));
   slack.controller.kind = ControllerKind::kSlack;
   pins.name = "slack-unmarked-fallback";
-  pins.controller_run(
-      run_controller_pipeline(without_markers(bt->make()), slack));
+  pins.controller_run(run_pipeline(without_markers(bt->make()), slack));
 
   const fault::Injector stuck(fault::FaultPlan::parse(
       "seed=1; gear_stuck:rank=0,gear=min; gear_stuck:rank=2,gear=max"));
@@ -131,7 +137,7 @@ std::string schedule_pins_csv(const Trace& drift) {
   slack.controller.transition_latency = 50e-6;
   slack.controller.transition_energy = 0.01;
   pins.name = "slack-gear-stuck-min-max";
-  pins.controller_run(run_controller_pipeline(drift, slack));
+  pins.controller_run(run_pipeline(drift, slack));
   return pins.out.str();
 }
 

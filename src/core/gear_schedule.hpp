@@ -112,7 +112,8 @@ struct GearSchedule {
 /// gear_stuck faults pin every decision, so later observations and the
 /// energy books see the stuck gear. `force_controller` sends kStatic
 /// through the loop as well (its adapter reproduces the one-shot gears in
-/// every iteration): run_controller_pipeline's view. Pure: no counters.
+/// every iteration): controller_schedules_csv pins those rows, and a
+/// CellPlan carries them into run_pipeline. Pure: no counters.
 GearSchedule plan_schedule(const Trace& trace, const PipelineConfig& config,
                            std::span<const Seconds> seed_compute,
                            bool force_controller = false);

@@ -80,7 +80,7 @@ ReplayResult baseline_replay_phase(const Trace& trace,
 PipelineResult run_schedule(const Trace& trace, const ReplayProgram& program,
                             const PipelineConfig& config,
                             const ReplayResult& baseline, const CellPlan* plan,
-                            bool force_controller, ReplayOutput output) {
+                            ReplayOutput output) {
   obs::Registry& registry = obs::default_registry();
   registry.counter("pipeline.runs").add(1);
   obs::Registry* reg = config.observe ? &registry : nullptr;
@@ -104,8 +104,7 @@ PipelineResult run_schedule(const Trace& trace, const ReplayProgram& program,
     result.schedule = plan != nullptr
                           ? plan->schedule
                           : plan_schedule(trace, config,
-                                          result.computation_time,
-                                          force_controller);
+                                          result.computation_time);
   }
   const GearSchedule& schedule = result.schedule;
   if (schedule.fell_back_static)
@@ -137,27 +136,6 @@ PipelineResult run_schedule(const Trace& trace, const ReplayProgram& program,
   return result;
 }
 
-/// What the controller did, read back from the schedule.
-void fill_controller_run(ControllerPipelineResult& result) {
-  const GearSchedule& schedule = result.pipeline.schedule;
-  ControllerRun& run = result.controller;
-  run.fell_back_static = schedule.fell_back_static;
-  if (schedule.key == SegmentKey::kIteration) {
-    run.schedule = schedule.rows;
-    run.iterations = schedule.rows.size();
-    run.switches = schedule.switches;
-    for (const std::vector<Seconds>& row : schedule.stalls)
-      for (const Seconds stall : row) run.transition_stall_seconds += stall;
-    run.transition_energy = schedule.transition_energy;
-  }
-}
-
-void check_controller_config(const PipelineConfig& config) {
-  PALS_CHECK_MSG(!config.per_phase,
-                 "per-phase assignment and online controllers are mutually "
-                 "exclusive");
-}
-
 }  // namespace
 
 CellPlan plan_cell(const Trace& trace, const PipelineConfig& config,
@@ -174,9 +152,8 @@ PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config) {
   if (config.lint) lint_input_trace(trace, config);
   ReplayProgram program;
   ReplayResult baseline = baseline_replay_phase(trace, config, program);
-  PipelineResult result =
-      run_schedule(trace, program, config, baseline, nullptr,
-                   /*force_controller=*/false, ReplayOutput::kFull);
+  PipelineResult result = run_schedule(trace, program, config, baseline,
+                                       nullptr, ReplayOutput::kFull);
   result.baseline_replay = std::move(baseline);
   return result;
 }
@@ -187,7 +164,7 @@ PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config,
   if (config.lint) lint_input_trace(trace, config);
   const ReplayProgram program(trace);
   return run_schedule(trace, program, config, baseline, nullptr,
-                      /*force_controller=*/false, ReplayOutput::kFull);
+                      ReplayOutput::kFull);
 }
 
 PipelineResult run_pipeline(const Trace& trace, const ReplayProgram& program,
@@ -197,35 +174,19 @@ PipelineResult run_pipeline(const Trace& trace, const ReplayProgram& program,
   config.validate();
   if (config.lint) lint_input_trace(trace, config);
   return run_schedule(trace, program, config, baseline, plan,
-                      /*force_controller=*/false, ReplayOutput::kSummary);
-}
-
-ControllerPipelineResult run_controller_pipeline(
-    const Trace& trace, const PipelineConfig& config) {
-  config.validate();
-  const ReplayProgram program(trace);
-  ReplayResult baseline = replay(trace, program, config.replay);
-  check_controller_config(config);
-  ControllerPipelineResult result;
-  result.pipeline = run_schedule(trace, program, config, baseline, nullptr,
-                                 /*force_controller=*/true,
-                                 ReplayOutput::kFull);
-  result.pipeline.baseline_replay = std::move(baseline);
-  fill_controller_run(result);
-  return result;
+                      ReplayOutput::kSummary);
 }
 
 ControllerPipelineResult run_controller_pipeline(
     const Trace& trace, const PipelineConfig& config,
     const ReplayResult& baseline) {
-  config.validate();
-  check_controller_config(config);
-  const ReplayProgram program(trace);
   ControllerPipelineResult result;
-  result.pipeline = run_schedule(trace, program, config, baseline, nullptr,
-                                 /*force_controller=*/true,
-                                 ReplayOutput::kFull);
-  fill_controller_run(result);
+  result.pipeline = run_pipeline(trace, config, baseline);
+  const GearSchedule& schedule = result.pipeline.schedule;
+  if (schedule.key == SegmentKey::kIteration) {
+    result.controller.iterations = schedule.rows.size();
+    result.controller.switches = schedule.switches;
+  }
   return result;
 }
 

@@ -34,7 +34,7 @@ struct PipelineConfig {
   /// Online DVFS controller (core/controllers.hpp). kStatic keeps the
   /// classic one-shot assignment; any dynamic kind re-assigns gears at
   /// iteration boundaries and charges the configured transition costs
-  /// (core/controller_pipeline.hpp has the controller's view of the run).
+  /// (PipelineResult::schedule is the controller's view of the run).
   ControllerOptions controller;
   /// Ablation: compute a separate frequency per computation phase instead
   /// of one per rank (the paper uses a single setting; PEPC's 20 % slowdown
@@ -121,8 +121,11 @@ PipelineResult run_pipeline(const Trace& trace, const PipelineConfig& config,
 /// `trace` and `baseline` = replay(trace, program, config.replay), shared
 /// by every cell of the workload (the sweep engine, analysis/sweep.hpp,
 /// and the serve cache) and not copied into the result. `plan`, when
-/// given, must be plan_cell(trace, config, baseline); otherwise the
-/// pipeline plans the cell itself. The scaled replay is a summary one
+/// given, is replayed as it stands: plan_cell(trace, config, baseline),
+/// or a plan with the same baseline energy whose schedule plan_schedule
+/// made from baseline.compute_time with force_controller set (the
+/// static adapter's loop). Otherwise the pipeline plans the cell itself
+/// with plan_schedule's default. The scaled replay is a summary one
 /// (ReplayOutput::kSummary): a cell's row reads only its time and
 /// energy.
 PipelineResult run_pipeline(const Trace& trace, const ReplayProgram& program,

@@ -1,6 +1,6 @@
 // Property battery for the online DVFS controllers (power/controller.hpp,
-// core/controllers.hpp) and their replay hooks
-// (core/controller_pipeline.hpp):
+// core/controllers.hpp) and the schedules run_pipeline replays for them
+// (PipelineResult::schedule):
 //
 //  * static adapters reproduce the one-shot assigner gear-for-gear,
 //  * no controller slows an iteration past the critical path on
@@ -30,7 +30,8 @@
 #include "analysis/controller_study.hpp"
 #include "analysis/pareto.hpp"
 #include "analysis/sweep.hpp"
-#include "core/controller_pipeline.hpp"
+#include "core/gear_schedule.hpp"
+#include "core/pipeline.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "trace/io.hpp"
@@ -113,6 +114,21 @@ void expect_gears_equal(std::span<const Gear> actual,
   }
 }
 
+/// The run of `config` with every controller kind, kStatic's adapter
+/// included, planned through the controller loop: the forced schedule
+/// replayed through run_pipeline's CellPlan seam.
+PipelineResult forced_controller_run(const Trace& trace,
+                                     const PipelineConfig& config) {
+  const ReplayProgram program(trace);
+  const ReplayResult baseline = replay(trace, program, config.replay);
+  CellPlan plan;
+  plan.baseline_energy =
+      PowerModel(config.power).baseline_energy(baseline.timeline);
+  plan.schedule = plan_schedule(trace, config, baseline.compute_time,
+                                /*force_controller=*/true);
+  return run_pipeline(trace, program, config, baseline, &plan);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
@@ -190,15 +206,15 @@ TEST(ControllerPipeline, StaticAdapterReproducesOneShotAssignment) {
         controller_config(ControllerKind::kStatic, algorithm);
     // kStatic routes run_pipeline through the classic one-shot path.
     const PipelineResult classic = run_pipeline(trace, config);
-    const ControllerPipelineResult adapted =
-        run_controller_pipeline(trace, config);
-    ASSERT_EQ(adapted.controller.iterations, 5u);
-    EXPECT_EQ(adapted.controller.switches, 0u);
-    for (const std::vector<Gear>& row : adapted.controller.schedule)
+    const PipelineResult adapted = forced_controller_run(trace, config);
+    ASSERT_EQ(adapted.schedule.key, SegmentKey::kIteration);
+    ASSERT_EQ(adapted.schedule.rows.size(), 5u);
+    EXPECT_EQ(adapted.schedule.switches, 0u);
+    for (const std::vector<Gear>& row : adapted.schedule.rows)
       expect_gears_equal(row, classic.assignment.gears, "static adapter");
-    EXPECT_NEAR(adapted.pipeline.scaled_time, classic.scaled_time,
+    EXPECT_NEAR(adapted.scaled_time, classic.scaled_time,
                 1e-12 * classic.scaled_time);
-    EXPECT_NEAR(adapted.pipeline.scaled_energy, classic.scaled_energy,
+    EXPECT_NEAR(adapted.scaled_energy, classic.scaled_energy,
                 1e-9 * classic.scaled_energy);
   }
 }
@@ -210,11 +226,11 @@ TEST(ControllerPipeline, TimeContractHoldsOnStationaryTraces) {
   for (const auto& weights : {kImbalanced, kBalanced}) {
     const Trace trace = bsp_trace(weights, 6);
     for (const std::string& name : controller_names()) {
-      const ControllerPipelineResult result = run_controller_pipeline(
-          trace, controller_config(controller_by_name(name)));
-      EXPECT_LE(result.pipeline.normalized_time(), 1.0 + 1e-9)
+      const PipelineResult result =
+          run_pipeline(trace, controller_config(controller_by_name(name)));
+      EXPECT_LE(result.normalized_time(), 1.0 + 1e-9)
           << name << " stretched a stationary trace";
-      EXPECT_DOUBLE_EQ(result.pipeline.overclocked_fraction, 0.0) << name;
+      EXPECT_DOUBLE_EQ(result.overclocked_fraction, 0.0) << name;
     }
   }
 }
@@ -225,23 +241,21 @@ TEST(ControllerPipeline, TimeContractHoldsOnStationaryTraces) {
 // The EWMA predictor sees the same (constant) loads and must agree.
 TEST(ControllerPipeline, ZeroCostDynamicMatchesStaticOnDriftFreeTrace) {
   const Trace trace = bsp_trace(kImbalanced, 6);
-  const ControllerPipelineResult fixed =
-      run_controller_pipeline(trace, controller_config(ControllerKind::kStatic));
+  const PipelineResult fixed = forced_controller_run(
+      trace, controller_config(ControllerKind::kStatic));
   for (const ControllerKind kind :
        {ControllerKind::kDynamicMax, ControllerKind::kEwma}) {
-    const ControllerPipelineResult dynamic =
-        run_controller_pipeline(trace, controller_config(kind));
-    EXPECT_EQ(dynamic.controller.switches, 0u) << to_string(kind);
-    ASSERT_EQ(dynamic.controller.schedule.size(),
-              fixed.controller.schedule.size());
-    for (std::size_t i = 0; i < dynamic.controller.schedule.size(); ++i)
-      expect_gears_equal(dynamic.controller.schedule[i],
-                         fixed.controller.schedule[i],
+    const PipelineResult dynamic =
+        run_pipeline(trace, controller_config(kind));
+    EXPECT_EQ(dynamic.schedule.switches, 0u) << to_string(kind);
+    ASSERT_EQ(dynamic.schedule.rows.size(), fixed.schedule.rows.size());
+    for (std::size_t i = 0; i < dynamic.schedule.rows.size(); ++i)
+      expect_gears_equal(dynamic.schedule.rows[i], fixed.schedule.rows[i],
                          to_string(kind) + " iteration " + std::to_string(i));
-    EXPECT_DOUBLE_EQ(dynamic.pipeline.scaled_time, fixed.pipeline.scaled_time)
+    EXPECT_DOUBLE_EQ(dynamic.scaled_time, fixed.scaled_time)
         << to_string(kind);
-    EXPECT_NEAR(dynamic.pipeline.scaled_energy, fixed.pipeline.scaled_energy,
-                1e-12 * fixed.pipeline.scaled_energy)
+    EXPECT_NEAR(dynamic.scaled_energy, fixed.scaled_energy,
+                1e-12 * fixed.scaled_energy)
         << to_string(kind);
   }
 }
@@ -257,27 +271,25 @@ TEST(ControllerPipeline, SwitchesAreCountedAndCosted) {
   priced.controller.transition_latency = 0.01;
   priced.controller.transition_energy = 0.5;
 
-  const ControllerPipelineResult cheap = run_controller_pipeline(trace, free);
-  const ControllerPipelineResult costly =
-      run_controller_pipeline(trace, priced);
+  const PipelineResult cheap = run_pipeline(trace, free);
+  const PipelineResult costly = run_pipeline(trace, priced);
 
-  ASSERT_GT(costly.controller.switches, 0u);
-  EXPECT_EQ(costly.controller.switches, cheap.controller.switches);
-  ASSERT_EQ(costly.controller.schedule.size(),
-            cheap.controller.schedule.size());
-  for (std::size_t i = 0; i < costly.controller.schedule.size(); ++i)
-    expect_gears_equal(costly.controller.schedule[i],
-                       cheap.controller.schedule[i],
+  ASSERT_GT(costly.schedule.switches, 0u);
+  EXPECT_EQ(costly.schedule.switches, cheap.schedule.switches);
+  ASSERT_EQ(costly.schedule.rows.size(), cheap.schedule.rows.size());
+  for (std::size_t i = 0; i < costly.schedule.rows.size(); ++i)
+    expect_gears_equal(costly.schedule.rows[i], cheap.schedule.rows[i],
                        "iteration " + std::to_string(i));
 
-  const double switches =
-      static_cast<double>(costly.controller.switches);
-  EXPECT_DOUBLE_EQ(costly.controller.transition_stall_seconds,
-                   switches * 0.01);
-  EXPECT_DOUBLE_EQ(costly.controller.transition_energy, switches * 0.5);
-  EXPECT_GT(costly.pipeline.scaled_time, cheap.pipeline.scaled_time);
-  EXPECT_GT(costly.pipeline.scaled_energy,
-            cheap.pipeline.scaled_energy + switches * 0.5 - 1e-9);
+  const double switches = static_cast<double>(costly.schedule.switches);
+  Seconds stall_seconds = 0.0;
+  for (const std::vector<Seconds>& row : costly.schedule.stalls)
+    for (const Seconds stall : row) stall_seconds += stall;
+  EXPECT_DOUBLE_EQ(stall_seconds, switches * 0.01);
+  EXPECT_DOUBLE_EQ(costly.schedule.transition_energy, switches * 0.5);
+  EXPECT_GT(costly.scaled_time, cheap.scaled_time);
+  EXPECT_GT(costly.scaled_energy,
+            cheap.scaled_energy + switches * 0.5 - 1e-9);
 }
 
 // A trace without iteration markers cannot carry a per-iteration
@@ -287,23 +299,18 @@ TEST(ControllerPipeline, UnmarkedTraceFallsBackToStatic) {
   const Trace trace = unmarked_trace(kImbalanced);
   ASSERT_EQ(trace.iteration_count(), 0u);
   const PipelineConfig config = controller_config(ControllerKind::kDynamicMax);
-  const ControllerPipelineResult result =
-      run_controller_pipeline(trace, config);
-  EXPECT_TRUE(result.controller.fell_back_static);
-  EXPECT_TRUE(result.controller.schedule.empty());
-  EXPECT_EQ(result.controller.iterations, 0u);
+  const PipelineResult result = run_pipeline(trace, config);
+  EXPECT_TRUE(result.schedule.fell_back_static);
+  EXPECT_TRUE(result.schedule.rows.empty());
+  EXPECT_EQ(result.schedule.key, SegmentKey::kRun);
 
   PipelineConfig static_config = config;
   static_config.controller.kind = ControllerKind::kStatic;
   const PipelineResult classic = run_pipeline(trace, static_config);
-  expect_gears_equal(result.pipeline.assignment.gears, classic.assignment.gears,
+  expect_gears_equal(result.assignment.gears, classic.assignment.gears,
                      "fallback assignment");
-  EXPECT_DOUBLE_EQ(result.pipeline.scaled_energy, classic.scaled_energy);
-  EXPECT_DOUBLE_EQ(result.pipeline.scaled_time, classic.scaled_time);
-
-  // run_pipeline dispatches through the same fallback for unmarked traces.
-  const PipelineResult dispatched = run_pipeline(trace, config);
-  EXPECT_DOUBLE_EQ(dispatched.scaled_energy, classic.scaled_energy);
+  EXPECT_DOUBLE_EQ(result.scaled_energy, classic.scaled_energy);
+  EXPECT_DOUBLE_EQ(result.scaled_time, classic.scaled_time);
 }
 
 // A stuck DVFS actuator overrides whatever the controller asks for, in
@@ -315,13 +322,12 @@ TEST(ControllerPipeline, GearStuckFaultPinsScheduleAndEnergyAgrees) {
   PipelineConfig config = controller_config(ControllerKind::kSlack);
   config.replay.faults = &injector;
   const Trace trace = drift_trace();
-  const ControllerPipelineResult result =
-      run_controller_pipeline(trace, config);
+  const PipelineResult result = run_pipeline(trace, config);
 
   const Gear pinned_min = config.algorithm.gear_set.min_gear();
   const Gear pinned_max = config.algorithm.gear_set.max_gear();
-  ASSERT_FALSE(result.controller.schedule.empty());
-  for (const std::vector<Gear>& row : result.controller.schedule) {
+  ASSERT_FALSE(result.schedule.rows.empty());
+  for (const std::vector<Gear>& row : result.schedule.rows) {
     EXPECT_DOUBLE_EQ(row[0].frequency_ghz, pinned_min.frequency_ghz);
     EXPECT_DOUBLE_EQ(row[0].voltage_v, pinned_min.voltage_v);
     EXPECT_DOUBLE_EQ(row[2].frequency_ghz, pinned_max.frequency_ghz);
@@ -330,7 +336,7 @@ TEST(ControllerPipeline, GearStuckFaultPinsScheduleAndEnergyAgrees) {
 
   // Recompute from the reported schedule alone, gear by gear.
   const PowerModel power(config.power);
-  const auto& schedule = result.controller.schedule;
+  const auto& schedule = result.schedule.rows;
   const auto gear_of = [&](Rank r, const StateInterval& iv) -> const Gear& {
     // Outside every iteration the seed gears (row 0) hold.
     const std::size_t row =
@@ -338,9 +344,9 @@ TEST(ControllerPipeline, GearStuckFaultPinsScheduleAndEnergyAgrees) {
     return schedule[row][static_cast<std::size_t>(r)];
   };
   const double recomputed =
-      power.energy(result.pipeline.scaled_replay.timeline, gear_of) +
-      result.controller.transition_energy;
-  EXPECT_DOUBLE_EQ(result.pipeline.scaled_energy, recomputed);
+      power.energy(result.scaled_replay.timeline, gear_of) +
+      result.schedule.transition_energy;
+  EXPECT_DOUBLE_EQ(result.scaled_energy, recomputed);
 }
 
 TEST(GoldenSchedules, Drift4MatchesPinnedCsv) {
