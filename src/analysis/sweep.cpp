@@ -11,6 +11,7 @@
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "analysis/bounds.hpp"
 #include "analysis/pareto.hpp"
@@ -37,41 +38,63 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Background reporter for SweepOptions::progress_stream: wakes every
-/// interval, reads the completion counter and prints one whole line.
-/// Joined (with a final line) before run_sweep returns.
-class ProgressMonitor {
+/// A background thread that calls `tick` every `interval_seconds` until
+/// it is destroyed; the destructor wakes and joins it, so no tick can
+/// outlive its owner. Drives the progress lines and the journal
+/// heartbeats.
+class Ticker {
  public:
-  ProgressMonitor(std::ostream* out, double interval_seconds,
-                  std::size_t total, const obs::Counter& completed,
-                  std::uint64_t baseline)
-      : out_(out), total_(total), completed_(completed), baseline_(baseline) {
-    if (out_ == nullptr) return;
-    start_ = Clock::now();
+  Ticker(double interval_seconds, std::function<void()> tick)
+      : tick_(std::move(tick)) {
     thread_ = std::thread([this, interval_seconds] {
       std::unique_lock<std::mutex> lock(mutex_);
-      while (!done_) {
-        stop_.wait_for(lock,
-                       std::chrono::duration<double>(interval_seconds));
-        if (done_) break;
-        print_line();
+      while (!stop_.wait_for(lock,
+                             std::chrono::duration<double>(interval_seconds),
+                             [this] { return done_; })) {
+        lock.unlock();
+        tick_();
+        lock.lock();
       }
     });
   }
 
-  ~ProgressMonitor() {
-    if (out_ == nullptr) return;
+  ~Ticker() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       done_ = true;
     }
     stop_.notify_all();
     thread_.join();
-    print_line();  // final "N/N" line
   }
 
-  ProgressMonitor(const ProgressMonitor&) = delete;
-  ProgressMonitor& operator=(const ProgressMonitor&) = delete;
+ private:
+  std::function<void()> tick_;
+  std::mutex mutex_;
+  std::condition_variable stop_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+/// SweepOptions::progress_stream: one whole line per interval from the
+/// completion counter, and a final "N/N" line when the fan-out ends.
+class ProgressMonitor {
+ public:
+  ProgressMonitor(std::ostream* out, double interval_seconds,
+                  std::size_t total, const obs::Counter& completed)
+      : out_(out),
+        total_(total),
+        completed_(completed),
+        baseline_(completed.value()),
+        start_(Clock::now()) {
+    if (out_ != nullptr)
+      ticker_.emplace(interval_seconds, [this] { print_line(); });
+  }
+
+  ~ProgressMonitor() {
+    if (out_ == nullptr) return;
+    ticker_.reset();
+    print_line();
+  }
 
  private:
   void print_line() {
@@ -96,54 +119,7 @@ class ProgressMonitor {
   const obs::Counter& completed_;
   std::uint64_t baseline_;
   Clock::time_point start_;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable stop_;
-  bool done_ = false;
-};
-
-/// Background liveness beater for SweepOptions::heartbeat_interval_seconds
-/// (docs/sharding.md): wakes every interval and invokes the supplied
-/// journal-append callback. Joined before run_sweep returns, so no beat
-/// can outlive the journal.
-class HeartbeatMonitor {
- public:
-  HeartbeatMonitor(double interval_seconds, std::function<void()> beat)
-      : beat_(std::move(beat)) {
-    if (interval_seconds <= 0.0 || !beat_) return;
-    active_ = true;
-    thread_ = std::thread([this, interval_seconds] {
-      std::unique_lock<std::mutex> lock(mutex_);
-      while (!done_) {
-        stop_.wait_for(lock, std::chrono::duration<double>(interval_seconds));
-        if (done_) break;
-        lock.unlock();
-        beat_();
-        lock.lock();
-      }
-    });
-  }
-
-  ~HeartbeatMonitor() {
-    if (!active_) return;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_ = true;
-    }
-    stop_.notify_all();
-    thread_.join();
-  }
-
-  HeartbeatMonitor(const HeartbeatMonitor&) = delete;
-  HeartbeatMonitor& operator=(const HeartbeatMonitor&) = delete;
-
- private:
-  std::function<void()> beat_;
-  bool active_ = false;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable stop_;
-  bool done_ = false;
+  std::optional<Ticker> ticker_;
 };
 
 std::vector<double> parse_beta_list(const std::string& text) {
@@ -373,6 +349,519 @@ std::string sweep_config_hash(const std::vector<Scenario>& scenarios,
   return to_hex(fnv1a64(config_canonical_text(scenarios, options)), 16);
 }
 
+namespace {
+
+/// One grid cell: its workload and configuration, whether this shard runs
+/// it, and its terminal outcome once it has one. Workers write only their
+/// own slot, so the merge reads every outcome in canonical grid order.
+struct CellSlot {
+  std::size_t workload = 0;  ///< index into SweepRun::workloads
+  /// Shared verbatim by the cell's replay and the bounds analyzer, so
+  /// both describe the same run.
+  PipelineConfig config;
+  bool owned = true;  ///< this shard runs the cell (docs/sharding.md)
+  /// Resumed from a journal, or run to a row, an error or a pruning.
+  CellOutcome outcome;
+  double seconds = 0.0;       ///< wall time of a row's run
+  fault::GuardOutcome guard;  ///< retries and backoff of the cell's run
+
+  bool terminal() const {
+    return !std::holds_alternative<std::monostate>(outcome);
+  }
+};
+
+/// One unique workload: the trace, compiled replay program and baseline
+/// replay every cell of the workload shares, plus the trace shape when
+/// the bounds analyzer runs.
+struct WorkloadSlot {
+  WorkloadRef ref;
+  bool needed = false;   ///< an owned cell still has to run
+  bool skipped = false;  ///< cancelled before its baseline ran
+  const Trace* trace = nullptr;
+  ReplayProgram program;
+  ReplayResult baseline;
+  bounds::TraceShape shape;
+  fault::GuardOutcome guard;  ///< the lint/baseline run (keep_going)
+};
+
+/// What the phases of one run_sweep share.
+struct SweepRun {
+  SweepRun(const std::vector<Scenario>& s, const SweepOptions& o)
+      : scenarios(s),
+        options(o),
+        faults(o.faults != nullptr ? o.faults : o.base.replay.faults),
+        span_reg(o.base.observe ? &reg : nullptr) {}
+
+  bool cancelled() const {
+    return options.cancel != nullptr &&
+           options.cancel->load(std::memory_order_relaxed);
+  }
+
+  const std::vector<Scenario>& scenarios;
+  const SweepOptions& options;
+  /// The fault injector (if any) rides through PipelineConfig::replay so
+  /// baseline and scaled replays both see the perturbed machine.
+  const fault::Injector* faults;
+  obs::Registry& reg = obs::default_registry();
+  obs::Registry* span_reg;
+  /// sweep.scenarios_completed, registered when the journal opens.
+  obs::Counter* completed = nullptr;
+  bool prune_enabled = false;
+  bool oracle_armed = false;
+  std::vector<WorkloadSlot> workloads;
+  std::vector<CellSlot> cells;
+  std::size_t owned_cells = 0;
+  std::size_t resumed_cells = 0;
+  std::size_t baselines_needed = 0;
+  std::atomic<std::size_t> skipped{0};
+  /// The journal (docs/resume.md), when the sweep keeps one. Appends and
+  /// heartbeats are serialized by journal_mutex.
+  std::optional<JournalWriter> journal;
+  std::mutex journal_mutex;
+  std::size_t heartbeat_seq = 0;
+  std::size_t heartbeats_written = 0;
+  /// Declared after the journal, so it is joined before the journal it
+  /// appends to is closed.
+  std::optional<Ticker> heartbeat;
+};
+
+/// Resolve every workload and cell configuration serially up front, so
+/// bad names fail with scenario context before any thread spawns and
+/// workers only do numeric work.
+void resolve(SweepRun& run) {
+  const SweepOptions& options = run.options;
+  std::map<std::string, std::size_t> workload_index;
+  run.cells.resize(run.scenarios.size());
+  for (std::size_t i = 0; i < run.scenarios.size(); ++i) {
+    const Scenario& s = run.scenarios[i];
+    WorkloadRef ref = resolve_workload(s.workload, options.iterations);
+    const auto [it, inserted] =
+        workload_index.emplace(ref.key, run.workloads.size());
+    if (inserted) run.workloads.emplace_back().ref = std::move(ref);
+    CellSlot& cell = run.cells[i];
+    cell.workload = it->second;
+    cell.config = s.cell_config(options.base);
+    PALS_CHECK_MSG(cell.config.replay.platform == options.base.replay.platform,
+                   "sweep scenario " << i << " (" << s.workload << " "
+                       << s.variant_label()
+                       << ") changes the platform; a sweep shares one "
+                          "baseline per workload, so platform settings "
+                          "belong in the sweep's base configuration");
+    cell.config.replay.faults = run.faults;
+    if (options.cell_timeout_seconds > 0.0)
+      cell.config.replay.max_wall_seconds = options.cell_timeout_seconds;
+  }
+  run.owned_cells = run.cells.size();
+}
+
+/// Sharded execution (docs/sharding.md): ownership is a pure function of
+/// the canonical index (or of the workload key when prune_bounds keeps
+/// groups shard-local), so every shard — and the supervisor's merge —
+/// derives the same partition with no coordination. Foreign cells are
+/// never run, journaled or counted as skipped.
+void assign_shards(SweepRun& run, const shard::ShardSpec& spec) {
+  if (!spec.active()) return;
+  run.owned_cells = 0;
+  for (std::size_t i = 0; i < run.cells.size(); ++i) {
+    CellSlot& cell = run.cells[i];
+    const std::size_t home =
+        run.options.prune_bounds
+            ? shard::shard_of_group(run.workloads[cell.workload].ref.key,
+                                    spec.count)
+            : shard::shard_of_cell(i, spec.count);
+    cell.owned = home == spec.index;
+    run.owned_cells += cell.owned ? 1 : 0;
+  }
+  run.reg.counter("shard.cells_owned").add(run.owned_cells);
+  run.reg.counter("shard.cells_foreign")
+      .add(run.cells.size() - run.owned_cells);
+}
+
+/// Crash-safe execution (docs/resume.md): pre-fill the slots a resume
+/// journal records, so those cells skip the fan-out and workloads whose
+/// every cell is done skip their (expensive) baseline too.
+void prefill_from_journal(SweepRun& run, const std::string& config_hash) {
+  const JournalReadReport* prior = run.options.resume;
+  if (prior == nullptr) return;
+  PALS_SPAN("sweep.journal_replay", run.span_reg);
+  PALS_CHECK_MSG(prior->header.scenarios == run.scenarios.size(),
+                 "resume journal describes " << prior->header.scenarios
+                     << " scenarios but this sweep has "
+                     << run.scenarios.size());
+  PALS_CHECK_MSG(
+      prior->header.config_hash == config_hash,
+      "resume journal config hash " << prior->header.config_hash
+          << " does not match this sweep's " << config_hash
+          << " (the journal belongs to a different sweep configuration)");
+  for (const JournalRecord& record : prior->records) {
+    PALS_CHECK_MSG(run.prune_enabled ||
+                       record.kind != JournalRecord::Kind::kPruned,
+                   "resume journal records pruned cell "
+                       << record.index << " but this sweep does not set "
+                                          "prune_bounds");
+    run.cells[record.index].outcome = outcome_of(record, run.scenarios);
+    ++run.resumed_cells;
+  }
+  run.reg.counter("resume.cells_skipped").add(run.resumed_cells);
+}
+
+/// Open the journal, when the sweep keeps one, and start the liveness
+/// heartbeats (docs/sharding.md): a background thread appends one "H"
+/// record per interval so pals_shepherd can tell a slow shard from a
+/// hung one. Sequence numbers continue past any heartbeats the resumed
+/// journal already holds; the beat deliberately bypasses
+/// on_journal_record (--kill-after counts *cell* records, and a
+/// host-timed beat must not shift that deterministic point).
+void open_journal(SweepRun& run, const std::string& config_hash,
+                  const shard::ShardSpec& spec) {
+  const SweepOptions& options = run.options;
+  run.completed = &run.reg.counter("sweep.scenarios_completed");
+  if (options.resume != nullptr)
+    run.heartbeat_seq = options.resume->heartbeats.size();
+  if (options.journal_path.empty()) return;
+  if (options.resume != nullptr) {
+    run.journal.emplace(JournalWriter::open_existing(options.journal_path));
+  } else {
+    JournalHeader header;
+    header.config_hash = config_hash;
+    header.scenarios = run.scenarios.size();
+    run.journal.emplace(JournalWriter::create(options.journal_path, header));
+  }
+  if (options.heartbeat_interval_seconds <= 0.0) return;
+  const std::uint64_t completed_baseline = run.completed->value();
+  run.heartbeat.emplace(
+      options.heartbeat_interval_seconds,
+      [&run, completed_baseline, label = spec.to_string()] {
+        JournalRecord record;
+        record.kind = JournalRecord::Kind::kHeartbeat;
+        record.shard = label;
+        record.unix_seconds =
+            std::chrono::duration<double>(
+                std::chrono::system_clock::now().time_since_epoch())
+                .count();
+        std::lock_guard<std::mutex> lock(run.journal_mutex);
+        record.index = run.heartbeat_seq++;
+        record.cells_done = static_cast<std::size_t>(run.completed->value() -
+                                                     completed_baseline);
+        run.journal->append(record);
+        ++run.heartbeats_written;
+      });
+}
+
+/// Durably journal terminal cell `index`. Appends are serialized: the
+/// journal is append-only and fsync'd per record, so at most one
+/// in-flight record can be torn by a crash — exactly what read_journal's
+/// tail-drop repairs.
+void journal_cell(SweepRun& run, std::size_t index) {
+  if (!run.journal.has_value()) return;
+  const JournalRecord record = record_of(index, run.cells[index].outcome);
+  std::lock_guard<std::mutex> lock(run.journal_mutex);
+  run.journal->append(record);
+  run.reg.counter("journal.records_appended").add(1);
+  if (run.options.on_journal_record)
+    run.options.on_journal_record(run.journal->records_appended());
+}
+
+/// Phase 1: one trace, compiled replay program and baseline replay per
+/// workload some owned cell still needs (plus the trace shape when the
+/// bounds analyzer runs). With the opt-in lint hook (options.base.lint)
+/// each workload trace is statically verified here, once. Without
+/// keep_going a bad workload aborts the sweep with the full diagnostic
+/// report before any scenario runs; with keep_going the failure is
+/// recorded per workload and only that workload's cells are quarantined.
+void run_baselines(SweepRun& run, ThreadPool& pool, TraceCache& cache) {
+  const SweepOptions& options = run.options;
+  for (const CellSlot& cell : run.cells)
+    if (!cell.terminal() && cell.owned)
+      run.workloads[cell.workload].needed = true;
+  for (const WorkloadSlot& w : run.workloads)
+    run.baselines_needed += w.needed ? 1 : 0;
+  run.reg.counter("sweep.baseline_replays").add(run.baselines_needed);
+
+  ReplayConfig baseline_config = options.base.replay;
+  baseline_config.faults = run.faults;
+  if (options.cell_timeout_seconds > 0.0)
+    baseline_config.max_wall_seconds = options.cell_timeout_seconds;
+  PALS_SPAN("sweep.baselines", run.span_reg);
+  pool.parallel_for(run.workloads.size(), [&](std::size_t index) {
+    WorkloadSlot& w = run.workloads[index];
+    if (!w.needed) {
+      // Every cell of this workload was resumed from the journal; its
+      // trace and baseline are never consulted again.
+      w.guard.ok = true;
+      return;
+    }
+    if (run.cancelled()) {
+      w.skipped = true;
+      w.guard.ok = true;
+      return;
+    }
+    PALS_SPAN_DETAIL("sweep.baseline", run.span_reg, w.ref.display);
+    const auto body = [&](int) {
+      w.trace = &cache.get(w.ref.key, w.ref.build);
+      if (options.base.lint) {
+        lint::LintOptions lint_options;
+        lint_options.eager_threshold =
+            options.base.replay.platform.eager_threshold;
+        lint::enforce_lint(*w.trace, lint_options, w.ref.display);
+      }
+      w.program = ReplayProgram(*w.trace);
+      w.baseline = replay(*w.trace, w.program, baseline_config);
+      if (run.prune_enabled || run.oracle_armed)
+        w.shape = bounds::shape_of(*w.trace);
+    };
+    if (!options.keep_going) {
+      body(1);  // fail-fast: lint/replay errors propagate untouched
+      w.guard.ok = true;
+      return;
+    }
+    w.guard = fault::run_guarded(options.retry, body);
+  });
+}
+
+/// Skip cell `index` when a completed earlier cell of its workload
+/// Pareto-dominates its static lower-bound point: even the cell's best
+/// case is beaten outright, so its replay cannot land on the front. The
+/// pruning fan-out runs a workload's cells serially in canonical order,
+/// so every earlier slot of this group is settled (including cells
+/// pre-filled by --resume), and the decision is identical at any jobs
+/// count.
+bool prune_cell(SweepRun& run, std::size_t index,
+                const bounds::ScenarioBounds& cell_bounds) {
+  CellSlot& cell = run.cells[index];
+  const std::string& display = run.workloads[cell.workload].ref.display;
+  ExperimentRow optimistic;
+  optimistic.instance = display;
+  optimistic.normalized_time = cell_bounds.normalized_time.lo;
+  optimistic.normalized_energy = cell_bounds.normalized_energy.lo;
+  for (std::size_t j = 0; j < index; ++j) {
+    if (run.cells[j].workload != cell.workload) continue;
+    const auto* row = std::get_if<ExperimentRow>(&run.cells[j].outcome);
+    if (row == nullptr || !dominates(*row, optimistic)) continue;
+    cell.outcome = PrunedCell{index,
+                              display,
+                              run.scenarios[index].variant_label(),
+                              optimistic.normalized_time,
+                              optimistic.normalized_energy,
+                              j,
+                              run.scenarios[j].variant_label()};
+    run.reg.counter("sweep.cells_pruned").add(1);
+    journal_cell(run, index);
+    return true;
+  }
+  return false;
+}
+
+/// Run cell `index`'s pipeline under its guard into the slot: injected
+/// scenario faults, run_pipeline from the workload's shared program and
+/// baseline, the soundness oracle, and the flattened row. Transient
+/// failures retry with deterministic simulated backoff; cell.guard holds
+/// the outcome.
+void execute_cell(SweepRun& run, std::size_t index, const CellPlan* plan,
+                  const bounds::ScenarioBounds* cell_bounds) {
+  CellSlot& cell = run.cells[index];
+  const WorkloadSlot& w = run.workloads[cell.workload];
+  const fault::Injector* faults = run.faults;
+  const auto body = [&](int attempt) {
+    if (faults != nullptr) {
+      if (faults->scenario_crashed(index))
+        throw Error("injected scenario crash (scenario_crash, cell " +
+                    std::to_string(index) + ")");
+      if (attempt <= faults->scenario_transient_failures(index))
+        throw fault::TransientError(
+            "injected transient fault (scenario_flaky, cell " +
+            std::to_string(index) + ", attempt " + std::to_string(attempt) +
+            ")");
+    }
+    const PipelineResult pipeline =
+        run_pipeline(*w.trace, w.program, cell.config, w.baseline, plan);
+    if (run.oracle_armed) {
+      const std::vector<lint::Diagnostic> violations =
+          bounds::check_soundness(*cell_bounds, pipeline.scaled_time,
+                                  pipeline.scaled_energy);
+      if (!violations.empty()) {
+        std::string text = "bounds soundness oracle: ";
+        for (std::size_t k = 0; k < violations.size(); ++k) {
+          if (k > 0) text += "; ";
+          text += violations[k].to_text();
+        }
+        throw Error(text);
+      }
+    }
+    cell.outcome = flatten_result(pipeline, w.ref.display,
+                                  run.scenarios[index].variant_label());
+  };
+  const SweepOptions& options = run.options;
+  if (!options.keep_going && faults == nullptr &&
+      options.cell_timeout_seconds <= 0.0) {
+    body(1);  // fail-fast: scenario errors propagate untouched
+    cell.guard.ok = true;
+  } else {
+    // Guarded also when a watchdog is armed, so an expired cell is
+    // classified (kTimeout) like any other fault.
+    cell.guard = fault::run_guarded(options.retry, body);
+  }
+}
+
+/// Drive one cell of the fan-out to a terminal slot and journal it.
+/// Persistent failures quarantine the cell when keep_going is set and
+/// abort the sweep with cell context otherwise.
+void run_cell(SweepRun& run, std::size_t index) {
+  CellSlot& cell = run.cells[index];
+  if (!cell.owned) return;  // another shard's cell (docs/sharding.md)
+  if (cell.terminal()) {
+    // Resumed from the journal: the slot is already terminal.
+    run.completed->add(1);
+    return;
+  }
+  const Scenario& s = run.scenarios[index];
+  const WorkloadSlot& w = run.workloads[cell.workload];
+  if (w.skipped || run.cancelled()) {
+    // Cancelled before this cell started; a later --resume run
+    // re-executes it (it was never journaled as terminal).
+    run.skipped.fetch_add(1, std::memory_order_relaxed);
+    run.completed->add(1);
+    return;
+  }
+  const auto scenario_start = Clock::now();
+  PALS_SPAN_DETAIL("sweep.scenario", run.span_reg,
+                   w.ref.display + " " + s.variant_label());
+  const auto quarantine = [&](const fault::GuardOutcome& outcome) {
+    cell.outcome = ScenarioError{
+        index, w.ref.display, s.variant_label(), outcome.error_class,
+        outcome.attempts, outcome.retries, outcome.backoff_seconds,
+        outcome.message};
+    journal_cell(run, index);
+  };
+  if (!w.guard.ok) {
+    // keep_going only (fail-fast threw in phase 1): the workload's
+    // lint/baseline failure quarantines each of its cells.
+    quarantine(w.guard);
+    run.completed->add(1);
+    return;
+  }
+  // Static intervals, computed once and reused by the pruner and the
+  // oracle, from the cell's one plan, which the pipeline then replays.
+  // A throw here is an analyzer bug and aborts the sweep even under
+  // keep_going — silently degrading the soundness contract would hide
+  // exactly the failures the oracle exists to catch. Without the
+  // analyzer the pipeline plans the cell itself.
+  std::optional<CellPlan> plan;
+  std::optional<bounds::ScenarioBounds> cell_bounds;
+  if (run.prune_enabled || run.oracle_armed) {
+    cell.config.validate();
+    plan = plan_cell(*w.trace, cell.config, w.baseline);
+    const bounds::BaselineFacts facts{w.baseline.makespan,
+                                      plan->baseline_energy};
+    cell_bounds = bounds::analyze(w.shape, cell.config, plan->schedule,
+                                  w.baseline.compute_time, &facts);
+  }
+  if (run.prune_enabled && cell_bounds->normalized &&
+      prune_cell(run, index, *cell_bounds)) {
+    run.completed->add(1);
+    return;
+  }
+  execute_cell(run, index, plan ? &*plan : nullptr,
+               cell_bounds ? &*cell_bounds : nullptr);
+  if (cell.guard.ok) {
+    cell.seconds = seconds_since(scenario_start);
+    journal_cell(run, index);
+  } else if (run.options.keep_going) {
+    quarantine(cell.guard);
+  } else {
+    run.completed->add(1);
+    throw Error("sweep scenario " + std::to_string(index) + " (" +
+                w.ref.display + " " + s.variant_label() +
+                ") failed: " + cell.guard.describe());
+  }
+  run.completed->add(1);
+}
+
+/// Phase 2: the scenario fan-out. Each worker runs cells on private
+/// state and writes into their pre-allocated slots, so the merged
+/// row/error order is the canonical grid order regardless of thread
+/// count.
+void fan_out(SweepRun& run, ThreadPool& pool) {
+  ProgressMonitor progress(run.options.progress_stream,
+                           run.options.progress_interval_seconds,
+                           run.owned_cells, *run.completed);
+  PALS_SPAN("sweep.scenarios", run.span_reg);
+  const auto cell = [&run](std::size_t i) { run_cell(run, i); };
+  if (!run.prune_enabled) {
+    pool.parallel_for(run.cells.size(), cell);
+    return;
+  }
+  // Pruning needs earlier cells of the workload to be terminal before
+  // later ones are judged, so parallelism moves up a level: workload
+  // groups fan out across the pool, cells inside a group run serially
+  // in canonical order. Scenario order within a group — and therefore
+  // every prune decision — is independent of the thread count.
+  std::vector<std::vector<std::size_t>> groups(run.workloads.size());
+  for (std::size_t i = 0; i < run.cells.size(); ++i)
+    groups[run.cells[i].workload].push_back(i);
+  pool.parallel_for(groups.size(), [&](std::size_t g) {
+    for (const std::size_t i : groups[g]) cell(i);
+  });
+}
+
+/// Merge the slots in canonical order: successes into rows, failures
+/// into errors, pruned cells into pruned, then the run's statistics.
+/// Without faults and with healthy workloads every slot is a success and
+/// the output matches the pre-fault engine exactly.
+SweepResult merge(SweepRun& run, const ThreadPool& pool,
+                  Clock::time_point sweep_start) {
+  SweepResult result;
+  result.rows.reserve(run.cells.size());
+  result.scenario_seconds.reserve(run.cells.size());
+  SweepStats& stats = result.stats;
+  for (const WorkloadSlot& w : run.workloads) {
+    stats.transient_retries += static_cast<std::size_t>(w.guard.retries);
+    stats.backoff_seconds += w.guard.backoff_seconds;
+  }
+  for (CellSlot& cell : run.cells) {
+    if (ExperimentRow* row = std::get_if<ExperimentRow>(&cell.outcome)) {
+      result.rows.push_back(std::move(*row));
+      result.scenario_seconds.push_back(cell.seconds);
+      stats.scenario_seconds_total += cell.seconds;
+      stats.scenario_seconds_max =
+          std::max(stats.scenario_seconds_max, cell.seconds);
+    } else if (auto* e = std::get_if<ScenarioError>(&cell.outcome)) {
+      result.errors.push_back(std::move(*e));
+    } else if (auto* p = std::get_if<PrunedCell>(&cell.outcome)) {
+      result.pruned.push_back(std::move(*p));
+    }
+    stats.transient_retries += static_cast<std::size_t>(cell.guard.retries);
+    stats.backoff_seconds += cell.guard.backoff_seconds;
+  }
+
+  stats.scenarios = run.cells.size();
+  stats.workloads = run.workloads.size();
+  stats.jobs = pool.size();
+  stats.wall_seconds = seconds_since(sweep_start);
+  stats.scenarios_per_second =
+      stats.wall_seconds > 0.0
+          ? static_cast<double>(stats.scenarios) / stats.wall_seconds
+          : 0.0;
+  stats.baseline_cache_misses = run.baselines_needed;
+  stats.baseline_cache_hits = stats.scenarios - stats.workloads;
+  stats.baseline_cache_hit_rate =
+      static_cast<double>(stats.baseline_cache_hits) /
+      static_cast<double>(stats.scenarios);
+  stats.quarantined = result.errors.size();
+  stats.resumed_cells = run.resumed_cells;
+  stats.skipped_cells = run.skipped.load();
+  stats.pruned_cells = result.pruned.size();
+  stats.shard_cells_owned = run.owned_cells;
+  stats.shard_cells_foreign = stats.scenarios - run.owned_cells;
+  stats.heartbeats_written = run.heartbeats_written;
+  stats.journal_records =
+      run.journal.has_value() ? run.journal->records_appended() : 0;
+  result.interrupted = stats.skipped_cells > 0;
+  return result;
+}
+
+}  // namespace
+
 SweepResult run_sweep(const std::vector<Scenario>& scenarios,
                       const SweepOptions& options) {
   PALS_CHECK_MSG(!scenarios.empty(), "sweep has no scenarios");
@@ -387,67 +876,12 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   PALS_CHECK_MSG(options.heartbeat_interval_seconds >= 0.0,
                  "heartbeat_interval_seconds must be >= 0 (0 disables)");
   const auto sweep_start = Clock::now();
-  obs::Registry& reg = obs::default_registry();
-  obs::Registry* span_reg = options.base.observe ? &reg : nullptr;
-  reg.counter("sweep.runs").add(1);
-  reg.counter("sweep.scenarios").add(scenarios.size());
-
-  // The fault injector (if any) rides through PipelineConfig::replay so
-  // baseline and scaled replays both see the perturbed machine.
-  const fault::Injector* faults =
-      options.faults != nullptr ? options.faults : options.base.replay.faults;
-
-  // Resolve everything serially up front so bad names fail with scenario
-  // context before any thread spawns, and workers only do numeric work.
-  // Each cell's configuration is shared verbatim between its replay and
-  // the bounds analyzer, so both describe the same run.
-  std::vector<WorkloadRef> workloads;
-  std::map<std::string, std::size_t> workload_index;
-  std::vector<std::size_t> scenario_workload(scenarios.size());
-  std::vector<PipelineConfig> cell_configs;
-  cell_configs.reserve(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const Scenario& s = scenarios[i];
-    WorkloadRef ref = resolve_workload(s.workload, options.iterations);
-    const auto [it, inserted] =
-        workload_index.emplace(ref.key, workloads.size());
-    if (inserted) workloads.push_back(std::move(ref));
-    scenario_workload[i] = it->second;
-    PipelineConfig& config =
-        cell_configs.emplace_back(s.cell_config(options.base));
-    PALS_CHECK_MSG(config.replay.platform == options.base.replay.platform,
-                   "sweep scenario " << i << " (" << s.workload << " "
-                       << s.variant_label()
-                       << ") changes the platform; a sweep shares one "
-                          "baseline per workload, so platform settings "
-                          "belong in the sweep's base configuration");
-    config.replay.faults = faults;
-    if (options.cell_timeout_seconds > 0.0)
-      config.replay.max_wall_seconds = options.cell_timeout_seconds;
-  }
-
-  // Sharded execution (docs/sharding.md): ownership is a pure function of
-  // the canonical index (or of the workload key when prune_bounds keeps
-  // groups shard-local), so every shard — and the supervisor's merge —
-  // derives the same partition with no coordination. Foreign cells are
-  // never run, journaled or counted as skipped.
+  SweepRun run(scenarios, options);
+  run.reg.counter("sweep.runs").add(1);
+  run.reg.counter("sweep.scenarios").add(scenarios.size());
+  resolve(run);
   const shard::ShardSpec shard_spec{options.shard_index, options.shard_count};
-  std::vector<char> owned(scenarios.size(), 1);
-  std::size_t owned_cells = scenarios.size();
-  if (shard_spec.active()) {
-    owned_cells = 0;
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      const std::size_t home =
-          options.prune_bounds
-              ? shard::shard_of_group(workloads[scenario_workload[i]].key,
-                                      shard_spec.count)
-              : shard::shard_of_cell(i, shard_spec.count);
-      owned[i] = home == shard_spec.index ? 1 : 0;
-      owned_cells += static_cast<std::size_t>(owned[i]);
-    }
-    reg.counter("shard.cells_owned").add(owned_cells);
-    reg.counter("shard.cells_foreign").add(scenarios.size() - owned_cells);
-  }
+  assign_shards(run, shard_spec);
 
   TraceCache private_cache;
   TraceCache& cache =
@@ -458,453 +892,84 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   // the fault-free single-schedule replay, so pruning refuses fault plans
   // and per-phase configs outright while the always-on oracle merely
   // disarms (a perturbed or per-phase sweep is still a valid sweep).
-  PALS_CHECK_MSG(!options.prune_bounds || faults == nullptr,
+  PALS_CHECK_MSG(!options.prune_bounds || run.faults == nullptr,
                  "prune_bounds requires a fault-free sweep (the static "
                  "bounds describe the unperturbed replay)");
   PALS_CHECK_MSG(!options.prune_bounds || !options.base.per_phase,
                  "prune_bounds does not support per-phase configurations "
                  "(no single schedule to bound)");
-  const bool prune_enabled = options.prune_bounds;
-  const bool oracle_armed =
-      options.bounds_oracle && faults == nullptr && !options.base.per_phase;
+  run.prune_enabled = options.prune_bounds;
+  run.oracle_armed = options.bounds_oracle && run.faults == nullptr &&
+                     !options.base.per_phase;
 
-  ReplayConfig baseline_config = options.base.replay;
-  baseline_config.faults = faults;
-  if (options.cell_timeout_seconds > 0.0)
-    baseline_config.max_wall_seconds = options.cell_timeout_seconds;
-
-  // Crash-safe execution setup (docs/resume.md). The canonical result
-  // slots are allocated before phase 1 so a resume journal can pre-fill
-  // them: `done` cells skip phase 2 entirely, and workloads whose every
-  // cell is done skip their (expensive) phase-1 baseline too.
-  std::vector<ExperimentRow> row_slots(scenarios.size());
-  std::vector<double> second_slots(scenarios.size(), 0.0);
-  std::vector<char> row_ok(scenarios.size(), 0);
-  std::vector<std::optional<ScenarioError>> error_slots(scenarios.size());
-  std::vector<std::optional<PrunedCell>> pruned_slots(scenarios.size());
-  std::vector<char> done(scenarios.size(), 0);
   std::string config_hash;
   if (!options.journal_path.empty() || options.resume != nullptr)
     config_hash = sweep_config_hash(scenarios, options);
-  std::size_t resumed_cells = 0;
-  if (options.resume != nullptr) {
-    PALS_SPAN("sweep.journal_replay", span_reg);
-    const JournalReadReport& prior = *options.resume;
-    PALS_CHECK_MSG(prior.header.scenarios == scenarios.size(),
-                   "resume journal describes " << prior.header.scenarios
-                       << " scenarios but this sweep has " << scenarios.size());
-    PALS_CHECK_MSG(
-        prior.header.config_hash == config_hash,
-        "resume journal config hash " << prior.header.config_hash
-            << " does not match this sweep's " << config_hash
-            << " (the journal belongs to a different sweep configuration)");
-    for (const JournalRecord& record : prior.records) {
-      const std::size_t i = record.index;
-      if (record.kind == JournalRecord::Kind::kRow) {
-        row_slots[i] = record.row;
-        row_ok[i] = 1;
-      } else if (record.kind == JournalRecord::Kind::kPruned) {
-        PALS_CHECK_MSG(prune_enabled,
-                       "resume journal records pruned cell "
-                           << i << " but this sweep does not set "
-                              "prune_bounds");
-        pruned_slots[i] = PrunedCell{i,
-                                     record.workload,
-                                     record.variant,
-                                     record.lb_normalized_time,
-                                     record.lb_normalized_energy,
-                                     record.dominated_by,
-                                     scenarios[record.dominated_by]
-                                         .variant_label()};
-      } else {
-        error_slots[i] = ScenarioError{
-            i,
-            record.workload,
-            record.variant,
-            fault::error_class_from_string(record.error_class),
-            record.attempts,
-            record.retries,
-            record.backoff_seconds,
-            record.message};
-      }
-      done[i] = 1;
-      ++resumed_cells;
-    }
-    reg.counter("resume.cells_skipped").add(resumed_cells);
-  }
-  std::optional<JournalWriter> journal;
-  std::mutex journal_mutex;
-  if (!options.journal_path.empty()) {
-    if (options.resume != nullptr) {
-      journal.emplace(JournalWriter::open_existing(options.journal_path));
-    } else {
-      JournalHeader header;
-      header.config_hash = config_hash;
-      header.scenarios = scenarios.size();
-      journal.emplace(JournalWriter::create(options.journal_path, header));
-    }
-  }
-  const std::atomic<bool>* cancel = options.cancel;
-  std::atomic<std::size_t> skipped{0};
+  prefill_from_journal(run, config_hash);
+  open_journal(run, config_hash, shard_spec);
+  run_baselines(run, pool, cache);
+  fan_out(run, pool);
+  obs::record_thread_pool(pool.stats(), run.reg);
+  run.heartbeat.reset();  // join the beater; heartbeats_written is settled
 
-  // Liveness heartbeats (docs/sharding.md): a background thread appends
-  // one "H" record per interval so pals_shepherd can tell a slow shard
-  // from a hung one. Sequence numbers continue past any heartbeats the
-  // resumed journal already holds; the beat deliberately bypasses
-  // on_journal_record (--kill-after counts *cell* records, and a
-  // host-timed beat must not shift that deterministic point).
-  obs::Counter& completed = reg.counter("sweep.scenarios_completed");
-  const std::uint64_t completed_baseline = completed.value();
-  std::size_t heartbeat_seq =
-      options.resume != nullptr ? options.resume->heartbeats.size() : 0;
-  std::size_t heartbeats_written = 0;
-  std::optional<HeartbeatMonitor> heartbeat;
-  if (options.heartbeat_interval_seconds > 0.0 && journal.has_value()) {
-    const std::string shard_label = shard_spec.to_string();
-    heartbeat.emplace(options.heartbeat_interval_seconds, [&, shard_label] {
-      JournalRecord record;
-      record.kind = JournalRecord::Kind::kHeartbeat;
-      record.shard = shard_label;
-      record.unix_seconds =
-          std::chrono::duration<double>(
-              std::chrono::system_clock::now().time_since_epoch())
-              .count();
-      std::lock_guard<std::mutex> lock(journal_mutex);
-      record.index = heartbeat_seq++;
-      record.cells_done =
-          static_cast<std::size_t>(completed.value() - completed_baseline);
-      journal->append(record);
-      ++heartbeats_written;
-    });
-  }
-
-  // Phase 1: one trace, compiled replay program and baseline replay per
-  // unique workload (plus the trace shape when the bounds analyzer runs).
-  // The baseline depends only on the trace and the platform and the
-  // program only on the trace, so every scenario of the workload shares
-  // them. With the opt-in lint hook (options.base.lint) each workload
-  // trace is statically verified here, once. Without keep_going a bad
-  // workload aborts the sweep with the full diagnostic report before any
-  // scenario runs; with keep_going the failure is recorded per workload
-  // and only that workload's cells are quarantined — independent
-  // workloads still produce results.
-  std::vector<char> workload_needed(workloads.size(), 0);
-  for (std::size_t i = 0; i < scenarios.size(); ++i)
-    if (done[i] == 0 && owned[i] != 0)
-      workload_needed[scenario_workload[i]] = 1;
-  std::size_t baselines_needed = 0;
-  for (const char needed : workload_needed)
-    baselines_needed += static_cast<std::size_t>(needed);
-  reg.counter("sweep.baseline_replays").add(baselines_needed);
-  std::vector<const Trace*> traces(workloads.size());
-  std::vector<ReplayProgram> programs(workloads.size());
-  std::vector<ReplayResult> baselines(workloads.size());
-  std::vector<bounds::TraceShape> shapes(workloads.size());
-  std::vector<fault::GuardOutcome> workload_outcomes(workloads.size());
-  std::vector<char> workload_skipped(workloads.size(), 0);
-  {
-    PALS_SPAN("sweep.baselines", span_reg);
-    pool.parallel_for(workloads.size(), [&](std::size_t w) {
-      if (workload_needed[w] == 0) {
-        // Every cell of this workload was resumed from the journal; its
-        // trace and baseline are never consulted again.
-        workload_outcomes[w].ok = true;
-        return;
-      }
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-        workload_skipped[w] = 1;
-        workload_outcomes[w].ok = true;
-        return;
-      }
-      PALS_SPAN_DETAIL("sweep.baseline", span_reg, workloads[w].display);
-      const auto body = [&](int) {
-        traces[w] = &cache.get(workloads[w].key, workloads[w].build);
-        if (options.base.lint) {
-          lint::LintOptions lint_options;
-          lint_options.eager_threshold =
-              options.base.replay.platform.eager_threshold;
-          lint::enforce_lint(*traces[w], lint_options, workloads[w].display);
-        }
-        programs[w] = ReplayProgram(*traces[w]);
-        baselines[w] = replay(*traces[w], programs[w], baseline_config);
-        if (prune_enabled || oracle_armed)
-          shapes[w] = bounds::shape_of(*traces[w]);
-      };
-      if (!options.keep_going) {
-        body(1);  // fail-fast: lint/replay errors propagate untouched
-        workload_outcomes[w].ok = true;
-        return;
-      }
-      workload_outcomes[w] = fault::run_guarded(options.retry, body);
-    });
-  }
-
-  // Phase 2: the scenario fan-out. Each worker runs the pipeline on
-  // private state and writes into its pre-allocated slot, so the merged
-  // row/error order is the canonical grid order regardless of thread
-  // count. Each cell runs under run_guarded: transient failures (e.g.
-  // injected scenario_flaky faults) retry with deterministic simulated
-  // backoff; persistent failures quarantine the cell when keep_going is
-  // set and abort the sweep with cell context otherwise.
-  std::vector<fault::GuardOutcome> cell_outcomes(scenarios.size());
-  {
-    ProgressMonitor progress(options.progress_stream,
-                             options.progress_interval_seconds,
-                             owned_cells, completed, completed.value());
-    PALS_SPAN("sweep.scenarios", span_reg);
-    // Durably journal one terminal record. Appends are serialized: the
-    // journal is append-only and fsync'd per record, so at most one
-    // in-flight record can be torn by a crash — exactly what
-    // read_journal's tail-drop repairs.
-    const auto journal_append = [&](const JournalRecord& record) {
-      if (!journal.has_value()) return;
-      std::lock_guard<std::mutex> lock(journal_mutex);
-      journal->append(record);
-      reg.counter("journal.records_appended").add(1);
-      if (options.on_journal_record)
-        options.on_journal_record(journal->records_appended());
-    };
-    const auto run_cell = [&](std::size_t i) {
-      if (owned[i] == 0) return;  // another shard's cell (docs/sharding.md)
-      if (done[i] != 0) {
-        // Resumed from the journal: the slot is already terminal.
-        completed.add(1);
-        return;
-      }
-      const Scenario& s = scenarios[i];
-      const std::size_t w = scenario_workload[i];
-      if (workload_skipped[w] != 0 ||
-          (cancel != nullptr && cancel->load(std::memory_order_relaxed))) {
-        // Cancelled before this cell started; a later --resume run
-        // re-executes it (it was never journaled as terminal).
-        skipped.fetch_add(1, std::memory_order_relaxed);
-        completed.add(1);
-        return;
-      }
-      const auto scenario_start = Clock::now();
-      PALS_SPAN_DETAIL("sweep.scenario", span_reg,
-                       workloads[w].display + " " + s.variant_label());
-      const auto record_error = [&](const fault::GuardOutcome& outcome) {
-        error_slots[i] = ScenarioError{
-            i, workloads[w].display, s.variant_label(), outcome.error_class,
-            outcome.attempts, outcome.retries, outcome.backoff_seconds,
-            outcome.message};
-      };
-      const auto journal_cell = [&] {
-        if (!journal.has_value()) return;
-        JournalRecord record;
-        record.index = i;
-        if (row_ok[i] != 0) {
-          record.kind = JournalRecord::Kind::kRow;
-          record.row = row_slots[i];
-        } else {
-          const ScenarioError& e = *error_slots[i];
-          record.kind = JournalRecord::Kind::kError;
-          record.workload = e.workload;
-          record.variant = e.variant;
-          record.error_class = fault::to_string(e.error_class);
-          record.attempts = e.attempts;
-          record.retries = e.retries;
-          record.backoff_seconds = e.backoff_seconds;
-          record.message = e.message;
-        }
-        journal_append(record);
-      };
-      if (!workload_outcomes[w].ok) {
-        // keep_going only (fail-fast threw in phase 1): the workload's
-        // lint/baseline failure quarantines each of its cells.
-        record_error(workload_outcomes[w]);
-        journal_cell();
-        completed.add(1);
-        return;
-      }
-      // Static intervals, computed once and reused by the pruner and the
-      // oracle, from the cell's one plan, which the pipeline then replays.
-      // A throw here is an analyzer bug and aborts the sweep even under
-      // keep_going — silently degrading the soundness contract would hide
-      // exactly the failures the oracle exists to catch. Without the
-      // analyzer the pipeline plans the cell itself.
-      std::optional<CellPlan> plan;
-      std::optional<bounds::ScenarioBounds> cell_bounds;
-      if (prune_enabled || oracle_armed) {
-        cell_configs[i].validate();
-        plan = plan_cell(*traces[w], cell_configs[i], baselines[w]);
-        const bounds::BaselineFacts facts{baselines[w].makespan,
-                                          plan->baseline_energy};
-        cell_bounds = bounds::analyze(shapes[w], cell_configs[i],
-                                      plan->schedule,
-                                      baselines[w].compute_time, &facts);
-      }
-      if (prune_enabled && cell_bounds->normalized) {
-        // Candidate dominators are completed earlier cells of the same
-        // workload: the pruning fan-out runs a workload's cells serially
-        // in canonical order, so row_ok[j] is settled for every j < i of
-        // this group (including cells pre-filled by --resume), and the
-        // decision is identical at any jobs count.
-        ExperimentRow optimistic;
-        optimistic.instance = workloads[w].display;
-        optimistic.normalized_time = cell_bounds->normalized_time.lo;
-        optimistic.normalized_energy = cell_bounds->normalized_energy.lo;
-        for (std::size_t j = 0; j < i; ++j) {
-          if (scenario_workload[j] != w || row_ok[j] == 0) continue;
-          if (!dominates(row_slots[j], optimistic)) continue;
-          // Even the cell's best case is beaten outright: the replay can
-          // not land on the Pareto front, so skip it with provenance.
-          PrunedCell cell{i,
-                          workloads[w].display,
-                          s.variant_label(),
-                          optimistic.normalized_time,
-                          optimistic.normalized_energy,
-                          j,
-                          scenarios[j].variant_label()};
-          pruned_slots[i] = std::move(cell);
-          reg.counter("sweep.cells_pruned").add(1);
-          JournalRecord record;
-          record.kind = JournalRecord::Kind::kPruned;
-          record.index = i;
-          record.workload = pruned_slots[i]->workload;
-          record.variant = pruned_slots[i]->variant;
-          record.lb_normalized_time = pruned_slots[i]->lb_normalized_time;
-          record.lb_normalized_energy = pruned_slots[i]->lb_normalized_energy;
-          record.dominated_by = j;
-          journal_append(record);
-          completed.add(1);
-          return;
-        }
-      }
-      const auto body = [&](int attempt) {
-        if (faults != nullptr) {
-          if (faults->scenario_crashed(i))
-            throw Error("injected scenario crash (scenario_crash, cell " +
-                        std::to_string(i) + ")");
-          if (attempt <= faults->scenario_transient_failures(i))
-            throw fault::TransientError(
-                "injected transient fault (scenario_flaky, cell " +
-                std::to_string(i) + ", attempt " + std::to_string(attempt) +
-                ")");
-        }
-        const PipelineResult pipeline =
-            run_pipeline(*traces[w], programs[w], cell_configs[i],
-                         baselines[w], plan ? &*plan : nullptr);
-        if (oracle_armed) {
-          const std::vector<lint::Diagnostic> violations =
-              bounds::check_soundness(*cell_bounds, pipeline.scaled_time,
-                                      pipeline.scaled_energy);
-          if (!violations.empty()) {
-            std::string text = "bounds soundness oracle: ";
-            for (std::size_t k = 0; k < violations.size(); ++k) {
-              if (k > 0) text += "; ";
-              text += violations[k].to_text();
-            }
-            throw Error(text);
-          }
-        }
-        row_slots[i] = flatten_result(pipeline, workloads[w].display,
-                                      s.variant_label());
-      };
-      if (!options.keep_going && faults == nullptr &&
-          options.cell_timeout_seconds <= 0.0) {
-        body(1);  // fail-fast: scenario errors propagate untouched
-        cell_outcomes[i].ok = true;
-      } else {
-        // Guarded also when a watchdog is armed, so an expired cell is
-        // classified (kTimeout) like any other fault.
-        cell_outcomes[i] = fault::run_guarded(options.retry, body);
-      }
-      const fault::GuardOutcome& outcome = cell_outcomes[i];
-      if (outcome.ok) {
-        row_ok[i] = 1;
-        second_slots[i] = seconds_since(scenario_start);
-        journal_cell();
-      } else if (options.keep_going) {
-        record_error(outcome);
-        journal_cell();
-      } else {
-        completed.add(1);
-        throw Error("sweep scenario " + std::to_string(i) + " (" +
-                    workloads[w].display + " " + s.variant_label() +
-                    ") failed: " + outcome.describe());
-      }
-      completed.add(1);
-    };
-    if (prune_enabled) {
-      // Pruning needs earlier cells of the workload to be terminal before
-      // later ones are judged, so parallelism moves up a level: workload
-      // groups fan out across the pool, cells inside a group run serially
-      // in canonical order. Scenario order within a group — and therefore
-      // every prune decision — is independent of the thread count.
-      std::vector<std::vector<std::size_t>> groups(workloads.size());
-      for (std::size_t i = 0; i < scenarios.size(); ++i)
-        groups[scenario_workload[i]].push_back(i);
-      pool.parallel_for(groups.size(), [&](std::size_t g) {
-        for (const std::size_t i : groups[g]) run_cell(i);
-      });
-    } else {
-      pool.parallel_for(scenarios.size(), run_cell);
-    }
-  }
-  obs::record_thread_pool(pool.stats(), reg);
-  heartbeat.reset();  // join the beater; heartbeats_written is now settled
-
-  // Merge the slots in canonical order: successes into rows, failures
-  // into errors. Without faults and with healthy workloads every slot is
-  // a success and the output matches the pre-fault engine exactly.
-  SweepResult result;
-  result.rows.reserve(scenarios.size());
-  result.scenario_seconds.reserve(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    if (row_ok[i] != 0) {
-      result.rows.push_back(std::move(row_slots[i]));
-      result.scenario_seconds.push_back(second_slots[i]);
-    } else if (error_slots[i].has_value()) {
-      result.errors.push_back(std::move(*error_slots[i]));
-    } else if (pruned_slots[i].has_value()) {
-      result.pruned.push_back(std::move(*pruned_slots[i]));
-    }
-  }
-
-  SweepStats& stats = result.stats;
-  stats.scenarios = scenarios.size();
-  stats.workloads = workloads.size();
-  stats.jobs = pool.size();
-  stats.wall_seconds = seconds_since(sweep_start);
-  stats.scenarios_per_second =
-      stats.wall_seconds > 0.0
-          ? static_cast<double>(stats.scenarios) / stats.wall_seconds
-          : 0.0;
-  stats.baseline_cache_misses = baselines_needed;
-  stats.baseline_cache_hits = scenarios.size() - workloads.size();
-  stats.baseline_cache_hit_rate =
-      static_cast<double>(stats.baseline_cache_hits) /
-      static_cast<double>(stats.scenarios);
-  for (const double s : result.scenario_seconds) {
-    stats.scenario_seconds_total += s;
-    stats.scenario_seconds_max = std::max(stats.scenario_seconds_max, s);
-  }
-  stats.quarantined = result.errors.size();
-  for (const fault::GuardOutcome& outcome : workload_outcomes) {
-    stats.transient_retries += static_cast<std::size_t>(outcome.retries);
-    stats.backoff_seconds += outcome.backoff_seconds;
-  }
-  for (const fault::GuardOutcome& outcome : cell_outcomes) {
-    stats.transient_retries += static_cast<std::size_t>(outcome.retries);
-    stats.backoff_seconds += outcome.backoff_seconds;
-  }
-  stats.resumed_cells = resumed_cells;
-  stats.skipped_cells = skipped.load();
-  stats.pruned_cells = result.pruned.size();
-  stats.shard_cells_owned = owned_cells;
-  stats.shard_cells_foreign = scenarios.size() - owned_cells;
-  stats.heartbeats_written = heartbeats_written;
-  stats.journal_records = journal.has_value() ? journal->records_appended() : 0;
-  result.interrupted = stats.skipped_cells > 0;
-  if (faults != nullptr || options.keep_going) {
+  SweepResult result = merge(run, pool, sweep_start);
+  if (run.faults != nullptr || options.keep_going) {
     // Only touched on the fault-tolerant path so fault-free sweeps keep
     // their exact metric snapshots. The added values are deterministic.
-    reg.counter("fault.scenario_retries").add(stats.transient_retries);
-    reg.counter("fault.cells_quarantined").add(stats.quarantined);
+    run.reg.counter("fault.scenario_retries")
+        .add(result.stats.transient_retries);
+    run.reg.counter("fault.cells_quarantined").add(result.stats.quarantined);
   }
   return result;
+}
+
+CellOutcome outcome_of(JournalRecord record,
+                       const std::vector<Scenario>& scenarios) {
+  const std::size_t i = record.index;
+  if (record.kind == JournalRecord::Kind::kRow) return std::move(record.row);
+  if (record.kind == JournalRecord::Kind::kPruned)
+    return PrunedCell{i,
+                      std::move(record.workload),
+                      std::move(record.variant),
+                      record.lb_normalized_time,
+                      record.lb_normalized_energy,
+                      record.dominated_by,
+                      scenarios[record.dominated_by].variant_label()};
+  return ScenarioError{i,
+                       std::move(record.workload),
+                       std::move(record.variant),
+                       fault::error_class_from_string(record.error_class),
+                       record.attempts,
+                       record.retries,
+                       record.backoff_seconds,
+                       std::move(record.message)};
+}
+
+JournalRecord record_of(std::size_t index, const CellOutcome& outcome) {
+  JournalRecord record;
+  record.index = index;
+  if (const auto* row = std::get_if<ExperimentRow>(&outcome)) {
+    record.kind = JournalRecord::Kind::kRow;
+    record.row = *row;
+  } else if (const auto* e = std::get_if<ScenarioError>(&outcome)) {
+    record.kind = JournalRecord::Kind::kError;
+    record.workload = e->workload;
+    record.variant = e->variant;
+    record.error_class = fault::to_string(e->error_class);
+    record.attempts = e->attempts;
+    record.retries = e->retries;
+    record.backoff_seconds = e->backoff_seconds;
+    record.message = e->message;
+  } else {
+    const PrunedCell& p = std::get<PrunedCell>(outcome);
+    record.kind = JournalRecord::Kind::kPruned;
+    record.workload = p.workload;
+    record.variant = p.variant;
+    record.lb_normalized_time = p.lb_normalized_time;
+    record.lb_normalized_energy = p.lb_normalized_energy;
+    record.dominated_by = p.dominated_by;
+  }
+  return record;
 }
 
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {

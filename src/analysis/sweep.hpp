@@ -26,6 +26,7 @@
 #include <iosfwd>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -250,6 +251,21 @@ struct ScenarioError {
   /// One-line "cell <index> <workload> [<variant>]: <class> ..." report.
   std::string describe() const;
 };
+
+/// A grid cell's terminal outcome (monostate until it has one): a result
+/// row, a quarantined error or a pruned cell, journaled as one R, E or P
+/// record.
+using CellOutcome =
+    std::variant<std::monostate, ExperimentRow, ScenarioError, PrunedCell>;
+
+/// The outcome an R, E or P journal record stands for; a pruned cell's
+/// dominator is named from `scenarios`. Resume and the shard merge read
+/// journals through it.
+CellOutcome outcome_of(JournalRecord record,
+                       const std::vector<Scenario>& scenarios);
+
+/// The journal record of cell `index`'s terminal `outcome`.
+JournalRecord record_of(std::size_t index, const CellOutcome& outcome);
 
 /// Timing/throughput counters of one sweep, for the machine-readable
 /// summary (timings are wall-clock and therefore *not* deterministic —

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <optional>
 #include <utility>
+#include <variant>
 
 #include "analysis/journal.hpp"
 #include "util/error.hpp"
@@ -75,33 +76,17 @@ MergeReport merge_shard_journals(const std::vector<Scenario>& scenarios,
   // performs, so the rendered CSVs are byte-identical to its output.
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     if (slots[i].has_value()) {
-      JournalRecord& record = *slots[i];
-      if (record.kind == JournalRecord::Kind::kRow) {
-        report.rows.push_back(std::move(record.row));
-      } else if (record.kind == JournalRecord::Kind::kPruned) {
-        PALS_CHECK_MSG(options.prune_bounds,
-                       "shard journal records pruned cell "
-                           << i
-                           << " but this sweep does not set prune_bounds");
-        report.pruned.push_back(PrunedCell{i,
-                                           record.workload,
-                                           record.variant,
-                                           record.lb_normalized_time,
-                                           record.lb_normalized_energy,
-                                           record.dominated_by,
-                                           scenarios[record.dominated_by]
-                                               .variant_label()});
-      } else {
-        report.errors.push_back(ScenarioError{
-            i,
-            record.workload,
-            record.variant,
-            fault::error_class_from_string(record.error_class),
-            record.attempts,
-            record.retries,
-            record.backoff_seconds,
-            record.message});
-      }
+      PALS_CHECK_MSG(options.prune_bounds ||
+                         slots[i]->kind != JournalRecord::Kind::kPruned,
+                     "shard journal records pruned cell "
+                         << i << " but this sweep does not set prune_bounds");
+      CellOutcome outcome = outcome_of(std::move(*slots[i]), scenarios);
+      if (auto* row = std::get_if<ExperimentRow>(&outcome))
+        report.rows.push_back(std::move(*row));
+      else if (auto* pruned = std::get_if<PrunedCell>(&outcome))
+        report.pruned.push_back(std::move(*pruned));
+      else
+        report.errors.push_back(std::get<ScenarioError>(std::move(outcome)));
     } else if (extra_slots[i].has_value()) {
       report.errors.push_back(std::move(*extra_slots[i]));
     } else {
