@@ -17,7 +17,9 @@ UNUSED_DIR=${4:-build-unused}
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 echo "== tier 1: build + full test suite (${BUILD_DIR}) =="
-cmake -B "${BUILD_DIR}" -S .
+# The tree builds warning-free under its own warning set; -Werror keeps
+# it so (the optimizer raises some warnings a syntax-only pass misses).
+cmake -B "${BUILD_DIR}" -S . -DPALS_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 

@@ -56,9 +56,10 @@ TEST_P(AssignmentProperty, MaxIsMonotoneInLoad) {
     const FrequencyAssignment a = assign_frequencies(loads, config);
     for (std::size_t i = 0; i < loads.size(); ++i)
       for (std::size_t j = 0; j < loads.size(); ++j)
-        if (loads[i] < loads[j])
+        if (loads[i] < loads[j]) {
           EXPECT_LE(a.gears[i].frequency_ghz,
                     a.gears[j].frequency_ghz + 1e-12);
+        }
   }
 }
 
@@ -88,8 +89,9 @@ TEST_P(AssignmentProperty, AvgOverclocksOnlyAboveTargetRanks) {
     const auto loads = random_loads(rng, 32);
     const FrequencyAssignment a = assign_frequencies(loads, config);
     for (std::size_t r = 0; r < loads.size(); ++r) {
-      if (a.gears[r].frequency_ghz > 2.3 + 1e-12)
+      if (a.gears[r].frequency_ghz > 2.3 + 1e-12) {
         EXPECT_GT(loads[r], a.target_time - 1e-12) << "rank " << r;
+      }
     }
   }
 }

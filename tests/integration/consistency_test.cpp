@@ -157,8 +157,8 @@ TEST_P(Consistency, SystemEnergyInterpolatesCpuAndTime) {
 INSTANTIATE_TEST_SUITE_P(Apps, Consistency,
                          ::testing::Values("BT-MZ-32", "CG-32", "IS-64",
                                            "SPECFEM3D-96", "WRF-128"),
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           std::string name = info.param;
+                         [](const ::testing::TestParamInfo<const char*>& p) {
+                           std::string name = p.param;
                            for (char& c : name)
                              if (c == '-') c = '_';
                            return name;

@@ -129,8 +129,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("BT-MZ-32", "CG-32", "MG-32", "IS-32", "SPECFEM3D-32",
                       "WRF-32", "CG-64", "MG-64", "IS-64", "SPECFEM3D-96",
                       "PEPC-128", "WRF-128"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string name = info.param;
+    [](const ::testing::TestParamInfo<const char*>& p) {
+      std::string name = p.param;
       for (char& c : name)
         if (c == '-') c = '_';
       return name;

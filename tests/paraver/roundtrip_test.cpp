@@ -174,8 +174,8 @@ INSTANTIATE_TEST_SUITE_P(Families, PrvFamilyRoundTrip,
                          ::testing::Values("cg", "mg", "is", "bt-mz",
                                            "specfem3d", "wrf", "pepc",
                                            "amr-drift", "lu", "ft"),
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           std::string name = info.param;
+                         [](const ::testing::TestParamInfo<const char*>& p) {
+                           std::string name = p.param;
                            for (char& c : name)
                              if (c == '-') c = '_';
                            return name;

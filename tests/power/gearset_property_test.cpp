@@ -18,8 +18,9 @@ TEST_P(UniformSetProperty, GearsSortedWithinRangeAndEvenlySpaced) {
   for (std::size_t i = 0; i < gears.size(); ++i) {
     EXPECT_NEAR(gears[i].frequency_ghz,
                 kPaperFminGhz + step * static_cast<double>(i), 1e-9);
-    if (i > 0)
+    if (i > 0) {
       EXPECT_GT(gears[i].frequency_ghz, gears[i - 1].frequency_ghz);
+    }
   }
 }
 
@@ -37,8 +38,9 @@ TEST_P(UniformSetProperty, SnapUpIsIdempotentAndNeverBelowInput) {
     const double f = rng.uniform(0.05, 3.0);
     const double snapped = set.snap_up(f);
     EXPECT_EQ(set.snap_up(snapped), snapped) << f;
-    if (f <= set.fmax())
+    if (f <= set.fmax()) {
       EXPECT_GE(snapped, std::min(f, set.fmax()) - 1e-12) << f;
+    }
     EXPECT_GE(snapped, set.fmin() - 1e-12);
     EXPECT_LE(snapped, set.fmax() + 1e-12);
     // Nearest never exceeds up.

@@ -130,7 +130,9 @@ TEST(WarmCache, RacingColdQueriesBuildExactlyOnce) {
   std::vector<std::shared_ptr<const WarmEntry>> results(4);
   for (int i = 0; i < 4; ++i)
     threads.emplace_back(
-        [&cache, &build, &results, i] { results[i] = cache.get("k", build); });
+        [&cache, &build, &results, i] {
+          results[static_cast<std::size_t>(i)] = cache.get("k", build);
+        });
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(builds.load(), 1);
   for (const auto& result : results) EXPECT_EQ(result.get(), results[0].get());

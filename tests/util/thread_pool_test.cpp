@@ -85,7 +85,7 @@ TEST(ThreadPool, UnevenTaskCostsAllComplete) {
   pool.parallel_for(64, [&](std::size_t i) {
     volatile long burn = 0;
     const long spins = (i == 0) ? 2000000 : 1000;
-    for (long s = 0; s < spins; ++s) burn += s;
+    for (long s = 0; s < spins; ++s) burn = burn + s;
     sum += static_cast<long>(i);
   });
   EXPECT_EQ(sum.load(), 64 * 63 / 2);

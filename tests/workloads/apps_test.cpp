@@ -95,8 +95,8 @@ INSTANTIATE_TEST_SUITE_P(
                       AppCase{"pepc", make_pepc, 0.76},
                       AppCase{"lu", make_lu, 0.93},
                       AppCase{"ft", make_ft, 0.98}),
-    [](const ::testing::TestParamInfo<AppCase>& info) {
-      std::string name = info.param.name;
+    [](const ::testing::TestParamInfo<AppCase>& p) {
+      std::string name = p.param.name;
       for (char& c : name)
         if (c == '-') c = '_';
       return name;

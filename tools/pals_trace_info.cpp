@@ -4,6 +4,7 @@
 // kind, bytes by operation, burst statistics) rendered through the
 // pals::obs registry renderer as text or, with --csv, as CSV.
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -27,7 +28,8 @@ namespace {
 obs::MetricsSnapshot trace_stats(const Trace& trace) {
   obs::Registry reg;
   reg.gauge("trace.ranks").set(trace.n_ranks());
-  reg.gauge("trace.iterations").set(trace.iteration_count());
+  reg.gauge("trace.iterations")
+      .set(static_cast<std::int64_t>(trace.iteration_count()));
   reg.gauge("trace.phases")
       .set(static_cast<std::int64_t>(trace.phases().size()));
   obs::Counter& events = reg.counter("trace.events");
@@ -139,7 +141,8 @@ int run(int argc, char** argv) {
             << " recvs, " << p2p_bytes << " bytes\n"
             << "collectives:   " << collectives;
   for (const auto& [op, count] : coll_histogram)
-    std::cout << "  " << to_string(op) << "=" << count / trace.n_ranks();
+    std::cout << "  " << to_string(op) << "="
+              << count / static_cast<std::size_t>(trace.n_ranks());
   std::cout << " (per rank)\n"
             << "compute time:  mean " << format_fixed(stats.mean * 1e3, 3)
             << " ms, min " << format_fixed(stats.min * 1e3, 3) << ", max "
