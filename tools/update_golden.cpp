@@ -7,13 +7,19 @@
 //
 // Every golden is replaced atomically (util/fsio.hpp's atomic_write_file),
 // so an interrupted regeneration leaves the old goldens intact instead of
-// half-written ones. Its inputs (examples/traces/ring.palst,
-// tests/power/fixtures/drift4.palst, configs/) are read from --source.
+// half-written ones. Its inputs (examples/traces/,
+// tests/power/fixtures/drift4.palst, configs/) are read from --source;
+// lint_bounds.jsonl is the output of the pals_lint binary next to this
+// one.
 //
 //   update_golden [--dir=golden] [--source=.]
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "analysis/controller_study.hpp"
 #include "analysis/journal_pins.hpp"
@@ -27,6 +33,20 @@
 
 namespace pals {
 namespace {
+
+/// Standard output of `command` run by the shell; throws unless it exits
+/// with status 0.
+std::string command_output(const std::string& command) {
+  FILE* pipe = ::popen(command.c_str(), "r");
+  PALS_CHECK_MSG(pipe != nullptr, "cannot run: " << command);
+  std::string out;
+  char buffer[4096];
+  for (std::size_t n = 0;
+       (n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0;)
+    out.append(buffer, n);
+  PALS_CHECK_MSG(::pclose(pipe) == 0, "failed: " << command);
+  return out;
+}
 
 int run(int argc, char** argv) {
   CliParser cli;
@@ -76,6 +96,27 @@ int run(int argc, char** argv) {
   std::filesystem::remove_all(work);
   atomic_write_file(dir + "/journal_pins.txt", pins);
   std::cout << "wrote " << dir << "/journal_pins.txt\n";
+
+  // pals_lint --bounds --json of the example traces under every
+  // controller, run from the source tree so each "input" is the relative
+  // path (compared byte for byte by tests/golden_lint_bounds.cmake, which
+  // runs the same command).
+  std::vector<std::string> traces;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(source + "/examples/traces"))
+    if (entry.path().extension() == ".palst")
+      traces.push_back("examples/traces/" + entry.path().filename().string());
+  std::sort(traces.begin(), traces.end());
+  const std::filesystem::path lint =
+      std::filesystem::read_symlink("/proc/self/exe").parent_path() /
+      "pals_lint";
+  std::string command = "cd '" + source + "' && '" + lint.string() +
+                        "' --bounds --json "
+                        "--controller=static,dynamic_max,dynamic_avg,slack,"
+                        "ewma,jitter";
+  for (const std::string& trace : traces) command += ' ' + trace;
+  atomic_write_file(dir + "/lint_bounds.jsonl", command_output(command));
+  std::cout << "wrote " << dir << "/lint_bounds.jsonl\n";
   return 0;
 }
 
