@@ -4,8 +4,9 @@
 // every schedule shape, online controllers included; its
 // PipelineResult::schedule is the controller's view of the run (rows,
 // switches, stalls, transition energy, fell_back_static). This header
-// keeps the earlier controller-result shape for perfbench's composed
-// cell path until that path composes run_pipeline's public seams.
+// serves perfbench's composed cell path, which reads the pipeline result
+// and the two counts below, until that path composes run_pipeline's
+// public seams.
 #pragma once
 
 #include <cstddef>
