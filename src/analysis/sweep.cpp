@@ -515,19 +515,20 @@ void prefill_from_journal(SweepRun& run, const std::string& config_hash) {
 void open_journal(SweepRun& run, const std::string& config_hash,
                   const shard::ShardSpec& spec) {
   const SweepOptions& options = run.options;
-  run.completed = &run.reg.counter("sweep.scenarios_completed");
   if (options.resume != nullptr)
     run.heartbeat_seq = options.resume->heartbeats.size();
-  if (options.journal_path.empty()) return;
-  if (options.resume != nullptr) {
-    run.journal.emplace(JournalWriter::open_existing(options.journal_path));
-  } else {
-    JournalHeader header;
-    header.config_hash = config_hash;
-    header.scenarios = run.scenarios.size();
-    run.journal.emplace(JournalWriter::create(options.journal_path, header));
+  if (!options.journal_path.empty()) {
+    if (options.resume != nullptr) {
+      run.journal.emplace(JournalWriter::open_existing(options.journal_path));
+    } else {
+      JournalHeader header;
+      header.config_hash = config_hash;
+      header.scenarios = run.scenarios.size();
+      run.journal.emplace(JournalWriter::create(options.journal_path, header));
+    }
   }
-  if (options.heartbeat_interval_seconds <= 0.0) return;
+  run.completed = &run.reg.counter("sweep.scenarios_completed");
+  if (options.heartbeat_interval_seconds <= 0.0 || !run.journal) return;
   const std::uint64_t completed_baseline = run.completed->value();
   run.heartbeat.emplace(
       options.heartbeat_interval_seconds,
