@@ -226,8 +226,8 @@ TEST(ControllerPipeline, TimeContractHoldsOnStationaryTraces) {
   for (const auto& weights : {kImbalanced, kBalanced}) {
     const Trace trace = bsp_trace(weights, 6);
     for (const std::string& name : controller_names()) {
-      const PipelineResult result =
-          run_pipeline(trace, controller_config(controller_by_name(name)));
+      const PipelineResult result = forced_controller_run(
+          trace, controller_config(controller_by_name(name)));
       EXPECT_LE(result.normalized_time(), 1.0 + 1e-9)
           << name << " stretched a stationary trace";
       EXPECT_DOUBLE_EQ(result.overclocked_fraction, 0.0) << name;
