@@ -40,12 +40,13 @@ double seconds_since(Clock::time_point start) {
 
 /// A background thread that calls `tick` every `interval_seconds` until
 /// it is destroyed; the destructor wakes and joins it, so no tick can
-/// outlive its owner. Drives the progress lines and the journal
-/// heartbeats.
+/// outlive its owner, then ticks once more when `final_tick` is set.
+/// Drives the progress lines and the journal heartbeats.
 class Ticker {
  public:
-  Ticker(double interval_seconds, std::function<void()> tick)
-      : tick_(std::move(tick)) {
+  Ticker(double interval_seconds, std::function<void()> tick,
+         bool final_tick = false)
+      : tick_(std::move(tick)), final_tick_(final_tick) {
     thread_ = std::thread([this, interval_seconds] {
       std::unique_lock<std::mutex> lock(mutex_);
       while (!stop_.wait_for(lock,
@@ -65,62 +66,41 @@ class Ticker {
     }
     stop_.notify_all();
     thread_.join();
+    if (final_tick_) tick_();
   }
 
  private:
   std::function<void()> tick_;
+  bool final_tick_;
   std::mutex mutex_;
   std::condition_variable stop_;
   bool done_ = false;
   std::thread thread_;
 };
 
-/// SweepOptions::progress_stream: one whole line per interval from the
-/// completion counter, and a final "N/N" line when the fan-out ends.
-class ProgressMonitor {
- public:
-  ProgressMonitor(std::ostream* out, double interval_seconds,
-                  std::size_t total, const obs::Counter& completed)
-      : out_(out),
-        total_(total),
-        completed_(completed),
-        baseline_(completed.value()),
-        start_(Clock::now()) {
-    if (out_ != nullptr)
-      ticker_.emplace(interval_seconds, [this] { print_line(); });
-  }
-
-  ~ProgressMonitor() {
-    if (out_ == nullptr) return;
-    ticker_.reset();
-    print_line();
-  }
-
- private:
-  void print_line() {
-    const std::uint64_t done = completed_.value() - baseline_;
-    const double elapsed = seconds_since(start_);
+/// SweepOptions::progress_stream: one whole line from the completion
+/// counter per call, so a Ticker prints one per interval and a final
+/// "N/N" line when the fan-out ends.
+std::function<void()> progress_printer(std::ostream& out, std::size_t total,
+                                       const obs::Counter& completed) {
+  return [&out, total, &completed, baseline = completed.value(),
+          start = Clock::now()] {
+    const std::uint64_t done = completed.value() - baseline;
+    const double elapsed = seconds_since(start);
     std::string line = "sweep: " + std::to_string(done) + "/" +
-                       std::to_string(total_) + " scenarios, elapsed " +
+                       std::to_string(total) + " scenarios, elapsed " +
                        format_fixed(elapsed, 1) + "s";
-    if (done > 0 && done < total_) {
+    if (done > 0 && done < total) {
       const double eta =
           elapsed / static_cast<double>(done) *
-          static_cast<double>(total_ - done);
+          static_cast<double>(total - done);
       line += ", ETA " + format_fixed(eta, 1) + "s";
     }
     line += '\n';
-    out_->write(line.data(), static_cast<std::streamsize>(line.size()));
-    out_->flush();
-  }
-
-  std::ostream* out_;
-  std::size_t total_;
-  const obs::Counter& completed_;
-  std::uint64_t baseline_;
-  Clock::time_point start_;
-  std::optional<Ticker> ticker_;
-};
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
+    out.flush();
+  };
+}
 
 std::vector<double> parse_beta_list(const std::string& text) {
   std::vector<double> betas;
@@ -387,32 +367,36 @@ struct WorkloadSlot {
 /// What the phases of one run_sweep share.
 struct SweepRun {
   SweepRun(const std::vector<Scenario>& s, const SweepOptions& o)
-      : scenarios(s),
-        options(o),
-        faults(o.faults != nullptr ? o.faults : o.base.replay.faults),
-        span_reg(o.base.observe ? &reg : nullptr) {}
+      : scenarios(s), options(o) {}
 
   bool cancelled() const {
     return options.cancel != nullptr &&
            options.cancel->load(std::memory_order_relaxed);
   }
 
+  std::size_t owned_cells() const {
+    return static_cast<std::size_t>(std::ranges::count_if(
+        cells, [](const CellSlot& cell) { return cell.owned; }));
+  }
+
+  std::size_t baselines_needed() const {
+    return static_cast<std::size_t>(std::ranges::count_if(
+        workloads, [](const WorkloadSlot& w) { return w.needed; }));
+  }
+
   const std::vector<Scenario>& scenarios;
   const SweepOptions& options;
   /// The fault injector (if any) rides through PipelineConfig::replay so
   /// baseline and scaled replays both see the perturbed machine.
-  const fault::Injector* faults;
+  const fault::Injector* faults =
+      options.faults != nullptr ? options.faults : options.base.replay.faults;
   obs::Registry& reg = obs::default_registry();
-  obs::Registry* span_reg;
+  obs::Registry* span_reg = options.base.observe ? &reg : nullptr;
   /// sweep.scenarios_completed, registered when the journal opens.
   obs::Counter* completed = nullptr;
-  bool prune_enabled = false;
   bool oracle_armed = false;
   std::vector<WorkloadSlot> workloads;
   std::vector<CellSlot> cells;
-  std::size_t owned_cells = 0;
-  std::size_t resumed_cells = 0;
-  std::size_t baselines_needed = 0;
   std::atomic<std::size_t> skipped{0};
   /// The journal (docs/resume.md), when the sweep keeps one. Appends and
   /// heartbeats are serialized by journal_mutex.
@@ -451,7 +435,6 @@ void resolve(SweepRun& run) {
     if (options.cell_timeout_seconds > 0.0)
       cell.config.replay.max_wall_seconds = options.cell_timeout_seconds;
   }
-  run.owned_cells = run.cells.size();
 }
 
 /// Sharded execution (docs/sharding.md): ownership is a pure function of
@@ -461,7 +444,6 @@ void resolve(SweepRun& run) {
 /// never run, journaled or counted as skipped.
 void assign_shards(SweepRun& run, const shard::ShardSpec& spec) {
   if (!spec.active()) return;
-  run.owned_cells = 0;
   for (std::size_t i = 0; i < run.cells.size(); ++i) {
     CellSlot& cell = run.cells[i];
     const std::size_t home =
@@ -470,11 +452,10 @@ void assign_shards(SweepRun& run, const shard::ShardSpec& spec) {
                                     spec.count)
             : shard::shard_of_cell(i, spec.count);
     cell.owned = home == spec.index;
-    run.owned_cells += cell.owned ? 1 : 0;
   }
-  run.reg.counter("shard.cells_owned").add(run.owned_cells);
-  run.reg.counter("shard.cells_foreign")
-      .add(run.cells.size() - run.owned_cells);
+  const std::size_t owned = run.owned_cells();
+  run.reg.counter("shard.cells_owned").add(owned);
+  run.reg.counter("shard.cells_foreign").add(run.cells.size() - owned);
 }
 
 /// Crash-safe execution (docs/resume.md): pre-fill the slots a resume
@@ -494,15 +475,14 @@ void prefill_from_journal(SweepRun& run, const std::string& config_hash) {
           << " does not match this sweep's " << config_hash
           << " (the journal belongs to a different sweep configuration)");
   for (const JournalRecord& record : prior->records) {
-    PALS_CHECK_MSG(run.prune_enabled ||
+    PALS_CHECK_MSG(run.options.prune_bounds ||
                        record.kind != JournalRecord::Kind::kPruned,
                    "resume journal records pruned cell "
                        << record.index << " but this sweep does not set "
                                           "prune_bounds");
     run.cells[record.index].outcome = outcome_of(record, run.scenarios);
-    ++run.resumed_cells;
   }
-  run.reg.counter("resume.cells_skipped").add(run.resumed_cells);
+  run.reg.counter("resume.cells_skipped").add(prior->records.size());
 }
 
 /// Open the journal, when the sweep keeps one, and start the liveness
@@ -575,9 +555,7 @@ void run_baselines(SweepRun& run, ThreadPool& pool, TraceCache& cache) {
   for (const CellSlot& cell : run.cells)
     if (!cell.terminal() && cell.owned)
       run.workloads[cell.workload].needed = true;
-  for (const WorkloadSlot& w : run.workloads)
-    run.baselines_needed += w.needed ? 1 : 0;
-  run.reg.counter("sweep.baseline_replays").add(run.baselines_needed);
+  run.reg.counter("sweep.baseline_replays").add(run.baselines_needed());
 
   ReplayConfig baseline_config = options.base.replay;
   baseline_config.faults = run.faults;
@@ -586,15 +564,12 @@ void run_baselines(SweepRun& run, ThreadPool& pool, TraceCache& cache) {
   PALS_SPAN("sweep.baselines", run.span_reg);
   pool.parallel_for(run.workloads.size(), [&](std::size_t index) {
     WorkloadSlot& w = run.workloads[index];
-    if (!w.needed) {
-      // Every cell of this workload was resumed from the journal; its
-      // trace and baseline are never consulted again.
-      w.guard.ok = true;
-      return;
-    }
+    // Every cell of a workload that is not needed was resumed from the
+    // journal or belongs to another shard; its trace, baseline and guard
+    // are never consulted. Nor is the guard of a skipped workload.
+    if (!w.needed) return;
     if (run.cancelled()) {
       w.skipped = true;
-      w.guard.ok = true;
       return;
     }
     PALS_SPAN_DETAIL("sweep.baseline", run.span_reg, w.ref.display);
@@ -608,7 +583,7 @@ void run_baselines(SweepRun& run, ThreadPool& pool, TraceCache& cache) {
       }
       w.program = ReplayProgram(*w.trace);
       w.baseline = replay(*w.trace, w.program, baseline_config);
-      if (run.prune_enabled || run.oracle_armed)
+      if (options.prune_bounds || run.oracle_armed)
         w.shape = bounds::shape_of(*w.trace);
     };
     if (!options.keep_going) {
@@ -653,61 +628,13 @@ bool prune_cell(SweepRun& run, std::size_t index,
   return false;
 }
 
-/// Run cell `index`'s pipeline under its guard into the slot: injected
-/// scenario faults, run_pipeline from the workload's shared program and
-/// baseline, the soundness oracle, and the flattened row. Transient
-/// failures retry with deterministic simulated backoff; cell.guard holds
-/// the outcome.
-void execute_cell(SweepRun& run, std::size_t index, const CellPlan* plan,
-                  const bounds::ScenarioBounds* cell_bounds) {
-  CellSlot& cell = run.cells[index];
-  const WorkloadSlot& w = run.workloads[cell.workload];
-  const fault::Injector* faults = run.faults;
-  const auto body = [&](int attempt) {
-    if (faults != nullptr) {
-      if (faults->scenario_crashed(index))
-        throw Error("injected scenario crash (scenario_crash, cell " +
-                    std::to_string(index) + ")");
-      if (attempt <= faults->scenario_transient_failures(index))
-        throw fault::TransientError(
-            "injected transient fault (scenario_flaky, cell " +
-            std::to_string(index) + ", attempt " + std::to_string(attempt) +
-            ")");
-    }
-    const PipelineResult pipeline =
-        run_pipeline(*w.trace, w.program, cell.config, w.baseline, plan);
-    if (run.oracle_armed) {
-      const std::vector<lint::Diagnostic> violations =
-          bounds::check_soundness(*cell_bounds, pipeline.scaled_time,
-                                  pipeline.scaled_energy);
-      if (!violations.empty()) {
-        std::string text = "bounds soundness oracle: ";
-        for (std::size_t k = 0; k < violations.size(); ++k) {
-          if (k > 0) text += "; ";
-          text += violations[k].to_text();
-        }
-        throw Error(text);
-      }
-    }
-    cell.outcome = flatten_result(pipeline, w.ref.display,
-                                  run.scenarios[index].variant_label());
-  };
-  const SweepOptions& options = run.options;
-  if (!options.keep_going && faults == nullptr &&
-      options.cell_timeout_seconds <= 0.0) {
-    body(1);  // fail-fast: scenario errors propagate untouched
-    cell.guard.ok = true;
-  } else {
-    // Guarded also when a watchdog is armed, so an expired cell is
-    // classified (kTimeout) like any other fault.
-    cell.guard = fault::run_guarded(options.retry, body);
-  }
-}
-
-/// Drive one cell of the fan-out to a terminal slot and journal it.
-/// Persistent failures quarantine the cell when keep_going is set and
-/// abort the sweep with cell context otherwise.
+/// Drive one cell of the fan-out to a terminal slot and journal it. The
+/// cell's pipeline runs under its guard: transient failures retry with
+/// deterministic simulated backoff, persistent ones quarantine the cell
+/// when keep_going is set and abort the sweep with cell context
+/// otherwise.
 void run_cell(SweepRun& run, std::size_t index) {
+  const SweepOptions& options = run.options;
   CellSlot& cell = run.cells[index];
   if (!cell.owned) return;  // another shard's cell (docs/sharding.md)
   if (cell.terminal()) {
@@ -749,7 +676,7 @@ void run_cell(SweepRun& run, std::size_t index) {
   // analyzer the pipeline plans the cell itself.
   std::optional<CellPlan> plan;
   std::optional<bounds::ScenarioBounds> cell_bounds;
-  if (run.prune_enabled || run.oracle_armed) {
+  if (options.prune_bounds || run.oracle_armed) {
     cell.config.validate();
     plan = plan_cell(*w.trace, cell.config, w.baseline);
     const bounds::BaselineFacts facts{w.baseline.makespan,
@@ -757,17 +684,54 @@ void run_cell(SweepRun& run, std::size_t index) {
     cell_bounds = bounds::analyze(w.shape, cell.config, plan->schedule,
                                   w.baseline.compute_time, &facts);
   }
-  if (run.prune_enabled && cell_bounds->normalized &&
+  if (options.prune_bounds && cell_bounds->normalized &&
       prune_cell(run, index, *cell_bounds)) {
     run.completed->add(1);
     return;
   }
-  execute_cell(run, index, plan ? &*plan : nullptr,
-               cell_bounds ? &*cell_bounds : nullptr);
+  // Injected scenario faults, run_pipeline from the workload's shared
+  // program and baseline, the soundness oracle, and the flattened row.
+  const auto body = [&](int attempt) {
+    if (run.faults != nullptr) {
+      if (run.faults->scenario_crashed(index))
+        throw Error("injected scenario crash (scenario_crash, cell " +
+                    std::to_string(index) + ")");
+      if (attempt <= run.faults->scenario_transient_failures(index))
+        throw fault::TransientError(
+            "injected transient fault (scenario_flaky, cell " +
+            std::to_string(index) + ", attempt " + std::to_string(attempt) +
+            ")");
+    }
+    const PipelineResult pipeline = run_pipeline(
+        *w.trace, w.program, cell.config, w.baseline, plan ? &*plan : nullptr);
+    if (run.oracle_armed) {
+      const std::vector<lint::Diagnostic> violations =
+          bounds::check_soundness(*cell_bounds, pipeline.scaled_time,
+                                  pipeline.scaled_energy);
+      if (!violations.empty()) {
+        std::string text = "bounds soundness oracle: ";
+        for (std::size_t k = 0; k < violations.size(); ++k) {
+          if (k > 0) text += "; ";
+          text += violations[k].to_text();
+        }
+        throw Error(text);
+      }
+    }
+    cell.outcome = flatten_result(pipeline, w.ref.display, s.variant_label());
+  };
+  if (!options.keep_going && run.faults == nullptr &&
+      options.cell_timeout_seconds <= 0.0) {
+    body(1);  // fail-fast: scenario errors propagate untouched
+    cell.guard.ok = true;
+  } else {
+    // Guarded also when a watchdog is armed, so an expired cell is
+    // classified (kTimeout) like any other fault.
+    cell.guard = fault::run_guarded(options.retry, body);
+  }
   if (cell.guard.ok) {
     cell.seconds = seconds_since(scenario_start);
     journal_cell(run, index);
-  } else if (run.options.keep_going) {
+  } else if (options.keep_going) {
     quarantine(cell.guard);
   } else {
     run.completed->add(1);
@@ -783,12 +747,15 @@ void run_cell(SweepRun& run, std::size_t index) {
 /// row/error order is the canonical grid order regardless of thread
 /// count.
 void fan_out(SweepRun& run, ThreadPool& pool) {
-  ProgressMonitor progress(run.options.progress_stream,
-                           run.options.progress_interval_seconds,
-                           run.owned_cells, *run.completed);
+  std::optional<Ticker> progress;
+  if (run.options.progress_stream != nullptr)
+    progress.emplace(run.options.progress_interval_seconds,
+                     progress_printer(*run.options.progress_stream,
+                                      run.owned_cells(), *run.completed),
+                     /*final_tick=*/true);
   PALS_SPAN("sweep.scenarios", run.span_reg);
   const auto cell = [&run](std::size_t i) { run_cell(run, i); };
-  if (!run.prune_enabled) {
+  if (!run.options.prune_bounds) {
     pool.parallel_for(run.cells.size(), cell);
     return;
   }
@@ -843,17 +810,18 @@ SweepResult merge(SweepRun& run, const ThreadPool& pool,
       stats.wall_seconds > 0.0
           ? static_cast<double>(stats.scenarios) / stats.wall_seconds
           : 0.0;
-  stats.baseline_cache_misses = run.baselines_needed;
+  stats.baseline_cache_misses = run.baselines_needed();
   stats.baseline_cache_hits = stats.scenarios - stats.workloads;
   stats.baseline_cache_hit_rate =
       static_cast<double>(stats.baseline_cache_hits) /
       static_cast<double>(stats.scenarios);
   stats.quarantined = result.errors.size();
-  stats.resumed_cells = run.resumed_cells;
+  stats.resumed_cells =
+      run.options.resume != nullptr ? run.options.resume->records.size() : 0;
   stats.skipped_cells = run.skipped.load();
   stats.pruned_cells = result.pruned.size();
-  stats.shard_cells_owned = run.owned_cells;
-  stats.shard_cells_foreign = stats.scenarios - run.owned_cells;
+  stats.shard_cells_owned = run.owned_cells();
+  stats.shard_cells_foreign = stats.scenarios - stats.shard_cells_owned;
   stats.heartbeats_written = run.heartbeats_written;
   stats.journal_records =
       run.journal.has_value() ? run.journal->records_appended() : 0;
@@ -899,7 +867,6 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   PALS_CHECK_MSG(!options.prune_bounds || !options.base.per_phase,
                  "prune_bounds does not support per-phase configurations "
                  "(no single schedule to bound)");
-  run.prune_enabled = options.prune_bounds;
   run.oracle_armed = options.bounds_oracle && run.faults == nullptr &&
                      !options.base.per_phase;
 
