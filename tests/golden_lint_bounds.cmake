@@ -1,10 +1,11 @@
 # The identity gate for the static gate's answers: pals_lint --bounds
 # --json of every examples/traces/*.palst under every controller, run
 # from the source tree so each "input" field is the relative path,
-# compared byte for byte with golden/lint_bounds.jsonl. tools/update_golden
-# writes that golden with the same command.
+# compared byte for byte with golden/lint_bounds.jsonl. With -DOUTPUT=F
+# it writes the fresh output to F instead (tools/update_golden runs it so
+# to regenerate the golden), so the command lives only here.
 #
-#   cmake -DPALS_LINT=... -DSOURCE_DIR=... -P golden_lint_bounds.cmake
+#   cmake -DPALS_LINT=... -DSOURCE_DIR=... [-DOUTPUT=F] -P golden_lint_bounds.cmake
 file(GLOB traces RELATIVE "${SOURCE_DIR}" "${SOURCE_DIR}/examples/traces/*.palst")
 list(SORT traces)
 execute_process(
@@ -16,6 +17,12 @@ execute_process(
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "pals_lint exited ${status}")
+endif()
+if(DEFINED OUTPUT)
+  # Replaced atomically, like every golden update_golden writes.
+  file(WRITE "${OUTPUT}.tmp" "${fresh}")
+  file(RENAME "${OUTPUT}.tmp" "${OUTPUT}")
+  return()
 endif()
 file(READ "${SOURCE_DIR}/golden/lint_bounds.jsonl" pinned)
 if(NOT fresh STREQUAL pinned)

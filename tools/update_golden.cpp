@@ -9,15 +9,15 @@
 // so an interrupted regeneration leaves the old goldens intact instead of
 // half-written ones. Its inputs (examples/traces/,
 // tests/power/fixtures/drift4.palst, configs/) are read from --source;
-// lint_bounds.jsonl is the output of the pals_lint binary next to this
-// one.
+// lint_bounds.jsonl is written by tests/golden_lint_bounds.cmake from the
+// pals_lint binary next to this one.
 //
 //   update_golden [--dir=golden] [--source=.]
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <spawn.h>
 #include <string>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
@@ -34,18 +34,19 @@
 namespace pals {
 namespace {
 
-/// Standard output of `command` run by the shell; throws unless it exits
-/// with status 0.
-std::string command_output(const std::string& command) {
-  FILE* pipe = ::popen(command.c_str(), "r");
-  PALS_CHECK_MSG(pipe != nullptr, "cannot run: " << command);
-  std::string out;
-  char buffer[4096];
-  for (std::size_t n = 0;
-       (n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0;)
-    out.append(buffer, n);
-  PALS_CHECK_MSG(::pclose(pipe) == 0, "failed: " << command);
-  return out;
+/// Run `args` as a child process, without a shell; throws unless it
+/// exits with status 0.
+void run_process(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  pid_t pid = -1;
+  int status = -1;
+  PALS_CHECK_MSG(::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(),
+                               environ) == 0 &&
+                     ::waitpid(pid, &status, 0) == pid && WIFEXITED(status) &&
+                     WEXITSTATUS(status) == 0,
+                 "failed: " << args.front() << " ... " << args.back());
 }
 
 int run(int argc, char** argv) {
@@ -86,8 +87,8 @@ int run(int argc, char** argv) {
   atomic_write_file(dir + "/replay_pins.csv", replay_pins_csv());
   std::cout << "wrote " << dir << "/replay_pins.csv\n";
 
-  // The R records of journaled --jobs=1 sweeps over the shipped grids
-  // (compared byte for byte). The journals go to a private temporary
+  // The R, E and P records of journaled --jobs=1 sweeps over the shipped
+  // grids (compared byte for byte). The journals go to a private temporary
   // directory, removed afterwards.
   const std::filesystem::path work =
       std::filesystem::temp_directory_path() /
@@ -98,24 +99,14 @@ int run(int argc, char** argv) {
   std::cout << "wrote " << dir << "/journal_pins.txt\n";
 
   // pals_lint --bounds --json of the example traces under every
-  // controller, run from the source tree so each "input" is the relative
-  // path (compared byte for byte by tests/golden_lint_bounds.cmake, which
-  // runs the same command).
-  std::vector<std::string> traces;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(source + "/examples/traces"))
-    if (entry.path().extension() == ".palst")
-      traces.push_back("examples/traces/" + entry.path().filename().string());
-  std::sort(traces.begin(), traces.end());
-  const std::filesystem::path lint =
-      std::filesystem::read_symlink("/proc/self/exe").parent_path() /
-      "pals_lint";
-  std::string command = "cd '" + source + "' && '" + lint.string() +
-                        "' --bounds --json "
-                        "--controller=static,dynamic_max,dynamic_avg,slack,"
-                        "ewma,jitter";
-  for (const std::string& trace : traces) command += ' ' + trace;
-  atomic_write_file(dir + "/lint_bounds.jsonl", command_output(command));
+  // controller, written by the script that compares it in ctest.
+  namespace fs = std::filesystem;
+  const fs::path lint =
+      fs::read_symlink("/proc/self/exe").parent_path() / "pals_lint";
+  run_process({PALS_CMAKE_COMMAND, "-DPALS_LINT=" + lint.string(),
+               "-DSOURCE_DIR=" + fs::absolute(source).string(),
+               "-DOUTPUT=" + fs::absolute(dir + "/lint_bounds.jsonl").string(),
+               "-P", source + "/tests/golden_lint_bounds.cmake"});
   std::cout << "wrote " << dir << "/lint_bounds.jsonl\n";
   return 0;
 }
