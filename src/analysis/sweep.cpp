@@ -394,7 +394,9 @@ struct SweepRun {
   obs::Registry* span_reg = options.base.observe ? &reg : nullptr;
   /// sweep.scenarios_completed, registered when the journal opens.
   obs::Counter* completed = nullptr;
-  bool oracle_armed = false;
+  /// Disarmed where the static bounds do not apply (see run_sweep).
+  bool oracle_armed =
+      options.bounds_oracle && faults == nullptr && !options.base.per_phase;
   std::vector<WorkloadSlot> workloads;
   std::vector<CellSlot> cells;
   std::atomic<std::size_t> skipped{0};
@@ -867,8 +869,6 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   PALS_CHECK_MSG(!options.prune_bounds || !options.base.per_phase,
                  "prune_bounds does not support per-phase configurations "
                  "(no single schedule to bound)");
-  run.oracle_armed = options.bounds_oracle && run.faults == nullptr &&
-                     !options.base.per_phase;
 
   std::string config_hash;
   if (!options.journal_path.empty() || options.resume != nullptr)
